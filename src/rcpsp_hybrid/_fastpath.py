@@ -1,10 +1,10 @@
 """Numba-compiled kernels for the two decode hot loops.
 
-The pure-Python fallbacks in sgs.py compute the same start vectors
-(they skip runs of short slots that these kernels step through one at a
-time; tests/test_sgs.py compares the two); the kernels exist because the
-benchmark budget (tens of thousands of decodes per instance) is
-dominated by these two loops.
+Without numba the decoders place activities through profile.py, whose
+window searches compute the same start vectors (they skip runs of short
+slots that these kernels step through one at a time; tests/test_sgs.py
+compares the two); the kernels exist because the benchmark budget (tens
+of thousands of decodes per instance) is dominated by these two loops.
 """
 
 from __future__ import annotations

@@ -5,13 +5,12 @@ per-instance makespan files and summary tables."""
 from __future__ import annotations
 
 import csv
-import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
-from .model import critical_path_lower_bound
 from .psplib import load_dataset
 from .solver import SolverConfig, solve
 
@@ -129,8 +128,6 @@ def compare_bounds(
 ) -> list[tuple[str, int, int]]:
     """(name, achieved, best_known) for instances beating the best known;
     unknown names in the bounds map are skipped with a warning."""
-    import sys
-
     by_name = {r.name: r for r in report.rows}
     improvements = []
     for name, best_known in sorted(bounds.items()):

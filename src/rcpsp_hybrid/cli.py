@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .bench import (
     compare_bounds,
@@ -34,12 +35,9 @@ def _load_instance(path: str):
 
 
 def _build_config(args) -> SolverConfig:
-    if getattr(args, "config", None):
-        if not os.path.isfile(args.config):
-            raise InputError(f"no such config file: {args.config}")
-        config = SolverConfig.from_file(args.config)
-    else:
-        config = SolverConfig()
+    config_path = getattr(args, "config", None)
+    if config_path and not os.path.isfile(config_path):
+        raise InputError(f"no such config file: {config_path}")
     overrides = {}
     if getattr(args, "lam", None) is not None:
         overrides["lambda_budget"] = args.lam
@@ -49,11 +47,11 @@ def _build_config(args) -> SolverConfig:
             overrides["lambda_budget"] = None
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
-    if overrides:
-        from dataclasses import replace
-
-        config = replace(config, **overrides)
-    return config
+    try:
+        config = SolverConfig.from_file(config_path) if config_path else SolverConfig()
+        return replace(config, **overrides)
+    except ValueError as exc:
+        raise InputError(f"bad configuration: {exc}") from exc
 
 
 def cmd_solve(args) -> int:

@@ -3,12 +3,13 @@ crossovers A and B, two-phase mutation, elitist replacement."""
 
 from __future__ import annotations
 
+import heapq
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .model import ActivityList, ProjectInstance, Schedule
-from .sgs import fbi, parallel_sgs, serial_sgs
+from .model import ActivityList, ProjectInstance, Schedule, random_feasible_list
+from .sgs import fbi, parallel_sgs, schedule_to_list, serial_sgs
 
 
 @dataclass
@@ -59,15 +60,12 @@ class DenseGene:
 def decode_and_improve(
     inst: ProjectInstance,
     lst: ActivityList,
-    rng,
     budget=None,
     use_parallel: bool = False,
     fbi_passes: int = 4,
 ) -> Individual:
     """Decode a list and polish with FBI; the list is refreshed from the
     improved schedule so list and schedule stay consistent."""
-    from .sgs import schedule_to_list
-
     decoder = parallel_sgs if use_parallel else serial_sgs
     sched = decoder(inst, lst, budget=budget)
     improved = fbi(inst, sched, max_passes=fbi_passes, budget=budget)
@@ -92,8 +90,6 @@ def init_population(
     population is full.  Duplicate (makespan, start-vector) members are
     rejected while uniqueness is on; the requirement is waived after
     5 * capacity failed attempts."""
-    from .model import random_feasible_list
-
     pop = Population(capacity)
     seen: set[tuple] = set()
     failures = 0
@@ -101,7 +97,7 @@ def init_population(
     while len(pop) < capacity:
         lst = random_feasible_list(inst, rng)
         ind = decode_and_improve(
-            inst, lst, rng, budget=budget, use_parallel=True, fbi_passes=fbi_passes
+            inst, lst, budget=budget, use_parallel=True, fbi_passes=fbi_passes
         )
         key = (ind.makespan, ind.schedule.starts)
         if unique and key in seen:
@@ -273,8 +269,6 @@ def repair_precedence(inst: ProjectInstance, seq: Sequence[int]) -> list[int]:
     """Stable precedence repair: greedily emit the earliest activity in the
     sequence whose predecessors are all emitted.  The identity on
     already-feasible sequences."""
-    import heapq
-
     pos = {a: i for i, a in enumerate(seq)}
     remaining = [len(inst.preds[j]) for j in range(len(inst))]
     heap = [pos[j] for j in range(len(inst)) if remaining[j] == 0]

@@ -10,7 +10,8 @@ from typing import Optional, Sequence
 
 from .model import ActivityList, ProjectInstance, Schedule
 from .genetic import Individual, repair_precedence
-from .sgs import left_shift, schedule_to_list, serial_sgs
+from .sgs import left_shift, schedule_to_list, serial_place, serial_sgs
+from . import profile
 
 
 @dataclass
@@ -129,16 +130,12 @@ def neighborhood_a_move(
     if not block.windows:
         compute_windows(inst, sched, block)
     members = block.members
-    H = sched.makespan
-    rem = [[c] * (H + 1) for c in inst.capacities]
+    rem = profile.empty(inst, sched.makespan + 1)
     for j in range(1, inst.sink):
-        if j in members:
-            continue
-        s, p = sched.starts[j], inst.durations[j]
-        for k, d in inst.active_demand[j]:
-            row = rem[k]
-            for tau in range(s, s + p):
-                row[tau] -= d
+        if j not in members:
+            profile.reserve(
+                rem, inst.active_demand[j], sched.starts[j], inst.durations[j]
+            )
 
     ranked = sorted(
         members, key=lambda a: (-activity_value(inst, a, weights), a)
@@ -150,7 +147,7 @@ def neighborhood_a_move(
     for _ in range(tries):
         if budget is not None and budget.exhausted:
             break
-        profile = [row[:] for row in rem]
+        rows = [row[:] for row in rem]
         new_start: dict[int, int] = {}
         pending = list(ranked)
         failed = False
@@ -171,15 +168,11 @@ def neighborhood_a_move(
                 if f > est:
                     est = f
             p_a = inst.durations[a]
-            t = _earliest_fit(profile, inst.active_demand[a], est, lft - p_a, p_a)
+            t = profile.place(rows, inst.active_demand[a], est, lft - p_a, p_a)
             if t is None:
                 failed = True
                 break
             new_start[a] = t
-            for k, d in inst.active_demand[a]:
-                row = profile[k]
-                for tau in range(t, t + p_a):
-                    row[tau] -= d
         if failed:
             continue
         starts = list(sched.starts)
@@ -189,30 +182,6 @@ def neighborhood_a_move(
         shifted = left_shift(inst, assembled, budget=budget)
         if shifted.makespan < sched.makespan:
             return shifted
-    return None
-
-
-def _earliest_fit(profile, demands, lo: int, hi: int, p: int) -> Optional[int]:
-    """Earliest t in [lo, hi] whose [t, t+p) window fits the profile."""
-    if p == 0:
-        return lo if lo <= hi else None
-    t = lo
-    while t <= hi:
-        conflict = -1
-        for k, d in demands:
-            row = profile[k]
-            for tau in range(t, t + p):
-                if row[tau] < d:
-                    conflict = tau
-                    break
-            if conflict >= 0:
-                # skip the rest of that resource's run of short slots
-                t = conflict + 1
-                while t <= hi and row[t] < d:
-                    t += 1
-                break
-        if conflict < 0:
-            return t
     return None
 
 
@@ -294,26 +263,12 @@ def neighborhood_b_move(
     prefix = [a for a in order[: last_pos + 1] if a not in members]
     suffix = order[last_pos + 1 :]
 
-    # serial partial schedule of the prefix
+    # serial partial schedule of the prefix; the members are not in it,
+    # so their finish 0 leaves their successors in the prefix unconstrained
     horizon = inst.horizon + 1
-    profile = [[c] * horizon for c in inst.capacities]
-    starts: dict[int, int] = {}
-    finish: dict[int, int] = {}
-    for a in prefix:
-        est = 0
-        for p in inst.preds[a]:
-            f = finish.get(p)
-            if f is not None and f > est:
-                est = f
-        p_a = inst.durations[a]
-        t = _earliest_fit(profile, inst.active_demand[a], est, horizon - p_a - 1, p_a)
-        assert t is not None
-        starts[a] = t
-        finish[a] = t + p_a
-        for k, d in inst.active_demand[a]:
-            row = profile[k]
-            for tau in range(t, t + p_a):
-                row[tau] -= d
+    rows = profile.empty(inst, horizon)
+    starts, prefix_finish = serial_place(inst, prefix, rows)
+    finish = {a: prefix_finish[a] for a in prefix}
 
     # parallel extension over the block with knapsack-selected batches
     unscheduled = set(members)
@@ -345,12 +300,12 @@ def neighborhood_b_move(
         fits = [
             a
             for a in sorted(ready)
-            if _fits_at(profile, inst.active_demand[a], t, inst.durations[a])
+            if profile.fits(rows, inst.active_demand[a], t, inst.durations[a])
         ]
         if fits:
             vals = [activity_value(inst, a, weights) for a in fits]
             dem = [inst.demands[a] for a in fits]
-            remaining = [profile[k][t] for k in range(inst.n_resources)]
+            remaining = [rows[k][t] for k in range(inst.n_resources)]
             picked = grasp_knapsack(
                 fits, remaining, dem, vals, rng, constructions=grasp_constructions
             )
@@ -358,14 +313,10 @@ def neighborhood_b_move(
             for idx in sorted(picked, key=lambda i: (-vals[i], fits[i])):
                 a = fits[idx]
                 p_a = inst.durations[a]
-                if not _fits_at(profile, inst.active_demand[a], t, p_a):
+                if profile.place(rows, inst.active_demand[a], t, t, p_a) is None:
                     continue
                 starts[a] = t
                 finish[a] = t + p_a
-                for k, d in inst.active_demand[a]:
-                    row = profile[k]
-                    for tau in range(t, t + p_a):
-                        row[tau] -= d
                 unscheduled.discard(a)
                 placed_any = True
             if placed_any:
@@ -377,17 +328,6 @@ def neighborhood_b_move(
     new_block_order = sorted(members, key=lambda a: (starts[a], a))
     rebuilt = prefix + new_block_order + suffix
     return ActivityList(tuple(repair_precedence(inst, rebuilt)))
-
-
-def _fits_at(profile, demands, t: int, p: int) -> bool:
-    if p == 0:
-        return True
-    for k, d in demands:
-        row = profile[k]
-        for tau in range(t, t + p):
-            if row[tau] < d:
-                return False
-    return True
 
 
 @dataclass

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import re
-from typing import Iterator
 
 from .model import Activity, ProjectInstance, validate_instance
 
@@ -230,7 +229,3 @@ def load_dataset(directory: str) -> list[tuple[str, ProjectInstance]]:
         except ValueError as exc:
             raise type(exc)(f"{path}: {exc}") from exc
     return out
-
-
-def iter_dataset(directory: str) -> Iterator[tuple[str, ProjectInstance]]:
-    yield from load_dataset(directory)

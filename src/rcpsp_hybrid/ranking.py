@@ -14,7 +14,7 @@ RCPSP makespan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .model import (
     ProjectInstance,
@@ -119,6 +119,17 @@ def rank_resources(
     return tuple(sorted(range(len(residues)), key=lambda k: (frac(k), k)))
 
 
+def _draw_mode(n_res: int, rng) -> str:
+    """One of the weight options, drawn uniformly; the fixed vectors are
+    left out above four resources."""
+    if rng is None:
+        raise ValueError("random weight mode needs an rng")
+    eligible = list(WEIGHT_MODES)
+    if n_res > 4:
+        eligible = [m for m in eligible if m not in _FIXED_VECTORS]
+    return eligible[rng.randrange(len(eligible))]
+
+
 def assign_weights(
     rank: Sequence[int],
     residues: Sequence[int],
@@ -134,12 +145,7 @@ def assign_weights(
     """
     n_res = len(rank)
     if mode == "random":
-        if rng is None:
-            raise ValueError("random weight mode needs an rng")
-        eligible = list(WEIGHT_MODES)
-        if n_res > 4:
-            eligible = [m for m in eligible if m not in _FIXED_VECTORS]
-        mode = eligible[rng.randrange(len(eligible))]
+        mode = _draw_mode(n_res, rng)
     if mode in _FIXED_VECTORS:
         if n_res > 4:
             raise WeightConfigError(
@@ -167,23 +173,11 @@ def assign_weights(
 def rank_and_weigh(
     inst: ProjectInstance, mode: str = "random", rng=None
 ) -> RankingResult:
+    """Relaxation, resource rank and weights; a random mode is drawn here,
+    so the result reports the option actually used."""
     sched, residues = solve_cumulative_relaxation(inst)
     rank = rank_resources(residues, inst.capacities, sched.makespan)
-    weights = assign_weights(rank, residues, mode=mode, rng=rng)
-    resolved = mode
     if mode == "random":
-        # recover which option was drawn for reporting
-        resolved = _identify_mode(weights, rank, residues)
-    return RankingResult(sched.makespan, residues, rank, weights, resolved)
-
-
-def _identify_mode(
-    weights: Sequence[float], rank: Sequence[int], residues: Sequence[int]
-) -> str:
-    along_rank = tuple(weights[k] for k in rank)
-    for name, vec in _FIXED_VECTORS.items():
-        if along_rank == vec[: len(along_rank)]:
-            return name
-    if all(w == 1.0 for w in along_rank):
-        return "uniform"
-    return "ratio"
+        mode = _draw_mode(len(rank), rng)
+    weights = assign_weights(rank, residues, mode=mode)
+    return RankingResult(sched.makespan, residues, rank, weights, mode)

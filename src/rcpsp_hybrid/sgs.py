@@ -13,8 +13,10 @@ from __future__ import annotations
 import heapq
 from typing import Sequence
 
-from .model import ActivityList, ProjectInstance, Schedule
-from . import _fastpath
+import numpy as np
+
+from .model import ActivityList, ProjectInstance, Schedule, topological_order
+from . import _fastpath, profile
 
 USE_KERNELS = _fastpath.HAVE_NUMBA
 
@@ -46,8 +48,6 @@ def serial_sgs(
 
 
 def _serial_kernel(inst: ProjectInstance, order: tuple[int, ...]) -> Schedule:
-    import numpy as np
-
     durs, dem, caps, pred_ptr, pred_idx, _, _ = _fastpath.instance_arrays(inst)
     starts = _fastpath.serial_decode(
         np.asarray(order, np.int32), durs, dem, caps, pred_ptr, pred_idx,
@@ -60,12 +60,23 @@ def _serial_kernel(inst: ProjectInstance, order: tuple[int, ...]) -> Schedule:
 
 
 def _serial_python(inst: ProjectInstance, order: tuple[int, ...]) -> Schedule:
+    starts, finish = serial_place(inst, order, profile.empty(inst, inst.horizon + 1))
+    return Schedule(tuple(starts), finish[inst.sink])
+
+
+def serial_place(
+    inst: ProjectInstance, order: Sequence[int], rows: list[list[int]]
+) -> tuple[list[int], list[int]]:
+    """Place `order` serially into the profile `rows` (covering at least
+    [0, horizon)): each activity at the earliest start after its
+    predecessors' finishes at which it fits.  Returns the start and finish
+    vectors; an activity missing from the order keeps start and finish 0,
+    so it does not hold back its successors."""
     durs = inst.durations
     preds = inst.preds
     active = inst.active_demand
-    horizon = inst.horizon + 1
-    rem = [[c] * horizon for c in inst.capacities]
-
+    horizon = inst.horizon
+    place = profile.place
     starts = [0] * len(inst)
     finish = [0] * len(inst)
     for j in order:
@@ -75,36 +86,10 @@ def _serial_python(inst: ProjectInstance, order: tuple[int, ...]) -> Schedule:
             f = finish[i]
             if f > est:
                 est = f
-        if p == 0:
-            starts[j] = est
-            finish[j] = est
-            continue
-        t = est
-        nz = active[j]
-        while True:
-            # scan the candidate window; on a conflict, no window can start
-            # before the end of that resource's run of short slots
-            conflict = -1
-            for k, d in nz:
-                row = rem[k]
-                for tau in range(t, t + p):
-                    if row[tau] < d:
-                        conflict = tau
-                        break
-                if conflict >= 0:
-                    t = conflict + 1
-                    while row[t] < d:
-                        t += 1
-                    break
-            if conflict < 0:
-                break
+        t = place(rows, active[j], est, horizon - p, p)
         starts[j] = t
         finish[j] = t + p
-        for k, d in nz:
-            row = rem[k]
-            for tau in range(t, t + p):
-                row[tau] -= d
-    return Schedule(tuple(starts), finish[inst.sink])
+    return starts, finish
 
 
 def parallel_sgs(
@@ -120,8 +105,8 @@ def parallel_sgs(
     durs = inst.durations
     succs = inst.succs
     active = inst.active_demand
-    horizon = inst.horizon + 1
-    rem = [[c] * horizon for c in inst.capacities]
+    place = profile.place
+    rem = profile.empty(inst, inst.horizon + 1)
 
     n2 = len(inst)
     starts = [0] * n2
@@ -144,28 +129,17 @@ def parallel_sgs(
                         eligible.add(s)
             for j in sorted(eligible, key=rank.__getitem__):
                 p = durs[j]
-                if p:
-                    ok = True
-                    for k, d in active[j]:
-                        row = rem[k]
-                        for tau in range(t, t + p):
-                            if row[tau] < d:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        continue
-                    for k, d in active[j]:
-                        row = rem[k]
-                        for tau in range(t, t + p):
-                            row[tau] -= d
+                if place(rem, active[j], t, t, p) is None:
+                    continue
                 starts[j] = t
                 finish[j] = t + p
                 eligible.discard(j)
                 heapq.heappush(running, (t + p, j))
                 unplaced -= 1
-                progressed = bool(p == 0)
+                # a zero-duration activity finishes at t: its successors
+                # may start at t too
+                if not p:
+                    progressed = True
         if not unplaced:
             break
         # next decision time: earliest finish event beyond t
@@ -185,44 +159,51 @@ def schedule_to_list(inst: ProjectInstance, sched: Schedule) -> ActivityList:
     return ActivityList(tuple(order))
 
 
+def _backward_order(inst: ProjectInstance, starts: Sequence[int]) -> list[int]:
+    """The order of right justification: decreasing finish, then decreasing
+    start, then id, so each activity comes after its successors.  Only
+    zero-duration activities at the same time can tie on both times; those
+    go successors first, in reverse topological order."""
+    durs = inst.durations
+    tie = list(range(len(inst)))
+    if 0 in durs[1 : inst.sink]:
+        for pos, j in enumerate(topological_order(inst)):
+            if not durs[j]:
+                tie[j] = -pos
+    return sorted(
+        range(len(inst)),
+        key=lambda j: (-(starts[j] + durs[j]), -starts[j], tie[j]),
+    )
+
+
 def _right_justify(inst: ProjectInstance, sched: Schedule, budget=None) -> Schedule:
     """Schedule backward in decreasing finish-time order: each activity is
     moved to its latest resource-feasible start before its successors."""
+    T = sched.makespan
+    order = _backward_order(inst, sched.starts)
     if USE_KERNELS:
-        import numpy as np
-
-        durs_a, dem, caps, _, _, succ_ptr, succ_idx = _fastpath.instance_arrays(inst)
-        T = sched.makespan
-        starts0 = sched.starts
-        durs_l = inst.durations
-        order = sorted(
-            range(len(inst)),
-            key=lambda j: (-(starts0[j] + durs_l[j]), -starts0[j], j),
-        )
+        durs, dem, caps, _, _, succ_ptr, succ_idx = _fastpath.instance_arrays(inst)
         new_start = _fastpath.right_justify_decode(
-            np.asarray(order, np.int32), durs_a, dem, caps, succ_ptr, succ_idx,
+            np.asarray(order, np.int32), durs, dem, caps, succ_ptr, succ_idx,
             inst.sink, T,
         )
-        out = Schedule(tuple(int(s) for s in new_start), T)
-        _charge(budget)
-        return out
+        new_start = [int(s) for s in new_start]
+    else:
+        new_start = _right_justify_python(inst, order, T)
+    _charge(budget)
+    return Schedule(tuple(new_start), T)
+
+
+def _right_justify_python(inst: ProjectInstance, order: list[int], T: int) -> list[int]:
     durs = inst.durations
     succs = inst.succs
     active = inst.active_demand
-    T = sched.makespan
-    rem = [[c] * (T + 1) for c in inst.capacities]
-
-    n2 = len(inst)
-    starts = list(sched.starts)
-    new_start = [0] * n2
-    order = sorted(
-        range(n2), key=lambda j: (-(starts[j] + durs[j]), -starts[j], j)
-    )
-    done = [False] * n2
-    new_start[inst.sink] = T
-    done[inst.sink] = True
+    sink = inst.sink
+    rem = profile.empty(inst, T + 1)
+    new_start = [0] * len(inst)
+    new_start[sink] = T
     for j in order:
-        if done[j]:
+        if j == sink:
             continue
         p = durs[j]
         deadline = T
@@ -230,38 +211,11 @@ def _right_justify(inst: ProjectInstance, sched: Schedule, budget=None) -> Sched
             ns = new_start[s]
             if ns < deadline:
                 deadline = ns
-        t = deadline - p
-        if p:
-            nz = active[j]
-            while True:
-                conflict = -1
-                for k, d in nz:
-                    row = rem[k]
-                    for tau in range(t + p - 1, t - 1, -1):
-                        if row[tau] < d:
-                            conflict = tau
-                            break
-                    if conflict >= 0:
-                        # the window must end before that resource's run
-                        # of short slots
-                        last = conflict - 1
-                        while last >= 0 and row[last] < d:
-                            last -= 1
-                        t = last - p + 1
-                        break
-                if conflict < 0:
-                    break
-                assert t >= 0, "right justification ran out of room"
-            for k, d in nz:
-                row = rem[k]
-                for tau in range(t, t + p):
-                    row[tau] -= d
+        t = profile.place_latest(rem, active[j], 0, deadline - p, p)
+        assert t is not None, "right justification ran out of room"
         new_start[j] = t
-        done[j] = True
     new_start[0] = 0
-    sched = Schedule(tuple(new_start), T)
-    _charge(budget)
-    return sched
+    return new_start
 
 
 def left_shift(inst: ProjectInstance, sched: Schedule, budget=None) -> Schedule:

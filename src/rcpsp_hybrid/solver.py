@@ -6,11 +6,10 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field, fields, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Optional
 
 from .model import (
-    ActivityList,
     ProjectInstance,
     Schedule,
     critical_path_lower_bound,
@@ -30,8 +29,8 @@ from .genetic import (
     select_parents,
 )
 from .neighborhood import NsStats, TabuList, ns_run
-from .ranking import RankingResult, rank_and_weigh
-from .sgs import fbi, serial_sgs
+from .ranking import WEIGHT_MODES, rank_and_weigh
+from .sgs import fbi, schedule_to_list, serial_sgs
 
 
 class Budget:
@@ -81,12 +80,33 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 < self.sigma1 < self.sigma2):
+        """Every check of the configuration; a bad value raises ValueError."""
+
+        def bad(name: str, want: str) -> ValueError:
+            return ValueError(f"{name} must be {want}, not {getattr(self, name)!r}")
+
+        for name, least in (
+            ("population_capacity", 1),
+            ("block_size", 1),
+            ("fbi_passes", 0),
+            ("tabu_capacity", 0),
+            ("grasp_constructions", 1),
+        ):
+            if not _is_int(getattr(self, name), least):
+                raise bad(name, f"an integer >= {least}")
+        if self.lambda_budget is not None and not _is_int(self.lambda_budget, 1):
+            raise bad("lambda_budget", "none or an integer >= 1")
+        if self.time_limit is not None and not _is_positive(self.time_limit):
+            raise bad("time_limit", "none or a positive number")
+        if self.lambda_budget is None and self.time_limit is None:
+            raise ValueError("lambda_budget and time_limit are both none: no cap")
+        sigmas_ok = _is_positive(self.sigma1) and _is_positive(self.sigma2)
+        if not (sigmas_ok and self.sigma1 < self.sigma2):
             raise ValueError("need 0 < sigma1 < sigma2")
-        if not (0 < self.parent_probability <= 1):
-            raise ValueError("parent_probability must be in (0, 1]")
-        if self.population_capacity < 1:
-            raise ValueError("population_capacity must be positive")
+        if not (_is_positive(self.parent_probability) and self.parent_probability <= 1):
+            raise bad("parent_probability", "in (0, 1]")
+        if self.weight_mode != "random" and self.weight_mode not in WEIGHT_MODES:
+            raise bad("weight_mode", "'random' or one of " + ", ".join(WEIGHT_MODES))
 
     @classmethod
     def from_file(cls, path: str) -> "SolverConfig":
@@ -105,6 +125,14 @@ class SolverConfig:
                     raise ValueError(f"{path}:{lineno}: unknown key '{key}'")
                 values[key] = _coerce(val)
         return cls(**values)
+
+
+def _is_int(value, least: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _is_positive(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and value > 0
 
 
 def _coerce(text: str):
@@ -318,8 +346,6 @@ def solve(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunSta
                 inst, child_sched, max_passes=config.fbi_passes, budget=budget
             )
             if polished.makespan < child_sched.makespan:
-                from .sgs import schedule_to_list
-
                 child_list = schedule_to_list(inst, polished)
                 child_sched = polished
             child = Individual(child_list, child_sched)
@@ -349,7 +375,6 @@ def solve(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunSta
                     decode_and_improve(
                         inst,
                         lst,
-                        rng,
                         budget=budget,
                         use_parallel=True,
                         fbi_passes=config.fbi_passes,
@@ -363,7 +388,9 @@ def solve(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunSta
                 inst,
                 seed_ind,
                 weights,
-                steps=_steps_for_burst(burst, inst),
+                # each NS step costs at least one decode; the sub-budget
+                # is the real cap
+                steps=max(1, burst),
                 rng=rng,
                 P=state.block_size,
                 lambda_ns=config.lambda_ns,
@@ -419,11 +446,6 @@ class _SubBudget:
     @property
     def used(self) -> int:
         return self.parent.used
-
-
-def _steps_for_burst(burst: int, inst: ProjectInstance) -> int:
-    # each NS step costs at least one decode; the sub-budget is the real cap
-    return max(1, burst)
 
 
 def _rank_biased_member(pop: Population, probability: float, rng) -> Individual:

@@ -8,6 +8,16 @@ sys.path.insert(0, os.path.dirname(__file__))
 from rcpsp_hybrid.model import Activity, ProjectInstance
 
 
+def with_zero_durations(inst, rng, share=0.25):
+    """A copy of `inst` in which about `share` of the real activities take
+    no time."""
+    acts = [
+        Activity(a.id, 0 if 0 < a.id < inst.sink and rng.random() < share else a.duration, a.demand)
+        for a in inst.activities
+    ]
+    return ProjectInstance(acts, inst.arcs, inst.capacities, name=inst.name)
+
+
 @pytest.fixture
 def tiny1():
     """Two parallel activities competing for one resource of capacity 4."""

@@ -120,3 +120,32 @@ def test_seed_changes_nothing_on_reruns(instance_file, capsys):
         assert main(["solve", instance_file, "--lambda", "60", "--seed", "9"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "weight_mode = bogus\n",
+        "lambda_budget 40\n",
+        "lambda_budget = none\n",
+        "block_size = 0\n",
+        "sigma1 = abc\n",
+    ],
+    ids=["unknown-weight-mode", "no-equals", "no-cap", "block-size-0", "sigma-text"],
+)
+def test_bad_config_file_exit_1(instance_file, tmp_path, capsys, text):
+    conf = tmp_path / "solver.conf"
+    conf.write_text(text)
+    assert main(["solve", instance_file, "--config", str(conf)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad configuration") and "internal error" not in err
+
+
+def test_nonpositive_lambda_option_exit_1(instance_file, capsys):
+    assert main(["solve", instance_file, "--lambda", "0"]) == 1
+    assert "lambda_budget" in capsys.readouterr().err
+
+
+def test_time_limit_option_lifts_the_schedule_cap(instance_file, capsys):
+    assert main(["solve", instance_file, "--time-limit", "0.2"]) == 0
+    assert "makespan      : 5" in capsys.readouterr().out

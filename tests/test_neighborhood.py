@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from rcpsp_hybrid.model import (
     ActivityList,
     Schedule,
     is_feasible,
+    is_precedence_feasible_list,
     random_feasible_list,
 )
 from rcpsp_hybrid.neighborhood import (
@@ -21,7 +23,8 @@ from rcpsp_hybrid.neighborhood import (
     tabu_status,
 )
 from rcpsp_hybrid.random_instances import random_instance
-from rcpsp_hybrid.sgs import serial_sgs
+from rcpsp_hybrid.sgs import fbi, schedule_to_list, serial_sgs
+from conftest import with_zero_durations
 from oracles import brute_force_knapsack
 
 
@@ -212,10 +215,60 @@ def test_nb_outputs_valid_lists():
         if out is not None:
             nonempty += 1
             assert sorted(out.order) == list(range(len(inst)))
-            from rcpsp_hybrid.model import is_precedence_feasible_list
-
             assert is_precedence_feasible_list(inst, out.order)
     assert nonempty > 0
+
+
+# --------------------------------------------------------- pinned moves
+
+
+def _move_digest(cases, polish=True):
+    """Digest of the N_A schedule, the N_B list and the rng state after
+    each move on seeded (instance, block) pairs."""
+    h = hashlib.sha256()
+    for inst, seed in cases:
+        rng = random.Random(seed)
+        weights = tuple(rng.uniform(0.5, 2.0) for _ in range(inst.n_resources))
+        lst = random_feasible_list(inst, rng)
+        sched = serial_sgs(inst, lst)
+        if rng.random() < 0.5 and polish:
+            sched = fbi(inst, sched)
+            lst = schedule_to_list(inst, sched)
+        for P in (2, 4, 8):
+            block = create_block(inst, rng.randrange(1, inst.sink), sched, P, rng)
+            out = neighborhood_a_move(inst, sched, block, weights, 5, rng)
+            h.update(repr((out and out.starts, rng.getstate())).encode())
+            block = create_block(inst, rng.randrange(1, inst.sink), sched, P, rng)
+            out = neighborhood_b_move(inst, lst, sched, block, weights, rng)
+            h.update(repr((out and out.order, rng.getstate())).encode())
+    return h.hexdigest()[:16]
+
+
+def _random_cases(seed, zero_durations=False):
+    rng = random.Random(seed)
+    cases = []
+    for s in range(40):
+        inst = random_instance(
+            rng,
+            rng.randint(2, 30),
+            rng.randint(1, 4),
+            edge_probability=rng.choice([0.05, 0.2, 0.5]),
+            max_capacity=rng.choice([3, 10, 30]),
+        )
+        if zero_durations:
+            inst = with_zero_durations(inst, rng)
+        cases.append((inst, s))
+    return cases
+
+
+def test_moves_pinned():
+    """N_A and N_B give the schedules, lists and rng states recorded before
+    they were routed through profile.py.  The zero-duration cases skip FBI,
+    whose backward order was mended for them since."""
+    c10 = random_instance(random.Random(1010), 120, 4, edge_probability=0.1)
+    assert _move_digest([(c10, s) for s in range(8)]) == "3b360418d3d4e0a7"
+    assert _move_digest(_random_cases(31)) == "7cc5292fe1d3a920"
+    assert _move_digest(_random_cases(37, True), polish=False) == "5bfcb797dc119436"
 
 
 # ------------------------------------------------------------------ GRASP

@@ -127,3 +127,32 @@ def test_weights_positive_and_fixed_modes_nonincreasing():
             # monotone along the capacity-relative rank
             along = [result.weights[k] for k in result.rank]
             assert all(a >= b for a, b in zip(along, along[1:]))
+
+
+def test_random_mode_reports_the_drawn_option():
+    # with one resource every option gives the weight (1.0,), so only the
+    # draw itself can tell which option was used
+    inst = random_instance(random.Random(3), 8, 1)
+    modes = []
+    for seed in range(6):
+        result = rank_and_weigh(inst, mode="random", rng=random.Random(seed))
+        assert result.weights == (1.0,)
+        modes.append(result.mode)
+    assert modes == ["ratio", "shallow", "steep", "shallow", "shallow", "uniform"]
+
+
+def test_rank_and_weigh_draws_like_assign_weights():
+    # one draw from the same stream: weights and the rng state stay as
+    # they were when assign_weights drew the mode itself
+    rng = random.Random(41)
+    for _ in range(30):
+        inst = random_instance(rng, rng.randint(1, 12), rng.randint(1, 6))
+        seed = rng.randrange(1000)
+        a, b = random.Random(seed), random.Random(seed)
+        result = rank_and_weigh(inst, mode="random", rng=a)
+        weights = assign_weights(result.rank, result.residues, mode="random", rng=b)
+        assert result.weights == weights
+        assert a.getstate() == b.getstate()
+        assert result.weights == assign_weights(
+            result.rank, result.residues, mode=result.mode
+        )

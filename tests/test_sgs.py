@@ -8,7 +8,9 @@ import pytest
 
 from rcpsp_hybrid import _fastpath, sgs
 from rcpsp_hybrid.model import (
+    Activity,
     ActivityList,
+    ProjectInstance,
     Schedule,
     is_feasible,
     random_feasible_list,
@@ -22,6 +24,7 @@ from rcpsp_hybrid.sgs import (
     serial_sgs,
 )
 from rcpsp_hybrid.solver import Budget
+from conftest import with_zero_durations
 from oracles import brute_force_optimum, iter_topological_orders
 
 
@@ -51,6 +54,42 @@ def test_decoders_always_feasible():
         lst = random_feasible_list(inst, rng)
         assert is_feasible(inst, serial_sgs(inst, lst))
         assert is_feasible(inst, parallel_sgs(inst, lst))
+
+
+def test_parallel_starts_successors_of_zero_duration_activities():
+    """Activity 1 takes no time, so its successor 3 is ready at time 0
+    even though activity 2, placed after it at that time, takes time."""
+    inst = ProjectInstance(
+        [
+            Activity(0, 0, (0,)),
+            Activity(1, 0, (1,)),
+            Activity(2, 3, (1,)),
+            Activity(3, 2, (1,)),
+            Activity(4, 0, (0,)),
+        ],
+        {(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)},
+        (2,),
+    )
+    assert parallel_sgs(inst, [0, 1, 2, 3, 4]).starts == (0, 0, 0, 0, 3)
+    assert parallel_sgs(inst, [0, 2, 1, 3, 4]).makespan == 3
+    assert serial_sgs(inst, [0, 1, 2, 3, 4]).makespan == 3
+
+
+def test_zero_duration_activities_stay_feasible():
+    """Chains of zero-duration activities at one time: right justification
+    takes them successors first, so FBI never yields a negative start."""
+    rng = random.Random(19)
+    for _ in range(60):
+        inst = with_zero_durations(
+            random_instance(rng, rng.randint(2, 25), rng.randint(1, 3)), rng, 0.4
+        )
+        for _ in range(3):
+            lst = random_feasible_list(inst, rng)
+            for sched in (serial_sgs(inst, lst), parallel_sgs(inst, lst)):
+                assert is_feasible(inst, sched)
+                back = sgs._right_justify(inst, sched)
+                assert is_feasible(inst, back) and back.makespan == sched.makespan
+                assert is_feasible(inst, fbi(inst, sched))
 
 
 def test_serial_output_is_active():
@@ -144,6 +183,7 @@ def test_python_decoders_match_kernel_source(monkeypatch):
             max_capacity=rng.choice([3, 10, 30]),
         )
         cases.append((inst, 4))
+        cases.append((with_zero_durations(inst, rng), 4))
     for inst, n_lists in cases:
         durs, dem, caps, pred_ptr, pred_idx, succ_ptr, succ_idx = (
             _fastpath.instance_arrays(inst)
@@ -157,12 +197,7 @@ def test_python_decoders_match_kernel_source(monkeypatch):
             )
             assert sched.starts == tuple(int(s) for s in ref)
             back = sgs._right_justify(inst, sched)
-            back_order = sorted(
-                range(len(inst)),
-                key=lambda j: (
-                    -(sched.starts[j] + inst.durations[j]), -sched.starts[j], j
-                ),
-            )
+            back_order = sgs._backward_order(inst, sched.starts)
             ref = right_ref(
                 np.asarray(back_order, np.int32), durs, dem, caps, succ_ptr,
                 succ_idx, inst.sink, sched.makespan,

@@ -38,6 +38,37 @@ def test_config_rejects_bad_probability():
         SolverConfig(parent_probability=0.0)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(lambda_budget=None),
+        dict(lambda_budget=0),
+        dict(lambda_budget=-5),
+        dict(time_limit=0.0),
+        dict(lambda_budget=None, time_limit=-1.0),
+        dict(block_size=0),
+        dict(fbi_passes=-1),
+        dict(tabu_capacity=-3),
+        dict(grasp_constructions=0),
+        dict(population_capacity=2.5),
+        dict(population_capacity=0),
+        dict(weight_mode="bogus"),
+        dict(sigma1="abc"),
+    ],
+    ids=repr,
+)
+def test_config_rejects_bad_values(bad):
+    with pytest.raises(ValueError):
+        SolverConfig(**bad)
+
+
+def test_config_accepts_edge_values():
+    SolverConfig(lambda_budget=None, time_limit=0.5)
+    SolverConfig(fbi_passes=0, tabu_capacity=0, block_size=1, grasp_constructions=1)
+    for mode in ("random", "steep", "shallow", "uniform", "ratio"):
+        SolverConfig(weight_mode=mode)
+
+
 def test_config_from_file(tmp_path):
     path = tmp_path / "solver.conf"
     path.write_text(
