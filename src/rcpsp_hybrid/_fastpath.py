@@ -1,10 +1,12 @@
 """Numba-compiled kernels for the two decode hot loops.
 
 Without numba the decoders place activities through profile.py, whose
-window searches compute the same start vectors (they skip runs of short
-slots that these kernels step through one at a time; tests/test_sgs.py
-compares the two); the kernels exist because the benchmark budget (tens
-of thousands of decodes per instance) is dominated by these two loops.
+packed-slot window searches compute the same start vectors (they test
+every resource of a slot at once and skip runs of short slots that these
+kernels step through one resource and one start at a time;
+tests/test_sgs.py compares the two); the kernels exist because the
+benchmark budget (tens of thousands of decodes per instance) is
+dominated by these two loops.
 """
 
 from __future__ import annotations

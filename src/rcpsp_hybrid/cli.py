@@ -145,19 +145,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve a single .sm instance")
     p_solve.add_argument("file")
-    p_solve.add_argument("--lambda", dest="lam", type=int, help="schedule budget")
-    p_solve.add_argument("--time-limit", type=float, help="wall-clock cap in seconds")
-    p_solve.add_argument("--seed", type=int)
-    p_solve.add_argument("--config", help="key = value config file")
+    p_bench = sub.add_parser("bench", help="benchmark a dataset directory")
+    p_bench.add_argument("directory")
+    for p in (p_solve, p_bench):
+        p.add_argument("--lambda", dest="lam", type=int, help="schedule budget")
+        p.add_argument("--time-limit", type=float, help="wall-clock cap in seconds")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--config", help="key = value config file")
     p_solve.add_argument("--starts", action="store_true", help="print the start vector")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_bench = sub.add_parser("bench", help="benchmark a dataset directory")
-    p_bench.add_argument("directory")
-    p_bench.add_argument("--lambda", dest="lam", type=int)
-    p_bench.add_argument("--time-limit", type=float)
-    p_bench.add_argument("--seed", type=int)
-    p_bench.add_argument("--config")
     p_bench.add_argument("--threads", type=int, default=1)
     p_bench.add_argument("--out", help="makespan file path")
     p_bench.add_argument("--csv", help="machine-readable summary path")

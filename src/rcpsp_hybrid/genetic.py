@@ -68,9 +68,8 @@ def decode_and_improve(
     improved schedule so list and schedule stay consistent."""
     decoder = parallel_sgs if use_parallel else serial_sgs
     sched = decoder(inst, lst, budget=budget)
-    improved = fbi(inst, sched, max_passes=fbi_passes, budget=budget)
-    if improved.makespan < sched.makespan:
-        sched = improved
+    # fbi returns its input unless it finds a shorter schedule
+    sched = fbi(inst, sched, max_passes=fbi_passes, budget=budget)
     # a start-sorted list never serial-decodes worse than its schedule, so
     # refreshing keeps list and schedule consistent even after a parallel
     # decode or an FBI improvement
@@ -258,10 +257,7 @@ def crossover_a(
         _copy_prefix(offspring, present, orders[side], last_pos)
 
     filler = p1 if parent1.makespan <= parent2.makespan else p2
-    for a in filler:
-        if a not in present:
-            offspring.append(a)
-            present.add(a)
+    _copy_prefix(offspring, present, filler, len(filler) - 1)
     return ActivityList(tuple(offspring))
 
 
@@ -326,10 +322,6 @@ def crossover_b(
     first parent's list at its leftmost position; precedence is repaired
     by stable-moving violators rightward.
     """
-    if not genes1 and not genes2:
-        shorter = parent1 if parent1.makespan <= parent2.makespan else parent2
-        return ActivityList(tuple(shorter.list.order))
-
     block: set[int] = set()
     for genes in (genes1, genes2):
         if genes:

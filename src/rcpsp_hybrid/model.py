@@ -8,10 +8,13 @@ construction and safe to share across concurrent solver runs.
 
 from __future__ import annotations
 
+import heapq
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
+
+from . import profile
 
 
 @dataclass(frozen=True)
@@ -94,6 +97,10 @@ class ProjectInstance:
         self.active_demand = [
             [(k, d) for k, d in enumerate(dem) if d] for dem in self.demands
         ]
+        # the same demands packed into one int each for the profile scans
+        self.slot_bits, self.guard = profile.layout(self.capacities)
+        self.packed_demand = [profile.pack(dem, self.slot_bits) for dem in self.demands]
+        self.topo_order = topological_order(self)
         self.serial_memo = DecodeMemo()
 
     def __getstate__(self):
@@ -142,18 +149,19 @@ class ActivityList:
 
 
 def topological_order(inst: ProjectInstance) -> Optional[list[int]]:
-    """Kahn's algorithm; None if the precedence graph has a cycle."""
+    """The lexicographically smallest topological order (Kahn's algorithm
+    with a min-heap); None if the precedence graph has a cycle."""
     n2 = len(inst)
     indeg = [len(inst.preds[j]) for j in range(n2)]
     ready = [j for j in range(n2) if indeg[j] == 0]
     out: list[int] = []
     while ready:
-        j = ready.pop()
+        j = heapq.heappop(ready)
         out.append(j)
         for s in inst.succs[j]:
             indeg[s] -= 1
             if indeg[s] == 0:
-                ready.append(s)
+                heapq.heappush(ready, s)
     return out if len(out) == n2 else None
 
 
@@ -162,6 +170,9 @@ def validate_instance(inst: ProjectInstance) -> Optional[str]:
     n2 = len(inst)
     if n2 < 2:
         return "instance must contain at least the two dummy activities"
+    for k, c in enumerate(inst.capacities):
+        if c < 0:
+            return f"resource {k}: negative capacity {c}"
     for dummy in (0, inst.sink):
         a = inst.activities[dummy]
         if a.duration != 0 or any(a.demand):
@@ -182,7 +193,7 @@ def validate_instance(inst: ProjectInstance) -> Optional[str]:
     for i, j in inst.arcs:
         if not (0 <= i < n2 and 0 <= j < n2):
             return f"arc ({i},{j}) references an unknown activity"
-    if topological_order(inst) is None:
+    if inst.topo_order is None:
         return "precedence graph contains a cycle"
     # every non-dummy must be reachable from the source and reach the sink
     from_source = _reachable(inst.succs, 0)
@@ -239,25 +250,15 @@ def is_feasible(inst: ProjectInstance, sched: Schedule) -> bool:
 
 def critical_path_lower_bound(inst: ProjectInstance) -> int:
     """Longest duration-weighted path from source to sink, ignoring resources."""
-    order = topological_order(inst)
-    assert order is not None, "instance must be acyclic"
-    dist = [0] * len(inst)
-    durs = inst.durations
-    for j in order:
-        dj = dist[j] + durs[j]
-        for s in inst.succs[j]:
-            if dj > dist[s]:
-                dist[s] = dj
-    return dist[inst.sink]
+    return earliest_starts(inst)[inst.sink]
 
 
 def earliest_starts(inst: ProjectInstance) -> list[int]:
     """CPM earliest precedence-feasible starts (resources ignored)."""
-    order = topological_order(inst)
-    assert order is not None
+    assert inst.topo_order is not None, "instance must be acyclic"
     est = [0] * len(inst)
     durs = inst.durations
-    for j in order:
+    for j in inst.topo_order:
         fj = est[j] + durs[j]
         for s in inst.succs[j]:
             if fj > est[s]:
@@ -267,11 +268,10 @@ def earliest_starts(inst: ProjectInstance) -> list[int]:
 
 def latest_starts(inst: ProjectInstance, deadline: int) -> list[int]:
     """CPM latest starts so that the sink finishes by `deadline`."""
-    order = topological_order(inst)
-    assert order is not None
+    assert inst.topo_order is not None, "instance must be acyclic"
     durs = inst.durations
     lst = [deadline] * len(inst)
-    for j in reversed(order):
+    for j in reversed(inst.topo_order):
         if inst.succs[j]:
             lst[j] = min(lst[s] for s in inst.succs[j]) - durs[j]
         else:

@@ -65,18 +65,14 @@ def create_block(
     p_j = inst.durations[j]
     b = 0
     while len(members) < P and len(members) < len(candidates) + 1:
-        added = False
         for i in candidates:
             if i in members:
                 continue
             if s_j - inst.durations[i] - b <= sched.starts[i] <= s_j + p_j + b:
                 members.add(i)
-                added = True
                 if len(members) == P:
                     break
-        if len(members) < P and not added:
-            b += 1
-        elif len(members) < P:
+        if len(members) < P:
             b += 1
     return Block(core=j, members=members)
 
@@ -98,9 +94,8 @@ def compute_windows(
                     est = f
         lft = sched.makespan
         for l in inst.succs[i]:
-            if l not in members:
-                if sched.starts[l] < lft:
-                    lft = sched.starts[l]
+            if l not in members and sched.starts[l] < lft:
+                lft = sched.starts[l]
         windows[i] = (est, lft)
     block.windows = windows
     return windows
@@ -130,12 +125,11 @@ def neighborhood_a_move(
     if not block.windows:
         compute_windows(inst, sched, block)
     members = block.members
+    guard, packed = inst.guard, inst.packed_demand
     rem = profile.empty(inst, sched.makespan + 1)
     for j in range(1, inst.sink):
         if j not in members:
-            profile.reserve(
-                rem, inst.active_demand[j], sched.starts[j], inst.durations[j]
-            )
+            profile.reserve(rem, packed[j], sched.starts[j], inst.durations[j])
 
     ranked = sorted(
         members, key=lambda a: (-activity_value(inst, a, weights), a)
@@ -147,7 +141,7 @@ def neighborhood_a_move(
     for _ in range(tries):
         if budget is not None and budget.exhausted:
             break
-        rows = [row[:] for row in rem]
+        slots = rem[:]
         new_start: dict[int, int] = {}
         pending = list(ranked)
         failed = False
@@ -168,7 +162,7 @@ def neighborhood_a_move(
                 if f > est:
                     est = f
             p_a = inst.durations[a]
-            t = profile.place(rows, inst.active_demand[a], est, lft - p_a, p_a)
+            t = profile.place(slots, guard, packed[a], est, lft - p_a, p_a)
             if t is None:
                 failed = True
                 break
@@ -266,17 +260,18 @@ def neighborhood_b_move(
     # serial partial schedule of the prefix; the members are not in it,
     # so their finish 0 leaves their successors in the prefix unconstrained
     horizon = inst.horizon + 1
-    rows = profile.empty(inst, horizon)
-    starts, prefix_finish = serial_place(inst, prefix, rows)
+    guard, packed = inst.guard, inst.packed_demand
+    slots = profile.empty(inst, horizon)
+    starts, prefix_finish = serial_place(inst, prefix, slots)
     finish = {a: prefix_finish[a] for a in prefix}
 
     # parallel extension over the block with knapsack-selected batches
     unscheduled = set(members)
     t = 0
-    guard = 0
+    rounds = 0
     while unscheduled:
-        guard += 1
-        if guard > 4 * horizon:
+        rounds += 1
+        if rounds > 4 * horizon:
             return None  # defensive; should not happen
         ready = [
             a
@@ -300,12 +295,12 @@ def neighborhood_b_move(
         fits = [
             a
             for a in sorted(ready)
-            if profile.fits(rows, inst.active_demand[a], t, inst.durations[a])
+            if profile.fits(slots, guard, packed[a], t, inst.durations[a])
         ]
         if fits:
             vals = [activity_value(inst, a, weights) for a in fits]
             dem = [inst.demands[a] for a in fits]
-            remaining = [rows[k][t] for k in range(inst.n_resources)]
+            remaining = profile.unpack(slots[t], inst.slot_bits, inst.n_resources)
             picked = grasp_knapsack(
                 fits, remaining, dem, vals, rng, constructions=grasp_constructions
             )
@@ -313,7 +308,7 @@ def neighborhood_b_move(
             for idx in sorted(picked, key=lambda i: (-vals[i], fits[i])):
                 a = fits[idx]
                 p_a = inst.durations[a]
-                if profile.place(rows, inst.active_demand[a], t, t, p_a) is None:
+                if profile.place(slots, guard, packed[a], t, t, p_a) is None:
                     continue
                 starts[a] = t
                 finish[a] = t + p_a

@@ -90,13 +90,12 @@ def solve_cumulative_relaxation(
     hi = max(lo, sum(inst.durations))
     while not _prefix_feasible(inst, latest_starts(inst, hi), hi):
         hi *= 2  # not expected for a validated instance; defensive
-    if lo < hi:
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if _prefix_feasible(inst, latest_starts(inst, mid), mid):
-                hi = mid
-            else:
-                lo = mid + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _prefix_feasible(inst, latest_starts(inst, mid), mid):
+            hi = mid
+        else:
+            lo = mid + 1
     T = lo
     starts = latest_starts(inst, T)
     starts[0] = 0

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ActivityList, ProjectInstance, Schedule, topological_order
+from .model import ActivityList, ProjectInstance, Schedule
 from . import _fastpath, profile
 
 USE_KERNELS = _fastpath.HAVE_NUMBA
@@ -65,16 +65,17 @@ def _serial_python(inst: ProjectInstance, order: tuple[int, ...]) -> Schedule:
 
 
 def serial_place(
-    inst: ProjectInstance, order: Sequence[int], rows: list[list[int]]
+    inst: ProjectInstance, order: Sequence[int], slots: list[int]
 ) -> tuple[list[int], list[int]]:
-    """Place `order` serially into the profile `rows` (covering at least
+    """Place `order` serially into the profile `slots` (covering at least
     [0, horizon)): each activity at the earliest start after its
     predecessors' finishes at which it fits.  Returns the start and finish
     vectors; an activity missing from the order keeps start and finish 0,
     so it does not hold back its successors."""
     durs = inst.durations
     preds = inst.preds
-    active = inst.active_demand
+    packed = inst.packed_demand
+    guard = inst.guard
     horizon = inst.horizon
     place = profile.place
     starts = [0] * len(inst)
@@ -86,7 +87,7 @@ def serial_place(
             f = finish[i]
             if f > est:
                 est = f
-        t = place(rows, active[j], est, horizon - p, p)
+        t = place(slots, guard, packed[j], est, horizon - p, p)
         starts[j] = t
         finish[j] = t + p
     return starts, finish
@@ -104,7 +105,8 @@ def parallel_sgs(
     rank = {j: i for i, j in enumerate(order)}
     durs = inst.durations
     succs = inst.succs
-    active = inst.active_demand
+    packed = inst.packed_demand
+    guard = inst.guard
     place = profile.place
     rem = profile.empty(inst, inst.horizon + 1)
 
@@ -129,7 +131,7 @@ def parallel_sgs(
                         eligible.add(s)
             for j in sorted(eligible, key=rank.__getitem__):
                 p = durs[j]
-                if place(rem, active[j], t, t, p) is None:
+                if place(rem, guard, packed[j], t, t, p) is None:
                     continue
                 starts[j] = t
                 finish[j] = t + p
@@ -150,13 +152,10 @@ def parallel_sgs(
 
 
 def schedule_to_list(inst: ProjectInstance, sched: Schedule) -> ActivityList:
-    """Activities sorted by start time, ties by smaller id."""
-    # the sort is stable, so ties keep the ascending id order of range()
-    order = sorted(range(len(inst)), key=sched.starts.__getitem__)
-    # the dummy sink shares its start with the last finishers; force it last
-    order.remove(inst.sink)
-    order.append(inst.sink)
-    return ActivityList(tuple(order))
+    """Activities sorted by start time, ties in the instance's smallest
+    topological order (by id on a topologically numbered instance), so
+    zero-duration chains sharing a start stay precedence-feasible."""
+    return ActivityList(tuple(sorted(inst.topo_order, key=sched.starts.__getitem__)))
 
 
 def _backward_order(inst: ProjectInstance, starts: Sequence[int]) -> list[int]:
@@ -167,7 +166,7 @@ def _backward_order(inst: ProjectInstance, starts: Sequence[int]) -> list[int]:
     durs = inst.durations
     tie = list(range(len(inst)))
     if 0 in durs[1 : inst.sink]:
-        for pos, j in enumerate(topological_order(inst)):
+        for pos, j in enumerate(inst.topo_order):
             if not durs[j]:
                 tie[j] = -pos
     return sorted(
@@ -197,7 +196,8 @@ def _right_justify(inst: ProjectInstance, sched: Schedule, budget=None) -> Sched
 def _right_justify_python(inst: ProjectInstance, order: list[int], T: int) -> list[int]:
     durs = inst.durations
     succs = inst.succs
-    active = inst.active_demand
+    packed = inst.packed_demand
+    guard = inst.guard
     sink = inst.sink
     rem = profile.empty(inst, T + 1)
     new_start = [0] * len(inst)
@@ -211,7 +211,7 @@ def _right_justify_python(inst: ProjectInstance, order: list[int], T: int) -> li
             ns = new_start[s]
             if ns < deadline:
                 deadline = ns
-        t = profile.place_latest(rem, active[j], 0, deadline - p, p)
+        t = profile.place_latest(rem, guard, packed[j], 0, deadline - p, p)
         assert t is not None, "right justification ran out of room"
         new_start[j] = t
     new_start[0] = 0

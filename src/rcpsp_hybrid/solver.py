@@ -7,7 +7,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field, fields
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 from .model import (
     ProjectInstance,
@@ -88,14 +88,28 @@ class SolverConfig:
         for name, least in (
             ("population_capacity", 1),
             ("block_size", 1),
+            ("lambda_ns", 1),
+            ("mutation_iterations", 0),
             ("fbi_passes", 0),
             ("tabu_capacity", 0),
             ("grasp_constructions", 1),
         ):
             if not _is_int(getattr(self, name), least):
                 raise bad(name, f"an integer >= {least}")
-        if self.lambda_budget is not None and not _is_int(self.lambda_budget, 1):
-            raise bad("lambda_budget", "none or an integer >= 1")
+        for name, least in (
+            ("lambda_budget", 1),
+            ("ns_burst", 0),  # 0: bursts that generate nothing (pure GA)
+            ("stagnation_trigger", 0),
+            ("elite_count", 1),
+            ("parents_size", 1),
+        ):
+            if getattr(self, name) is not None and not _is_int(getattr(self, name), least):
+                raise bad(name, f"none or an integer >= {least}")
+        if not _is_int(self.seed):
+            raise bad("seed", "an integer")
+        for name in ("use_crossover", "unique_init"):
+            if not isinstance(getattr(self, name), bool):
+                raise bad(name, "true or false")
         if self.time_limit is not None and not _is_positive(self.time_limit):
             raise bad("time_limit", "none or a positive number")
         if self.lambda_budget is None and self.time_limit is None:
@@ -105,14 +119,19 @@ class SolverConfig:
             raise ValueError("need 0 < sigma1 < sigma2")
         if not (_is_positive(self.parent_probability) and self.parent_probability <= 1):
             raise bad("parent_probability", "in (0, 1]")
+        if not (_is_number(self.dense_threshold) and self.dense_threshold >= 0):
+            raise bad("dense_threshold", "a number >= 0")
         if self.weight_mode != "random" and self.weight_mode not in WEIGHT_MODES:
             raise bad("weight_mode", "'random' or one of " + ", ".join(WEIGHT_MODES))
 
     @classmethod
     def from_file(cls, path: str) -> "SolverConfig":
-        """key = value, one per line; '#' starts a comment."""
+        """key = value, one per line; '#' starts a comment.  Each value is
+        read as its field's declared type; 'none' (or nothing) sets an
+        optional field to None."""
         values = {}
-        valid = {f.name: f for f in fields(cls)}
+        types = get_type_hints(cls)
+        valid = {f.name: types[f.name] for f in fields(cls)}
         with open(path) as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
@@ -123,32 +142,35 @@ class SolverConfig:
                 key, val = (part.strip() for part in line.split("=", 1))
                 if key not in valid:
                     raise ValueError(f"{path}:{lineno}: unknown key '{key}'")
-                values[key] = _coerce(val)
+                try:
+                    values[key] = _coerce(val, valid[key])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
         return cls(**values)
 
 
-def _is_int(value, least: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value, least: float = float("-inf")) -> bool:
+    return _is_number(value) and isinstance(value, int) and value >= least
 
 
 def _is_positive(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and value > 0
+    return _is_number(value) and value > 0
 
 
-def _coerce(text: str):
-    low = text.lower()
-    if low in ("none", ""):
-        return None
-    if low in ("true", "false"):
-        return low == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
+def _coerce(text: str, kind):
+    """`text` as a value of the field type `kind`: int, float, bool, str
+    or Optional of one of them."""
+    if type(None) in get_args(kind):
+        if text.lower() in ("none", ""):
+            return None
+        kind = get_args(kind)[0]
+    if kind is bool and text.lower() not in ("true", "false"):
+        raise ValueError(f"expected true or false, not {text!r}")
+    return text.lower() == "true" if kind is bool else kind(text)
 
 
 @dataclass
@@ -307,14 +329,12 @@ def solve(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunSta
     )
     tabu = TabuList(config.tabu_capacity)
 
-    if not config.use_crossover or capacity < 2:
+    use_ga = config.use_crossover and capacity >= 2
+    if not use_ga:
         best = _pure_ns_loop(inst, best, weights, config, state, rng, budget, stats, tabu)
-        stats.schedules_generated = budget.used
-        stats.seconds = time.monotonic() - t0
-        return best.schedule, stats
 
     since_improvement = 0
-    while not budget.exhausted:
+    while use_ga and not budget.exhausted:
         parents = select_parents(pop, parents_size, state.parent_probability, rng)
         genes = {
             id(p): dense_activities(inst, p.schedule, state.dense_threshold, weights)
@@ -382,27 +402,12 @@ def solve(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunSta
                 )
 
             seed_ind = _rank_biased_member(pop, state.parent_probability, rng)
-            ns_stats = NsStats()
-            burst_budget_before = budget.used
-            ns_best = ns_run(
-                inst,
-                seed_ind,
-                weights,
-                # each NS step costs at least one decode; the sub-budget
-                # is the real cap
-                steps=max(1, burst),
-                rng=rng,
-                P=state.block_size,
-                lambda_ns=config.lambda_ns,
-                tabu_capacity=config.tabu_capacity,
-                grasp_constructions=config.grasp_constructions,
-                budget=_SubBudget(budget, burst),
-                tabu=tabu,
-                stats=ns_stats,
+            # each NS step costs at least one decode; the sub-budget is the
+            # real cap
+            ns_best, _ = _ns_burst(
+                inst, seed_ind, weights, max(1, burst), _SubBudget(budget, burst),
+                config, state, stats, tabu, rng,
             )
-            stats.ns_bursts += 1
-            state.ns_empty += ns_stats.empty
-            state.ns_nonempty += ns_stats.nonempty
             if ns_best.makespan < best.makespan:
                 best = ns_best
                 state.record_improved = True
@@ -443,10 +448,6 @@ class _SubBudget:
     def exhausted(self) -> bool:
         return self.parent.exhausted or self.parent.used >= self.cap
 
-    @property
-    def used(self) -> int:
-        return self.parent.used
-
 
 def _rank_biased_member(pop: Population, probability: float, rng) -> Individual:
     """Scan from the best member, accepting with the given probability."""
@@ -456,29 +457,31 @@ def _rank_biased_member(pop: Population, probability: float, rng) -> Individual:
     return pop.best
 
 
+def _ns_burst(
+    inst, start, weights, steps, budget, config, state, stats, tabu, rng
+) -> tuple[Individual, NsStats]:
+    """One NS run from `start`, counted in the run and adaptive statistics."""
+    ns_stats = NsStats()
+    result = ns_run(
+        inst, start, weights, steps=steps, rng=rng, P=state.block_size,
+        lambda_ns=config.lambda_ns, tabu_capacity=config.tabu_capacity,
+        grasp_constructions=config.grasp_constructions, budget=budget, tabu=tabu,
+        stats=ns_stats,
+    )
+    stats.ns_bursts += 1
+    state.ns_empty += ns_stats.empty
+    state.ns_nonempty += ns_stats.nonempty
+    return result, ns_stats
+
+
 def _pure_ns_loop(
     inst, best, weights, config, state, rng, budget, stats, tabu
 ) -> Individual:
     current = best
     while not budget.exhausted:
-        ns_stats = NsStats()
-        result = ns_run(
-            inst,
-            current,
-            weights,
-            steps=1000,
-            rng=rng,
-            P=state.block_size,
-            lambda_ns=config.lambda_ns,
-            tabu_capacity=config.tabu_capacity,
-            grasp_constructions=config.grasp_constructions,
-            budget=budget,
-            tabu=tabu,
-            stats=ns_stats,
+        result, ns_stats = _ns_burst(
+            inst, current, weights, 1000, budget, config, state, stats, tabu, rng
         )
-        stats.ns_bursts += 1
-        state.ns_empty += ns_stats.empty
-        state.ns_nonempty += ns_stats.nonempty
         if result.makespan < best.makespan:
             best = result
             stats.record(budget.used, best.makespan)

@@ -130,8 +130,13 @@ def test_seed_changes_nothing_on_reruns(instance_file, capsys):
         "lambda_budget = none\n",
         "block_size = 0\n",
         "sigma1 = abc\n",
+        "dense_threshold = abc\nlambda_budget = 3000\n",
+        "elite_count = -3\n",
     ],
-    ids=["unknown-weight-mode", "no-equals", "no-cap", "block-size-0", "sigma-text"],
+    ids=[
+        "unknown-weight-mode", "no-equals", "no-cap", "block-size-0", "sigma-text",
+        "dense-threshold-text", "negative-elite-count",
+    ],
 )
 def test_bad_config_file_exit_1(instance_file, tmp_path, capsys, text):
     conf = tmp_path / "solver.conf"

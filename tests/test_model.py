@@ -43,6 +43,15 @@ def test_validate_demand_exceeds_capacity():
     assert "exceeds capacity" in validate_instance(inst)
 
 
+def test_validate_negative_capacity():
+    inst = ProjectInstance(
+        [Activity(0, 0, (0,)), Activity(1, 1, (0,)), Activity(2, 0, (0,))],
+        {(0, 1), (1, 2)},
+        (-1,),
+    )
+    assert validate_instance(inst) == "resource 0: negative capacity -1"
+
+
 def test_validate_disconnected():
     inst = ProjectInstance(
         [Activity(0, 0, (0,)), Activity(1, 1, (0,)), Activity(2, 0, (0,))],

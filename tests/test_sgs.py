@@ -13,6 +13,7 @@ from rcpsp_hybrid.model import (
     ProjectInstance,
     Schedule,
     is_feasible,
+    is_precedence_feasible_list,
     random_feasible_list,
 )
 from rcpsp_hybrid.random_instances import random_instance
@@ -142,6 +143,71 @@ def test_schedule_to_list_ties_by_id(tiny1):
     # zero-duration source shares t=0 with both: id order breaks the tie
     lst = schedule_to_list(tiny1, Schedule((0, 0, 2, 5), 5))
     assert lst.order[0] == 0
+
+
+def test_schedule_to_list_zero_duration_chain():
+    """Zero-duration 3 follows activity 1 and precedes zero-duration 2, all
+    three ending at 5: start ties go in topological order, not by id."""
+    inst = ProjectInstance(
+        [
+            Activity(0, 0, (0,)),
+            Activity(1, 5, (1,)),
+            Activity(2, 0, (0,)),
+            Activity(3, 0, (0,)),
+            Activity(4, 0, (0,)),
+        ],
+        {(0, 1), (1, 3), (3, 2), (2, 4)},
+        (1,),
+    )
+    sched = Schedule((0, 0, 5, 5, 5), 5)
+    assert schedule_to_list(inst, sched).order == (0, 1, 3, 2, 4)
+    assert left_shift(inst, sched) == sched
+
+
+def _renumbered(inst, rng):
+    """The instance with its real activities relabeled at random, so ids
+    no longer follow the precedence order."""
+    real = list(range(1, inst.sink))
+    rng.shuffle(real)
+    new = [0, *real, inst.sink]
+    acts = sorted(
+        (Activity(new[a.id], a.duration, a.demand) for a in inst.activities),
+        key=lambda a: a.id,
+    )
+    return ProjectInstance(acts, {(new[i], new[j]) for i, j in inst.arcs}, inst.capacities)
+
+
+def test_schedule_to_list_precedence_feasible_on_any_numbering():
+    rng = random.Random(23)
+    for _ in range(80):
+        inst = random_instance(rng, rng.randint(2, 20), rng.randint(1, 3))
+        inst = _renumbered(with_zero_durations(inst, rng, 0.4), rng)
+        for dec in (serial_sgs, parallel_sgs):
+            sched = dec(inst, random_feasible_list(inst, rng))
+            lst = schedule_to_list(inst, sched)
+            assert is_precedence_feasible_list(inst, lst.order)
+            assert is_feasible(inst, left_shift(inst, sched))
+            assert is_feasible(inst, fbi(inst, sched))
+
+
+def test_pickled_instance_decodes_the_same():
+    """Pool workers get instances by pickling: the copy carries the packed
+    demands and decodes every list to the same schedules."""
+    rng = random.Random(29)
+    for inst in (
+        _criterion_10_instance(),
+        with_zero_durations(random_instance(rng, 30, 5, max_capacity=300), rng, 0.3),
+    ):
+        copy = pickle.loads(pickle.dumps(inst))
+        assert copy.packed_demand == inst.packed_demand
+        assert (copy.slot_bits, copy.guard) == (inst.slot_bits, inst.guard)
+        assert copy.topo_order == inst.topo_order
+        for _ in range(20):
+            lst = random_feasible_list(inst, rng)
+            sched = serial_sgs(inst, lst)
+            assert serial_sgs(copy, lst) == sched
+            assert parallel_sgs(copy, lst) == parallel_sgs(inst, lst)
+            assert fbi(copy, sched) == fbi(inst, sched)
 
 
 def test_exhaustive_serial_reaches_optimum():

@@ -54,6 +54,20 @@ def test_config_rejects_bad_probability():
         dict(population_capacity=0),
         dict(weight_mode="bogus"),
         dict(sigma1="abc"),
+        dict(dense_threshold="abc"),
+        dict(dense_threshold=-0.1),
+        dict(lambda_ns=0),
+        dict(mutation_iterations=-1),
+        dict(ns_burst=-1),
+        dict(stagnation_trigger=2.5),
+        dict(stagnation_trigger=-1),
+        dict(elite_count=-3),
+        dict(elite_count=0),
+        dict(parents_size=0),
+        dict(seed=1.5),
+        dict(seed=True),
+        dict(use_crossover="yes"),
+        dict(unique_init=1),
     ],
     ids=repr,
 )
@@ -65,6 +79,9 @@ def test_config_rejects_bad_values(bad):
 def test_config_accepts_edge_values():
     SolverConfig(lambda_budget=None, time_limit=0.5)
     SolverConfig(fbi_passes=0, tabu_capacity=0, block_size=1, grasp_constructions=1)
+    SolverConfig(dense_threshold=0, lambda_ns=1, mutation_iterations=0, seed=-7)
+    SolverConfig(ns_burst=0, stagnation_trigger=0, elite_count=1, parents_size=1)
+    SolverConfig(use_crossover=False, unique_init=False)
     for mode in ("random", "steep", "shallow", "uniform", "ratio"):
         SolverConfig(weight_mode=mode)
 
@@ -85,6 +102,34 @@ def test_config_from_file(tmp_path):
     assert cfg.weight_mode == "uniform"
     assert cfg.unique_init is False
     assert cfg.ns_burst is None
+
+
+def test_config_from_file_reads_each_field_as_its_type(tmp_path):
+    path = tmp_path / "solver.conf"
+    path.write_text("dense_threshold = 1\ntime_limit = 2\nseed = 7\nweight_mode = none\n")
+    with pytest.raises(ValueError, match="weight_mode must be"):
+        SolverConfig.from_file(str(path))
+    path.write_text("dense_threshold = 1\ntime_limit = 2\nseed = 7\n")
+    cfg = SolverConfig.from_file(str(path))
+    assert cfg.dense_threshold == 1.0 and isinstance(cfg.dense_threshold, float)
+    assert cfg.time_limit == 2.0 and isinstance(cfg.time_limit, float)
+    assert cfg.seed == 7
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("dense_threshold = abc\nlambda_budget = 3000\n", "dense_threshold"),
+        ("population_capacity = 2.5\n", "population_capacity"),
+        ("use_crossover = 1\n", "use_crossover"),
+        ("elite_count = -3\n", "elite_count"),
+    ],
+)
+def test_config_from_file_rejects_bad_values(tmp_path, text, key):
+    path = tmp_path / "bad.conf"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=key):
+        SolverConfig.from_file(str(path))
 
 
 def test_config_from_file_unknown_key(tmp_path):
