@@ -81,7 +81,7 @@ def cmd_bench(args) -> int:
             csv_path=args.csv,
             threads=args.threads,
         )
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise InputError(str(exc)) from exc
     print(format_table(report))
     if args.bounds:
@@ -115,7 +115,7 @@ def cmd_validate(args) -> int:
     if os.path.isdir(target):
         try:
             pairs = load_dataset(target)
-        except (FileNotFoundError, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             raise InputError(str(exc)) from exc
         bad = 0
         for name, inst in pairs:

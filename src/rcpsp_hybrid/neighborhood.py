@@ -13,6 +13,10 @@ from .genetic import Individual, repair_precedence
 from .sgs import left_shift, schedule_to_list, serial_place, serial_sgs
 from . import profile
 
+# share of the value-ranked feasible items a randomized GRASP construction
+# picks from
+RCL_FRACTION = 0.5
+
 
 @dataclass
 class Block:
@@ -186,10 +190,9 @@ def grasp_knapsack(
     values: Sequence[float],
     rng,
     constructions: int = 16,
-    rcl_fraction: float = 0.5,
 ) -> list[int]:
     """Multi-dimensional knapsack via GRASP: repeated randomized-greedy
-    constructions (restricted candidate list = top fraction by value)
+    constructions (restricted candidate list = top RCL_FRACTION by value)
     keeping the best; the pure greedy construction is always included, so
     the result never falls below it.  Returns indices into `eligible`."""
     m = len(eligible)
@@ -211,7 +214,7 @@ def grasp_knapsack(
             if not feasible:
                 break
             if randomized:
-                rcl = feasible[: max(1, int(len(feasible) * rcl_fraction))]
+                rcl = feasible[: max(1, int(len(feasible) * RCL_FRACTION))]
                 i = rcl[rng.randrange(len(rcl))]
             else:
                 i = feasible[0]

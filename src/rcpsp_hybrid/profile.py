@@ -16,8 +16,10 @@ resources of a slot at once, and slot -= demand books it.
 `place` and `place_latest` return the earliest (latest) fitting start
 exactly, as a scan trying every candidate would: on a conflict they skip
 the whole run of slots short of some resource, and no window covering
-such a slot fits.  That is why their results equal those of the
-`_fastpath` kernels, which step one start at a time.
+such a slot fits.  That is why the serial decode and the right
+justification built on them give the start vectors of the stepwise
+oracles in tests/oracles.py, which keep one list row per resource and
+try one start at a time (tests/test_sgs.py compares the two).
 """
 
 from __future__ import annotations

@@ -13,12 +13,12 @@ from __future__ import annotations
 import heapq
 from typing import Sequence
 
-import numpy as np
-
 from .model import ActivityList, ProjectInstance, Schedule
-from . import _fastpath, profile
+from . import profile
 
-USE_KERNELS = _fastpath.HAVE_NUMBA
+# There is one decode backend, pure Python.  perfbench/run.py still reads
+# this flag to record the backend of each run, so it stays as a constant.
+USE_KERNELS = False
 
 
 def _charge(budget, k: int = 1) -> None:
@@ -41,27 +41,11 @@ def serial_sgs(
     order = tuple(lst.order if isinstance(lst, ActivityList) else lst)
     sched = inst.serial_memo.get(order)
     if sched is None:
-        sched = (_serial_kernel if USE_KERNELS else _serial_python)(inst, order)
+        starts, finish = serial_place(inst, order, profile.empty(inst, inst.horizon + 1))
+        sched = Schedule(tuple(starts), finish[inst.sink])
         inst.serial_memo.put(order, sched)
     _charge(budget)
     return sched
-
-
-def _serial_kernel(inst: ProjectInstance, order: tuple[int, ...]) -> Schedule:
-    durs, dem, caps, pred_ptr, pred_idx, _, _ = _fastpath.instance_arrays(inst)
-    starts = _fastpath.serial_decode(
-        np.asarray(order, np.int32), durs, dem, caps, pred_ptr, pred_idx,
-        inst.horizon,
-    )
-    return Schedule(
-        tuple(int(s) for s in starts),
-        int(starts[inst.sink]) + inst.durations[inst.sink],
-    )
-
-
-def _serial_python(inst: ProjectInstance, order: tuple[int, ...]) -> Schedule:
-    starts, finish = serial_place(inst, order, profile.empty(inst, inst.horizon + 1))
-    return Schedule(tuple(starts), finish[inst.sink])
 
 
 def serial_place(
@@ -179,21 +163,6 @@ def _right_justify(inst: ProjectInstance, sched: Schedule, budget=None) -> Sched
     """Schedule backward in decreasing finish-time order: each activity is
     moved to its latest resource-feasible start before its successors."""
     T = sched.makespan
-    order = _backward_order(inst, sched.starts)
-    if USE_KERNELS:
-        durs, dem, caps, _, _, succ_ptr, succ_idx = _fastpath.instance_arrays(inst)
-        new_start = _fastpath.right_justify_decode(
-            np.asarray(order, np.int32), durs, dem, caps, succ_ptr, succ_idx,
-            inst.sink, T,
-        )
-        new_start = [int(s) for s in new_start]
-    else:
-        new_start = _right_justify_python(inst, order, T)
-    _charge(budget)
-    return Schedule(tuple(new_start), T)
-
-
-def _right_justify_python(inst: ProjectInstance, order: list[int], T: int) -> list[int]:
     durs = inst.durations
     succs = inst.succs
     packed = inst.packed_demand
@@ -202,7 +171,7 @@ def _right_justify_python(inst: ProjectInstance, order: list[int], T: int) -> li
     rem = profile.empty(inst, T + 1)
     new_start = [0] * len(inst)
     new_start[sink] = T
-    for j in order:
+    for j in _backward_order(inst, sched.starts):
         if j == sink:
             continue
         p = durs[j]
@@ -215,7 +184,8 @@ def _right_justify_python(inst: ProjectInstance, order: list[int], T: int) -> li
         assert t is not None, "right justification ran out of room"
         new_start[j] = t
     new_start[0] = 0
-    return new_start
+    _charge(budget)
+    return Schedule(tuple(new_start), T)
 
 
 def left_shift(inst: ProjectInstance, sched: Schedule, budget=None) -> Schedule:

@@ -18,7 +18,6 @@ from .model import (
 )
 from .genetic import (
     Individual,
-    Population,
     crossover_a,
     crossover_b,
     decode_and_improve,
@@ -401,7 +400,7 @@ def solve(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunSta
                     )
                 )
 
-            seed_ind = _rank_biased_member(pop, state.parent_probability, rng)
+            seed_ind = select_parents(pop, 1, state.parent_probability, rng)[0]
             # each NS step costs at least one decode; the sub-budget is the
             # real cap
             ns_best, _ = _ns_burst(
@@ -447,14 +446,6 @@ class _SubBudget:
     @property
     def exhausted(self) -> bool:
         return self.parent.exhausted or self.parent.used >= self.cap
-
-
-def _rank_biased_member(pop: Population, probability: float, rng) -> Individual:
-    """Scan from the best member, accepting with the given probability."""
-    for member in pop:
-        if rng.random() < probability:
-            return member
-    return pop.best
 
 
 def _ns_burst(

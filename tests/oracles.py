@@ -2,8 +2,11 @@
 
 These deliberately share no code with the solver paths they check:
 optimal makespans come from exhaustive enumeration of topological orders,
-relaxation optima from exhaustive start-vector search, and knapsack
-optima from full subset enumeration.
+relaxation optima from exhaustive start-vector search, knapsack optima
+from full subset enumeration, and the reference serial decode and right
+justification keep one list row per resource and try one start at a
+time, where the library packs all resources of a slot into one int and
+skips runs of short slots.
 """
 
 from __future__ import annotations
@@ -44,6 +47,57 @@ def brute_force_optimum(inst: ProjectInstance) -> int:
     topological order (an optimal schedule is active, and serial decoding
     over all orders reaches every active schedule)."""
     return min(serial_sgs(inst, order).makespan for order in iter_topological_orders(inst))
+
+
+def _window_fits(inst: ProjectInstance, rows, j: int, t: int) -> bool:
+    return all(
+        rows[k][tau] >= d
+        for k, d in enumerate(inst.demands[j])
+        for tau in range(t, t + inst.durations[j])
+    )
+
+
+def _book(inst: ProjectInstance, rows, j: int, t: int) -> None:
+    for k, d in enumerate(inst.demands[j]):
+        for tau in range(t, t + inst.durations[j]):
+            rows[k][tau] -= d
+
+
+def reference_serial_starts(inst: ProjectInstance, order) -> tuple[int, ...]:
+    """Serial decode of `order`: each activity at the earliest start after
+    its predecessors' finishes at which every resource has room."""
+    rows = [[cap] * (inst.horizon + 1) for cap in inst.capacities]
+    starts = [0] * len(inst)
+    finish = [0] * len(inst)
+    for j in order:
+        t = max((finish[i] for i in inst.preds[j]), default=0)
+        while not _window_fits(inst, rows, j, t):
+            t += 1
+        _book(inst, rows, j, t)
+        starts[j] = t
+        finish[j] = t + inst.durations[j]
+    return tuple(starts)
+
+
+def reference_right_justify_starts(inst: ProjectInstance, order, T: int) -> tuple[int, ...]:
+    """Right justification within makespan T: in `order` (successors
+    first), each activity at the latest start before its successors'
+    starts at which every resource has room; the source stays at 0 and
+    the sink at T."""
+    rows = [[cap] * (T + 1) for cap in inst.capacities]
+    starts = [0] * len(inst)
+    starts[inst.sink] = T
+    for j in order:
+        if j == inst.sink:
+            continue
+        t = min((starts[s] for s in inst.succs[j]), default=T) - inst.durations[j]
+        while t >= 0 and not _window_fits(inst, rows, j, t):
+            t -= 1
+        assert t >= 0, "no room before the successors"
+        _book(inst, rows, j, t)
+        starts[j] = t
+    starts[0] = 0
+    return tuple(starts)
 
 
 def _cumulative_feasible(inst: ProjectInstance, starts: list[int], T: int) -> bool:

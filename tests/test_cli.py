@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -112,6 +113,16 @@ def test_bench_bounds_report(dataset_dir, tmp_path, capsys):
 
 def test_bench_missing_directory_exit_1(tmp_path):
     assert main(["bench", str(tmp_path / "nope")]) == 1
+
+
+@pytest.mark.parametrize("argv", [["bench", "--lambda", "50"], ["validate"]])
+def test_unreadable_dataset_entry_exit_1(dataset_dir, argv, capsys):
+    """A directory named like an instance file cannot be read: that is bad
+    input, reported with exit 1, not an internal error."""
+    os.mkdir(os.path.join(dataset_dir, "b.sm"))
+    assert main([argv[0], dataset_dir, *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and "b.sm" in err
 
 
 def test_seed_changes_nothing_on_reruns(instance_file, capsys):

@@ -1,7 +1,11 @@
 """Every module of the package uses each name it imports (the package
-__init__ imports only to re-export, so it is left out)."""
+__init__ imports only to re-export, so it is left out), and the package
+imports nothing outside the standard library."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +37,34 @@ def test_guard_sees_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# lists every module that importing the package adds, other than the
+# package's own and the standard library's (site hooks may load
+# third-party modules at start-up, before the import; multiprocessing
+# registers __main__ again as __mp_main__)
+OUTSIDE_STDLIB = """
+import sys
+before = set(sys.modules)
+import rcpsp_hybrid
+for name in sorted(set(sys.modules) - before):
+    top = name.split(".")[0]
+    if sys.modules[name] is sys.modules["__main__"]:
+        continue
+    if top != "rcpsp_hybrid" and top not in sys.stdlib_module_names:
+        print(name)
+"""
+
+
+def test_package_needs_only_the_standard_library():
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", OUTSIDE_STDLIB],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.split() == []

@@ -3,10 +3,7 @@ import random
 import sys
 import threading
 
-import numpy as np
-import pytest
-
-from rcpsp_hybrid import _fastpath, sgs
+from rcpsp_hybrid import sgs
 from rcpsp_hybrid.model import (
     Activity,
     ActivityList,
@@ -26,7 +23,12 @@ from rcpsp_hybrid.sgs import (
 )
 from rcpsp_hybrid.solver import Budget
 from conftest import with_zero_durations
-from oracles import brute_force_optimum, iter_topological_orders
+from oracles import (
+    brute_force_optimum,
+    iter_topological_orders,
+    reference_right_justify_starts,
+    reference_serial_starts,
+)
 
 
 def _criterion_10_instance():
@@ -226,18 +228,13 @@ def test_exhaustive_serial_reaches_optimum():
         assert fbi(inst, sched).makespan >= best
 
 
-# ------------------------------------------------- backend parity and memo
+# ------------------------------------------------ decoder oracles and memo
 
 
-def test_python_decoders_match_kernel_source(monkeypatch):
-    """The list decoders give exactly the start vectors of the _fastpath
-    kernels, whose source runs as plain Python here (through .py_func
-    where numba compiled it), so both backends are checked everywhere."""
-    monkeypatch.setattr(sgs, "USE_KERNELS", False)
-    serial_ref = getattr(_fastpath.serial_decode, "py_func", _fastpath.serial_decode)
-    right_ref = getattr(
-        _fastpath.right_justify_decode, "py_func", _fastpath.right_justify_decode
-    )
+def test_decoders_match_stepwise_oracles():
+    """The serial decode and the right justification give exactly the
+    start vectors of the stepwise oracles, which share no code with the
+    packed profile and its run-skipping scans."""
     rng = random.Random(23)
     cases = [(_criterion_10_instance(), 30)]
     for _ in range(40):
@@ -251,24 +248,15 @@ def test_python_decoders_match_kernel_source(monkeypatch):
         cases.append((inst, 4))
         cases.append((with_zero_durations(inst, rng), 4))
     for inst, n_lists in cases:
-        durs, dem, caps, pred_ptr, pred_idx, succ_ptr, succ_idx = (
-            _fastpath.instance_arrays(inst)
-        )
         for _ in range(n_lists):
             order = random_feasible_list(inst, rng).order
             sched = serial_sgs(inst, order)
-            ref = serial_ref(
-                np.asarray(order, np.int32), durs, dem, caps, pred_ptr, pred_idx,
-                inst.horizon,
-            )
-            assert sched.starts == tuple(int(s) for s in ref)
+            assert sched.starts == reference_serial_starts(inst, order)
             back = sgs._right_justify(inst, sched)
             back_order = sgs._backward_order(inst, sched.starts)
-            ref = right_ref(
-                np.asarray(back_order, np.int32), durs, dem, caps, succ_ptr,
-                succ_idx, inst.sink, sched.makespan,
+            assert back.starts == reference_right_justify_starts(
+                inst, back_order, sched.makespan
             )
-            assert back.starts == tuple(int(s) for s in ref)
 
 
 def test_serial_memo_charges_every_call():
