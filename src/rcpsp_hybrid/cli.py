@@ -15,7 +15,12 @@ from .bench import (
 )
 from .model import validate_instance
 from .psplib import load_dataset, parse_sm
-from .ranking import assign_weights, rank_resources, solve_cumulative_relaxation
+from .ranking import (
+    WeightConfigError,
+    assign_weights,
+    rank_resources,
+    solve_cumulative_relaxation,
+)
 from .solver import SolverConfig, solve
 
 
@@ -57,7 +62,10 @@ def _build_config(args) -> SolverConfig:
 def cmd_solve(args) -> int:
     inst = _load_instance(args.file)
     config = _build_config(args)
-    sched, stats = solve(inst, config)
+    try:
+        sched, stats = solve(inst, config)
+    except WeightConfigError as exc:
+        raise InputError(str(exc)) from exc
     print(f"instance      : {inst.name or args.file}")
     print(f"makespan      : {sched.makespan}")
     print(f"cp lower bound: {stats.cp_bound}")

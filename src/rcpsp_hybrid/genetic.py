@@ -25,8 +25,7 @@ class Individual:
 class Population:
     """Members kept sorted nondecreasing by makespan."""
 
-    def __init__(self, capacity: int):
-        self.capacity = capacity
+    def __init__(self):
         self.members: list[Individual] = []
 
     def insert(self, ind: Individual) -> None:
@@ -83,13 +82,13 @@ def init_population(
     rng,
     budget=None,
     fbi_passes: int = 4,
-    unique: bool = True,
 ) -> Population:
     """Random feasible list -> parallel decoder -> FBI, repeated until the
     population is full.  Duplicate (makespan, start-vector) members are
-    rejected while uniqueness is on; the requirement is waived after
-    5 * capacity failed attempts."""
-    pop = Population(capacity)
+    rejected until 5 * capacity attempts have failed or the budget runs
+    out; then the uniqueness requirement is waived."""
+    pop = Population()
+    unique = True
     seen: set[tuple] = set()
     failures = 0
     max_failures = 5 * capacity

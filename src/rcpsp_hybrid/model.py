@@ -297,12 +297,3 @@ def random_feasible_list(inst: ProjectInstance, rng) -> ActivityList:
                 ready.append(s)
     assert len(out) == n2, "instance must be acyclic"
     return ActivityList(tuple(out))
-
-
-def is_precedence_feasible_list(inst: ProjectInstance, order: Sequence[int]) -> bool:
-    pos = {a: i for i, a in enumerate(order)}
-    if len(pos) != len(inst):
-        return False
-    if order[0] != 0 or order[-1] != inst.sink:
-        return False
-    return all(pos[i] < pos[j] for i, j in inst.arcs)

@@ -367,7 +367,6 @@ def ns_run(
         block = create_block(inst, j, current.schedule, P, rng)
         neighbor: Optional[Individual] = None
         if rng.random() < 0.5:
-            compute_windows(inst, current.schedule, block)
             moved = neighborhood_a_move(
                 inst,
                 current.schedule,

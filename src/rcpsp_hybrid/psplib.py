@@ -125,13 +125,29 @@ def _parse_precedence(lines: list[str], job_count: int) -> dict[int, list[int]]:
                 f"section '{_PRECEDENCE}', line {start + off + 1}: "
                 f"job {jobnr} lists {len(succ)} of {n_succ} successors"
             )
+        for s in succ:
+            if not 1 <= s <= job_count:
+                raise PsplibStructureError(
+                    f"section '{_PRECEDENCE}', line {start + off + 1}: "
+                    f"successor {s} is outside jobs 1..{job_count}"
+                )
         successors[jobnr] = succ
-    if len(successors) != job_count:
+    _check_jobs(_PRECEDENCE, successors, job_count)
+    return successors
+
+
+def _check_jobs(section: str, listed: dict[int, list[int]], job_count: int) -> None:
+    """A section lists every job 1..job_count and no other."""
+    for jobnr in listed:
+        if not 1 <= jobnr <= job_count:
+            raise PsplibStructureError(
+                f"section '{section}': job {jobnr} is outside jobs 1..{job_count}"
+            )
+    if len(listed) != job_count:
         raise PsplibStructureError(
-            f"section '{_PRECEDENCE}': {len(successors)} jobs listed, "
+            f"section '{section}': {len(listed)} jobs listed, "
             f"header declares {job_count}"
         )
-    return successors
 
 
 def _parse_requests(
@@ -159,11 +175,7 @@ def _parse_requests(
             )
         durations[jobnr] = duration
         demands[jobnr] = nums[3:]
-    if len(durations) != job_count:
-        raise PsplibStructureError(
-            f"section '{_REQUESTS}': {len(durations)} jobs listed, "
-            f"header declares {job_count}"
-        )
+    _check_jobs(_REQUESTS, demands, job_count)
     return durations, demands
 
 

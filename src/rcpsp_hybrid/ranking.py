@@ -132,8 +132,7 @@ def _draw_mode(n_res: int, rng) -> str:
 def assign_weights(
     rank: Sequence[int],
     residues: Sequence[int],
-    mode: str = "random",
-    rng=None,
+    mode: str,
 ) -> tuple[float, ...]:
     """Weight vector per original resource index.
 
@@ -143,8 +142,6 @@ def assign_weights(
     balances give proportionally smaller weights.
     """
     n_res = len(rank)
-    if mode == "random":
-        mode = _draw_mode(n_res, rng)
     if mode in _FIXED_VECTORS:
         if n_res > 4:
             raise WeightConfigError(

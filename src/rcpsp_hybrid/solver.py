@@ -74,8 +74,6 @@ class SolverConfig:
     grasp_constructions: int = 16
     fbi_passes: int = 4
     weight_mode: str = "random"
-    use_crossover: bool = True
-    unique_init: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -85,7 +83,7 @@ class SolverConfig:
             return ValueError(f"{name} must be {want}, not {getattr(self, name)!r}")
 
         for name, least in (
-            ("population_capacity", 1),
+            ("population_capacity", 2),  # a crossover needs two parents
             ("block_size", 1),
             ("lambda_ns", 1),
             ("mutation_iterations", 0),
@@ -106,9 +104,6 @@ class SolverConfig:
                 raise bad(name, f"none or an integer >= {least}")
         if not _is_int(self.seed):
             raise bad("seed", "an integer")
-        for name in ("use_crossover", "unique_init"):
-            if not isinstance(getattr(self, name), bool):
-                raise bad(name, "true or false")
         if self.time_limit is not None and not _is_positive(self.time_limit):
             raise bad("time_limit", "none or a positive number")
         if self.lambda_budget is None and self.time_limit is None:
@@ -161,15 +156,13 @@ def _is_positive(value) -> bool:
 
 
 def _coerce(text: str, kind):
-    """`text` as a value of the field type `kind`: int, float, bool, str
-    or Optional of one of them."""
+    """`text` as a value of the field type `kind`: int, float, str or
+    Optional of one of them."""
     if type(None) in get_args(kind):
         if text.lower() in ("none", ""):
             return None
         kind = get_args(kind)[0]
-    if kind is bool and text.lower() not in ("true", "false"):
-        raise ValueError(f"expected true or false, not {text!r}")
-    return text.lower() == "true" if kind is bool else kind(text)
+    return kind(text)
 
 
 @dataclass
@@ -220,7 +213,6 @@ class AdaptiveState:
     ns_empty: int = 0
     ns_nonempty: int = 0
     record_improved: bool = False
-    uniqueness_strained: bool = False
 
 
 def adapt_parameters(state: AdaptiveState, log: Optional[list[str]] = None) -> AdaptiveState:
@@ -297,14 +289,7 @@ def solve(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunSta
 
     # step 2: initial population
     capacity = config.population_capacity
-    pop = init_population(
-        inst,
-        capacity,
-        rng,
-        budget=budget,
-        fbi_passes=config.fbi_passes,
-        unique=config.unique_init,
-    )
+    pop = init_population(inst, capacity, rng, budget=budget, fbi_passes=config.fbi_passes)
     best = pop.best
     stats.record(budget.used, best.makespan)
 
@@ -328,12 +313,8 @@ def solve(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunSta
     )
     tabu = TabuList(config.tabu_capacity)
 
-    use_ga = config.use_crossover and capacity >= 2
-    if not use_ga:
-        best = _pure_ns_loop(inst, best, weights, config, state, rng, budget, stats, tabu)
-
     since_improvement = 0
-    while use_ga and not budget.exhausted:
+    while not budget.exhausted:
         parents = select_parents(pop, parents_size, state.parent_probability, rng)
         genes = {
             id(p): dense_activities(inst, p.schedule, state.dense_threshold, weights)
@@ -403,10 +384,16 @@ def solve(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunSta
             seed_ind = select_parents(pop, 1, state.parent_probability, rng)[0]
             # each NS step costs at least one decode; the sub-budget is the
             # real cap
-            ns_best, _ = _ns_burst(
-                inst, seed_ind, weights, max(1, burst), _SubBudget(budget, burst),
-                config, state, stats, tabu, rng,
+            ns_stats = NsStats()
+            ns_best = ns_run(
+                inst, seed_ind, weights, steps=max(1, burst), rng=rng,
+                P=state.block_size, lambda_ns=config.lambda_ns,
+                grasp_constructions=config.grasp_constructions,
+                budget=_SubBudget(budget, burst), tabu=tabu, stats=ns_stats,
             )
+            stats.ns_bursts += 1
+            state.ns_empty += ns_stats.empty
+            state.ns_nonempty += ns_stats.nonempty
             if ns_best.makespan < best.makespan:
                 best = ns_best
                 state.record_improved = True
@@ -415,7 +402,6 @@ def solve(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunSta
                 pop.remove_worst(1)
                 pop.insert(ns_best)
 
-            prev_changes = state.p_changes_without_record
             adapt_parameters(state, log=stats.parameter_changes)
             if state.p_changes_without_record >= 5:
                 state.block_size = 1
@@ -446,37 +432,3 @@ class _SubBudget:
     @property
     def exhausted(self) -> bool:
         return self.parent.exhausted or self.parent.used >= self.cap
-
-
-def _ns_burst(
-    inst, start, weights, steps, budget, config, state, stats, tabu, rng
-) -> tuple[Individual, NsStats]:
-    """One NS run from `start`, counted in the run and adaptive statistics."""
-    ns_stats = NsStats()
-    result = ns_run(
-        inst, start, weights, steps=steps, rng=rng, P=state.block_size,
-        lambda_ns=config.lambda_ns, tabu_capacity=config.tabu_capacity,
-        grasp_constructions=config.grasp_constructions, budget=budget, tabu=tabu,
-        stats=ns_stats,
-    )
-    stats.ns_bursts += 1
-    state.ns_empty += ns_stats.empty
-    state.ns_nonempty += ns_stats.nonempty
-    return result, ns_stats
-
-
-def _pure_ns_loop(
-    inst, best, weights, config, state, rng, budget, stats, tabu
-) -> Individual:
-    current = best
-    while not budget.exhausted:
-        result, ns_stats = _ns_burst(
-            inst, current, weights, 1000, budget, config, state, stats, tabu, rng
-        )
-        if result.makespan < best.makespan:
-            best = result
-            stats.record(budget.used, best.makespan)
-        current = result
-        if ns_stats.empty + ns_stats.nonempty == 0:
-            break  # no movement possible (e.g. trivial instance)
-    return best

@@ -3,7 +3,8 @@
 These deliberately share no code with the solver paths they check:
 optimal makespans come from exhaustive enumeration of topological orders,
 relaxation optima from exhaustive start-vector search, knapsack optima
-from full subset enumeration, and the reference serial decode and right
+from full subset enumeration, a list's precedence feasibility from a
+check of every arc, and the reference serial decode and right
 justification keep one list row per resource and try one start at a
 time, where the library packs all resources of a slot into one int and
 skips runs of short slots.
@@ -40,6 +41,17 @@ def iter_topological_orders(inst: ProjectInstance):
 
     placed: set[int] = set()
     yield from rec()
+
+
+def is_precedence_feasible_list(inst: ProjectInstance, order) -> bool:
+    """True when `order` lists every activity once, source first, sink
+    last, and each arc's tail before its head."""
+    pos = {a: i for i, a in enumerate(order)}
+    if len(pos) != len(inst):
+        return False
+    if order[0] != 0 or order[-1] != inst.sink:
+        return False
+    return all(pos[i] < pos[j] for i, j in inst.arcs)
 
 
 def brute_force_optimum(inst: ProjectInstance) -> int:

@@ -143,10 +143,13 @@ def test_seed_changes_nothing_on_reruns(instance_file, capsys):
         "sigma1 = abc\n",
         "dense_threshold = abc\nlambda_budget = 3000\n",
         "elite_count = -3\n",
+        "population_capacity = 1\n",
+        "use_crossover = false\n",
     ],
     ids=[
         "unknown-weight-mode", "no-equals", "no-cap", "block-size-0", "sigma-text",
-        "dense-threshold-text", "negative-elite-count",
+        "dense-threshold-text", "negative-elite-count", "one-member-population",
+        "removed-ablation-key",
     ],
 )
 def test_bad_config_file_exit_1(instance_file, tmp_path, capsys, text):
@@ -165,3 +168,34 @@ def test_nonpositive_lambda_option_exit_1(instance_file, capsys):
 def test_time_limit_option_lifts_the_schedule_cap(instance_file, capsys):
     assert main(["solve", instance_file, "--time-limit", "0.2"]) == 0
     assert "makespan      : 5" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", ["steep", "shallow"])
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_fixed_weight_mode_beyond_four_resources_exit_1(tmp_path, capsys, mode, command):
+    (tmp_path / "k5.sm").write_text(write_sm(random_instance(random.Random(4), 6, 5)))
+    conf = tmp_path / "solver.conf"
+    conf.write_text(f"lambda_budget = 50\nweight_mode = {mode}\n")
+    target = str(tmp_path / "k5.sm") if command == "solve" else str(tmp_path)
+    assert main([command, target, "--config", str(conf)]) == 1
+    err = capsys.readouterr().err
+    assert f"fixed weight vector '{mode}' covers 4 resources" in err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("   2        1          1           4", "   2        1          1           7"),
+        # job 3's requests row is missing: a row numbered 7 takes its place
+        ("  3      1     3       3", "  7      1     3       3"),
+    ],
+    ids=["successor-out-of-range", "requests-row-missing"],
+)
+def test_malformed_instance_exit_1(tmp_path, capsys, old, new):
+    assert old in FIXTURE_A
+    path = tmp_path / "bad.sm"
+    path.write_text(FIXTURE_A.replace(old, new))
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "internal error" not in err

@@ -20,11 +20,11 @@ from rcpsp_hybrid.model import (
     ActivityList,
     ProjectInstance,
     Schedule,
-    is_precedence_feasible_list,
     random_feasible_list,
 )
 from rcpsp_hybrid.random_instances import random_instance
 from rcpsp_hybrid.sgs import serial_sgs
+from oracles import is_precedence_feasible_list
 
 
 def _individual(inst, order):
@@ -36,7 +36,7 @@ def _individual(inst, order):
 
 
 def test_population_sorted_inserts(tiny1):
-    pop = Population(4)
+    pop = Population()
     for order in ([0, 2, 1, 3], [0, 1, 2, 3]):
         pop.insert(_individual(tiny1, order))
     spans = [m.makespan for m in pop]
@@ -251,7 +251,7 @@ def test_repair_precedence_fixes_violations(tiny2):
 
 
 def test_next_generation_replaces_even_when_worse(tiny1):
-    pop = Population(4)
+    pop = Population()
     for _ in range(4):
         pop.insert(_individual(tiny1, [0, 1, 2, 3]))  # all makespan 5
     worse = _individual(tiny1, [0, 2, 1, 3])

@@ -8,12 +8,12 @@ from rcpsp_hybrid.model import (
     Schedule,
     critical_path_lower_bound,
     is_feasible,
-    is_precedence_feasible_list,
     random_feasible_list,
     validate_instance,
 )
 from rcpsp_hybrid.random_instances import random_instance
 from rcpsp_hybrid.sgs import serial_sgs
+from oracles import is_precedence_feasible_list
 
 
 def test_validate_ok(tiny2):

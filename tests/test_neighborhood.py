@@ -8,7 +8,6 @@ from rcpsp_hybrid.model import (
     ActivityList,
     Schedule,
     is_feasible,
-    is_precedence_feasible_list,
     random_feasible_list,
 )
 from rcpsp_hybrid.neighborhood import (
@@ -25,7 +24,7 @@ from rcpsp_hybrid.neighborhood import (
 from rcpsp_hybrid.random_instances import random_instance
 from rcpsp_hybrid.sgs import fbi, schedule_to_list, serial_sgs
 from conftest import with_zero_durations
-from oracles import brute_force_knapsack
+from oracles import brute_force_knapsack, is_precedence_feasible_list
 
 
 def _individual(inst, order):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -91,3 +92,42 @@ def test_load_dataset_sorted(tmp_path, fixture_a_text):
 def test_load_dataset_empty(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_dataset(str(tmp_path))
+
+
+def _edit_lines(text, rng):
+    """1-3 random line edits: delete, duplicate, swap, or renumber one
+    integer (possibly to a negative or out-of-range value)."""
+    lines = text.split("\n")
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        op = rng.randrange(4)
+        if op == 0:
+            del lines[i]
+        elif op == 1:
+            lines.insert(i, lines[i])
+        elif op == 2:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            numbers = list(re.finditer(r"\d+", lines[i]))
+            if numbers:
+                m = rng.choice(numbers)
+                value = rng.choice([rng.randint(-1, 12), rng.randint(0, 10**6)])
+                lines[i] = lines[i][: m.start()] + str(value) + lines[i][m.end() :]
+    return "\n".join(lines)
+
+
+def test_edited_files_raise_value_error_or_parse_valid():
+    rng = random.Random(17)
+    originals = [write_sm(random_instance(random.Random(s), 8, 2)) for s in range(5)]
+    outcomes = {"rejected": 0, "valid": 0}
+    for _ in range(2000):
+        text = _edit_lines(rng.choice(originals), rng)
+        try:
+            inst = parse_sm(text)
+        except ValueError:
+            outcomes["rejected"] += 1
+            continue
+        assert validate_instance(inst) is None, text
+        outcomes["valid"] += 1
+    assert min(outcomes.values()) > 100

@@ -110,6 +110,12 @@ def test_fixed_vector_rejects_many_resources():
         assign_weights((0, 1, 2, 3, 4), (1, 2, 3, 4, 5), mode="steep")
 
 
+def test_assign_weights_draws_nothing():
+    # the random option is drawn once, by rank_and_weigh
+    with pytest.raises(ValueError, match="unknown weight mode"):
+        assign_weights((0, 1), (1, 2), mode="random")
+
+
 def test_weights_follow_rank_not_index():
     # resource 1 is the scarce one
     w = assign_weights((1, 0), (9, 1), mode="steep")
@@ -142,16 +148,18 @@ def test_random_mode_reports_the_drawn_option():
 
 
 def test_rank_and_weigh_draws_like_assign_weights():
-    # one draw from the same stream: weights and the rng state stay as
-    # they were when assign_weights drew the mode itself
+    # one draw from the same stream: the mode, weights and rng state stay
+    # as they were when assign_weights drew the mode itself
     rng = random.Random(41)
     for _ in range(30):
         inst = random_instance(rng, rng.randint(1, 12), rng.randint(1, 6))
         seed = rng.randrange(1000)
         a, b = random.Random(seed), random.Random(seed)
         result = rank_and_weigh(inst, mode="random", rng=a)
-        weights = assign_weights(result.rank, result.residues, mode="random", rng=b)
-        assert result.weights == weights
+        eligible = ["steep", "shallow", "uniform", "ratio"]
+        if inst.n_resources > 4:
+            eligible = ["uniform", "ratio"]
+        assert result.mode == eligible[b.randrange(len(eligible))]
         assert a.getstate() == b.getstate()
         assert result.weights == assign_weights(
             result.rank, result.residues, mode=result.mode

@@ -10,7 +10,6 @@ from rcpsp_hybrid.model import (
     ProjectInstance,
     Schedule,
     is_feasible,
-    is_precedence_feasible_list,
     random_feasible_list,
 )
 from rcpsp_hybrid.random_instances import random_instance
@@ -25,6 +24,7 @@ from rcpsp_hybrid.solver import Budget
 from conftest import with_zero_durations
 from oracles import (
     brute_force_optimum,
+    is_precedence_feasible_list,
     iter_topological_orders,
     reference_right_justify_starts,
     reference_serial_starts,

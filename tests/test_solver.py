@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from rcpsp_hybrid.genetic import Population
 from rcpsp_hybrid.model import is_feasible
 from rcpsp_hybrid.random_instances import random_instance
 from rcpsp_hybrid.solver import (
@@ -14,6 +15,7 @@ from rcpsp_hybrid.solver import (
     classify_subset,
     solve,
 )
+from conftest import with_zero_durations
 from oracles import brute_force_optimum
 
 
@@ -52,6 +54,7 @@ def test_config_rejects_bad_probability():
         dict(grasp_constructions=0),
         dict(population_capacity=2.5),
         dict(population_capacity=0),
+        dict(population_capacity=1),
         dict(weight_mode="bogus"),
         dict(sigma1="abc"),
         dict(dense_threshold="abc"),
@@ -66,8 +69,6 @@ def test_config_rejects_bad_probability():
         dict(parents_size=0),
         dict(seed=1.5),
         dict(seed=True),
-        dict(use_crossover="yes"),
-        dict(unique_init=1),
     ],
     ids=repr,
 )
@@ -81,7 +82,7 @@ def test_config_accepts_edge_values():
     SolverConfig(fbi_passes=0, tabu_capacity=0, block_size=1, grasp_constructions=1)
     SolverConfig(dense_threshold=0, lambda_ns=1, mutation_iterations=0, seed=-7)
     SolverConfig(ns_burst=0, stagnation_trigger=0, elite_count=1, parents_size=1)
-    SolverConfig(use_crossover=False, unique_init=False)
+    SolverConfig(population_capacity=2)
     for mode in ("random", "steep", "shallow", "uniform", "ratio"):
         SolverConfig(weight_mode=mode)
 
@@ -93,14 +94,14 @@ def test_config_from_file(tmp_path):
         "lambda_budget = 1234\n"
         "sigma1 = 0.1\n"
         "weight_mode = uniform  # fixed for reproducibility\n"
-        "unique_init = false\n"
+        "population_capacity = 2\n"
         "ns_burst = none\n"
     )
     cfg = SolverConfig.from_file(str(path))
     assert cfg.lambda_budget == 1234
     assert cfg.sigma1 == 0.1
     assert cfg.weight_mode == "uniform"
-    assert cfg.unique_init is False
+    assert cfg.population_capacity == 2
     assert cfg.ns_burst is None
 
 
@@ -121,7 +122,10 @@ def test_config_from_file_reads_each_field_as_its_type(tmp_path):
     [
         ("dense_threshold = abc\nlambda_budget = 3000\n", "dense_threshold"),
         ("population_capacity = 2.5\n", "population_capacity"),
+        ("population_capacity = 1\n", "population_capacity"),
+        # ablations are not config keys
         ("use_crossover = 1\n", "use_crossover"),
+        ("unique_init = false\n", "unique_init"),
         ("elite_count = -3\n", "elite_count"),
     ],
 )
@@ -331,16 +335,41 @@ def test_solve_pure_ga_ablation():
     assert is_feasible(inst, sched)
 
 
-def test_solve_pure_ns_ablation():
-    rng = random.Random(9)
-    inst = random_instance(rng, 15, 2)
-    for cfg in (
-        SolverConfig(lambda_budget=400, population_capacity=1, seed=4),
-        SolverConfig(lambda_budget=400, population_capacity=8, use_crossover=False, seed=4),
-    ):
-        sched, stats = solve(inst, cfg)
-        assert is_feasible(inst, sched)
-        assert sched.makespan >= stats.cp_bound
+def test_solve_smallest_population(monkeypatch):
+    # two members: every stagnation refresh removes one, so one is left to
+    # seed the NS burst
+    left = []
+    remove_worst = Population.remove_worst
+
+    def counting(pop, count=1):
+        remove_worst(pop, count)
+        left.append(len(pop))
+
+    monkeypatch.setattr(Population, "remove_worst", counting)
+    inst = random_instance(random.Random(9), 15, 2)
+    cfg = SolverConfig(
+        lambda_budget=400, population_capacity=2, stagnation_trigger=0, seed=4
+    )
+    sched, stats = solve(inst, cfg)
+    assert is_feasible(inst, sched)
+    assert sched.makespan >= stats.cp_bound
+    assert stats.ns_bursts > 0
+    assert left and min(left) == 1
+
+
+def test_solve_two_members_feasible_and_repeatable():
+    rng = random.Random(12)
+    for _ in range(6):
+        inst = random_instance(rng, rng.randint(1, 15), rng.randint(1, 4))
+        for variant in (inst, with_zero_durations(inst, rng)):
+            cfg = SolverConfig(
+                lambda_budget=300, population_capacity=2, seed=rng.randrange(1000)
+            )
+            sched, stats = solve(variant, cfg)
+            assert is_feasible(variant, sched)
+            assert sched.makespan >= stats.cp_bound
+            again, _ = solve(variant, cfg)
+            assert again == sched
 
 
 def test_solve_rejects_invalid_instance():
