@@ -15,12 +15,7 @@ from .bench import (
 )
 from .model import validate_instance
 from .psplib import load_dataset, parse_sm
-from .ranking import (
-    WeightConfigError,
-    assign_weights,
-    rank_resources,
-    solve_cumulative_relaxation,
-)
+from .ranking import WeightConfigError, rank_and_weigh
 from .solver import SolverConfig, solve
 
 
@@ -107,14 +102,12 @@ def cmd_bench(args) -> int:
 
 def cmd_rank(args) -> int:
     inst = _load_instance(args.file)
-    sched, residues = solve_cumulative_relaxation(inst)
-    rank = rank_resources(residues, inst.capacities, sched.makespan)
-    weights = assign_weights(rank, residues, mode="ratio")
+    result = rank_and_weigh(inst, mode="ratio")
     print(f"instance          : {inst.name or args.file}")
-    print(f"relaxed makespan  : {sched.makespan}")
-    print(f"residues          : {' '.join(map(str, residues))}")
-    print(f"rank (scarce 1st) : {' '.join(str(k + 1) for k in rank)}")
-    print(f"ratio weights     : {' '.join(f'{w:.3f}' for w in weights)}")
+    print(f"relaxed makespan  : {result.relaxed_makespan}")
+    print(f"residues          : {' '.join(map(str, result.residues))}")
+    print(f"rank (scarce 1st) : {' '.join(str(k + 1) for k in result.rank)}")
+    print(f"ratio weights     : {' '.join(f'{w:.3f}' for w in result.weights)}")
     return 0
 
 

@@ -61,14 +61,13 @@ def decode_and_improve(
     lst: ActivityList,
     budget=None,
     use_parallel: bool = False,
-    fbi_passes: int = 4,
 ) -> Individual:
     """Decode a list and polish with FBI; the list is refreshed from the
     improved schedule so list and schedule stay consistent."""
     decoder = parallel_sgs if use_parallel else serial_sgs
     sched = decoder(inst, lst, budget=budget)
     # fbi returns its input unless it finds a shorter schedule
-    sched = fbi(inst, sched, max_passes=fbi_passes, budget=budget)
+    sched = fbi(inst, sched, budget=budget)
     # a start-sorted list never serial-decodes worse than its schedule, so
     # refreshing keeps list and schedule consistent even after a parallel
     # decode or an FBI improvement
@@ -77,11 +76,7 @@ def decode_and_improve(
 
 
 def init_population(
-    inst: ProjectInstance,
-    capacity: int,
-    rng,
-    budget=None,
-    fbi_passes: int = 4,
+    inst: ProjectInstance, capacity: int, rng, budget=None
 ) -> Population:
     """Random feasible list -> parallel decoder -> FBI, repeated until the
     population is full.  Duplicate (makespan, start-vector) members are
@@ -94,9 +89,7 @@ def init_population(
     max_failures = 5 * capacity
     while len(pop) < capacity:
         lst = random_feasible_list(inst, rng)
-        ind = decode_and_improve(
-            inst, lst, budget=budget, use_parallel=True, fbi_passes=fbi_passes
-        )
+        ind = decode_and_improve(inst, lst, budget=budget, use_parallel=True)
         key = (ind.makespan, ind.schedule.starts)
         if unique and key in seen:
             failures += 1
@@ -349,6 +342,10 @@ def crossover_b(
     insert_at = max(insert_at, 1)  # keep the dummy source first
     merged = base[:insert_at] + segment + base[insert_at:]
     return ActivityList(tuple(repair_precedence(inst, merged)))
+
+
+# swap-and-relocate rounds per offspring in the GA
+MUTATION_ITERATIONS = 2
 
 
 def mutate(inst: ProjectInstance, lst: ActivityList, iterations: int, rng) -> ActivityList:

@@ -90,6 +90,8 @@ class ProjectInstance:
         self.preds: list[list[int]] = [[] for _ in range(n2)]
         self.succs: list[list[int]] = [[] for _ in range(n2)]
         for i, j in sorted(self.arcs):
+            if not (0 <= i < n2 and 0 <= j < n2):
+                raise ValueError(f"arc ({i},{j}) references an unknown activity")
             self.preds[j].append(i)
             self.succs[i].append(j)
 
@@ -190,9 +192,6 @@ def validate_instance(inst: ProjectInstance) -> Optional[str]:
                     f"activity {a.id}: demand {d} exceeds capacity "
                     f"{inst.capacities[k]} of resource {k}"
                 )
-    for i, j in inst.arcs:
-        if not (0 <= i < n2 and 0 <= j < n2):
-            return f"arc ({i},{j}) references an unknown activity"
     if inst.topo_order is None:
         return "precedence graph contains a cycle"
     # every non-dummy must be reachable from the source and reach the sink

@@ -16,6 +16,8 @@ from . import profile
 # share of the value-ranked feasible items a randomized GRASP construction
 # picks from
 RCL_FRACTION = 0.5
+# visited-solution fingerprints the tabu list remembers
+TABU_CAPACITY = 50
 
 
 @dataclass
@@ -28,7 +30,7 @@ class Block:
 class TabuList:
     """Bounded FIFO of visited-solution fingerprints with exact membership."""
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int = TABU_CAPACITY):
         self.capacity = capacity
         self._queue: deque[int] = deque()
         self._counts: Counter[int] = Counter()
@@ -240,7 +242,6 @@ def neighborhood_b_move(
     block: Block,
     weights: Sequence[float],
     rng,
-    grasp_constructions: int = 16,
 ) -> Optional[ActivityList]:
     """Partial rebuild: empty when the block holds a predecessor of the
     core; otherwise the list prefix before the block is serially decoded,
@@ -304,9 +305,7 @@ def neighborhood_b_move(
             vals = [activity_value(inst, a, weights) for a in fits]
             dem = [inst.demands[a] for a in fits]
             remaining = profile.unpack(slots[t], inst.slot_bits, inst.n_resources)
-            picked = grasp_knapsack(
-                fits, remaining, dem, vals, rng, constructions=grasp_constructions
-            )
+            picked = grasp_knapsack(fits, remaining, dem, vals, rng)
             placed_any = False
             for idx in sorted(picked, key=lambda i: (-vals[i], fits[i])):
                 a = fits[idx]
@@ -343,8 +342,6 @@ def ns_run(
     rng,
     P: int = 4,
     lambda_ns: int = 5,
-    tabu_capacity: int = 50,
-    grasp_constructions: int = 16,
     budget=None,
     tabu: Optional[TabuList] = None,
     stats: Optional[NsStats] = None,
@@ -355,7 +352,7 @@ def ns_run(
     if stats is None:
         stats = NsStats()
     if tabu is None:
-        tabu = TabuList(tabu_capacity)
+        tabu = TabuList()
     best = start
     current = start
     if inst.n_real < 1:
@@ -380,13 +377,7 @@ def ns_run(
                 neighbor = Individual(schedule_to_list(inst, moved), moved)
         else:
             rebuilt = neighborhood_b_move(
-                inst,
-                current.list,
-                current.schedule,
-                block,
-                weights,
-                rng,
-                grasp_constructions=grasp_constructions,
+                inst, current.list, current.schedule, block, weights, rng
             )
             if rebuilt is not None:
                 sched = serial_sgs(inst, rebuilt, budget=budget)

@@ -166,9 +166,7 @@ def assign_weights(
     return tuple(weights)
 
 
-def rank_and_weigh(
-    inst: ProjectInstance, mode: str = "random", rng=None
-) -> RankingResult:
+def rank_and_weigh(inst: ProjectInstance, mode: str, rng=None) -> RankingResult:
     """Relaxation, resource rank and weights; a random mode is drawn here,
     so the result reports the option actually used."""
     sched, residues = solve_cumulative_relaxation(inst)

@@ -17,6 +17,7 @@ from .model import (
     validate_instance,
 )
 from .genetic import (
+    MUTATION_ITERATIONS,
     Individual,
     crossover_a,
     crossover_b,
@@ -56,23 +57,15 @@ class Budget:
 
 @dataclass
 class SolverConfig:
+    """Run settings only; the operator parameters are constants beside
+    their operators (`fbi`, `mutate`, `grasp_knapsack`, `ns_run`,
+    `TabuList`, `AdaptiveState` and the regime thresholds below)."""
+
     lambda_budget: Optional[int] = 50000
     time_limit: Optional[float] = None
-    sigma1: float = 0.2
-    sigma2: float = 0.6
     population_capacity: int = 60
-    parent_probability: float = 0.25
-    dense_threshold: float = 0.75
-    block_size: int = 4
-    lambda_ns: int = 5
     ns_burst: Optional[int] = None  # None: set by regime classification
     stagnation_trigger: Optional[int] = None  # None: set by classification
-    elite_count: Optional[int] = None  # default capacity // 4
-    parents_size: Optional[int] = None  # default capacity // 2
-    mutation_iterations: int = 2
-    tabu_capacity: int = 50
-    grasp_constructions: int = 16
-    fbi_passes: int = 4
     weight_mode: str = "random"
     seed: int = 0
 
@@ -82,23 +75,13 @@ class SolverConfig:
         def bad(name: str, want: str) -> ValueError:
             return ValueError(f"{name} must be {want}, not {getattr(self, name)!r}")
 
-        for name, least in (
-            ("population_capacity", 2),  # a crossover needs two parents
-            ("block_size", 1),
-            ("lambda_ns", 1),
-            ("mutation_iterations", 0),
-            ("fbi_passes", 0),
-            ("tabu_capacity", 0),
-            ("grasp_constructions", 1),
-        ):
-            if not _is_int(getattr(self, name), least):
-                raise bad(name, f"an integer >= {least}")
+        # a crossover needs two parents
+        if not _is_int(self.population_capacity, 2):
+            raise bad("population_capacity", "an integer >= 2")
         for name, least in (
             ("lambda_budget", 1),
             ("ns_burst", 0),  # 0: bursts that generate nothing (pure GA)
             ("stagnation_trigger", 0),
-            ("elite_count", 1),
-            ("parents_size", 1),
         ):
             if getattr(self, name) is not None and not _is_int(getattr(self, name), least):
                 raise bad(name, f"none or an integer >= {least}")
@@ -108,13 +91,6 @@ class SolverConfig:
             raise bad("time_limit", "none or a positive number")
         if self.lambda_budget is None and self.time_limit is None:
             raise ValueError("lambda_budget and time_limit are both none: no cap")
-        sigmas_ok = _is_positive(self.sigma1) and _is_positive(self.sigma2)
-        if not (sigmas_ok and self.sigma1 < self.sigma2):
-            raise ValueError("need 0 < sigma1 < sigma2")
-        if not (_is_positive(self.parent_probability) and self.parent_probability <= 1):
-            raise bad("parent_probability", "in (0, 1]")
-        if not (_is_number(self.dense_threshold) and self.dense_threshold >= 0):
-            raise bad("dense_threshold", "a number >= 0")
         if self.weight_mode != "random" and self.weight_mode not in WEIGHT_MODES:
             raise bad("weight_mode", "'random' or one of " + ", ".join(WEIGHT_MODES))
 
@@ -184,28 +160,33 @@ class RunStats:
             self.trace.append((used, makespan))
 
 
-def classify_subset(ub: int, cp_bound: int, sigma1: float, sigma2: float) -> int:
-    """Regime 1/2/3 by the relative gap of the initial record to the
-    critical path."""
-    cp = max(cp_bound, 1)
-    sigma = (ub - cp) / cp
-    if sigma < sigma1:
-        return 1
-    if sigma <= sigma2:
-        return 2
-    return 3
-
-
+# regime thresholds on the relative gap of the initial record to the
+# critical path
+SIGMA1, SIGMA2 = 0.2, 0.6
 # (stagnation_trigger, ns_burst) per regime: regime 1 leans on the GA,
 # regime 3 on the NS operator
 _REGIME_PARAMS = {1: (20, 200), 2: (10, 1000), 3: (5, 5000)}
 
 
+def classify_subset(ub: int, cp_bound: int) -> int:
+    """Regime 1/2/3 by the relative gap of the initial record to the
+    critical path."""
+    cp = max(cp_bound, 1)
+    sigma = (ub - cp) / cp
+    if sigma < SIGMA1:
+        return 1
+    if sigma <= SIGMA2:
+        return 2
+    return 3
+
+
 @dataclass
 class AdaptiveState:
-    dense_threshold: float
-    parent_probability: float
-    block_size: int
+    """The self-tuned parameters, starting from the paper's values."""
+
+    dense_threshold: float = 0.75
+    parent_probability: float = 0.25
+    block_size: int = 4
     p_changes_without_record: int = 0
 
     # observation windows, reset after each adaptation
@@ -289,29 +270,23 @@ def solve(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunSta
 
     # step 2: initial population
     capacity = config.population_capacity
-    pop = init_population(inst, capacity, rng, budget=budget, fbi_passes=config.fbi_passes)
+    pop = init_population(inst, capacity, rng, budget=budget)
     best = pop.best
     stats.record(budget.used, best.makespan)
 
     # step 3: regime classification
-    stats.subset = classify_subset(
-        best.makespan, stats.cp_bound, config.sigma1, config.sigma2
-    )
+    stats.subset = classify_subset(best.makespan, stats.cp_bound)
     trigger, burst = _REGIME_PARAMS[stats.subset]
     if config.stagnation_trigger is not None:
         trigger = config.stagnation_trigger
     if config.ns_burst is not None:
         burst = config.ns_burst
 
-    elite_count = config.elite_count or max(1, capacity // 4)
-    parents_size = config.parents_size or max(2, capacity // 2)
+    elite_count = max(1, capacity // 4)
+    parents_size = max(2, capacity // 2)
 
-    state = AdaptiveState(
-        dense_threshold=config.dense_threshold,
-        parent_probability=config.parent_probability,
-        block_size=config.block_size,
-    )
-    tabu = TabuList(config.tabu_capacity)
+    state = AdaptiveState()
+    tabu = TabuList()
 
     since_improvement = 0
     while not budget.exhausted:
@@ -336,15 +311,13 @@ def solve(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunSta
                     inst, p1, p2, genes[id(p1)], genes[id(p2)], rng
                 )
             child_sched = serial_sgs(inst, child_list, budget=budget)
-            mutated = mutate(inst, child_list, config.mutation_iterations, rng)
+            mutated = mutate(inst, child_list, MUTATION_ITERATIONS, rng)
             if mutated.order != child_list.order:
                 mut_sched = serial_sgs(inst, mutated, budget=budget)
                 # a worsening mutation is canceled
                 if mut_sched.makespan <= child_sched.makespan:
                     child_list, child_sched = mutated, mut_sched
-            polished = fbi(
-                inst, child_sched, max_passes=config.fbi_passes, budget=budget
-            )
+            polished = fbi(inst, child_sched, budget=budget)
             if polished.makespan < child_sched.makespan:
                 child_list = schedule_to_list(inst, polished)
                 child_sched = polished
@@ -371,15 +344,7 @@ def solve(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunSta
                 if budget.exhausted:
                     break
                 lst = random_feasible_list(inst, rng)
-                pop.insert(
-                    decode_and_improve(
-                        inst,
-                        lst,
-                        budget=budget,
-                        use_parallel=True,
-                        fbi_passes=config.fbi_passes,
-                    )
-                )
+                pop.insert(decode_and_improve(inst, lst, budget=budget, use_parallel=True))
 
             seed_ind = select_parents(pop, 1, state.parent_probability, rng)[0]
             # each NS step costs at least one decode; the sub-budget is the
@@ -387,9 +352,8 @@ def solve(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunSta
             ns_stats = NsStats()
             ns_best = ns_run(
                 inst, seed_ind, weights, steps=max(1, burst), rng=rng,
-                P=state.block_size, lambda_ns=config.lambda_ns,
-                grasp_constructions=config.grasp_constructions,
-                budget=_SubBudget(budget, burst), tabu=tabu, stats=ns_stats,
+                P=state.block_size, budget=_SubBudget(budget, burst), tabu=tabu,
+                stats=ns_stats,
             )
             stats.ns_bursts += 1
             state.ns_empty += ns_stats.empty

@@ -139,17 +139,23 @@ def test_seed_changes_nothing_on_reruns(instance_file, capsys):
         "weight_mode = bogus\n",
         "lambda_budget 40\n",
         "lambda_budget = none\n",
+        # operator parameters are not config keys: each is an unknown key
         "block_size = 0\n",
         "sigma1 = abc\n",
         "dense_threshold = abc\nlambda_budget = 3000\n",
         "elite_count = -3\n",
         "population_capacity = 1\n",
         "use_crossover = false\n",
+        # more operator parameters
+        "fbi_passes = 2\n",
+        "sigma1 = 0.1\n",
+        "tabu_capacity = 10\n",
     ],
     ids=[
         "unknown-weight-mode", "no-equals", "no-cap", "block-size-0", "sigma-text",
         "dense-threshold-text", "negative-elite-count", "one-member-population",
-        "removed-ablation-key",
+        "removed-ablation-key", "removed-fbi-passes", "removed-sigma1",
+        "removed-tabu-capacity",
     ],
 )
 def test_bad_config_file_exit_1(instance_file, tmp_path, capsys, text):

@@ -1,14 +1,18 @@
 """Every module of the package uses each name it imports (the package
-__init__ imports only to re-export, so it is left out), and the package
-imports nothing outside the standard library."""
+__init__ imports only to re-export, so it is left out), every
+SolverConfig field is read somewhere, and the package imports nothing
+outside the standard library."""
 
 import ast
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from rcpsp_hybrid.solver import SolverConfig
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rcpsp_hybrid"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -37,6 +41,30 @@ def test_guard_sees_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_fields(names, sources) -> list[str]:
+    """The names never read as `config.<name>` in any of the sources."""
+    read = {
+        node.attr
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "config"
+    }
+    return [name for name in names if name not in read]
+
+
+def test_guard_sees_unread_fields():
+    source = "def run(config, self):\n    self.knob = 1\n    return config.seed\n"
+    assert unread_fields(["seed", "knob"], [source]) == ["knob"]
+
+
+def test_every_config_field_is_read():
+    """A field nothing reads is a dead knob: it can be set but changes nothing."""
+    sources = [(PACKAGE / name).read_text() for name in ("solver.py", "bench.py", "cli.py")]
+    assert unread_fields([f.name for f in fields(SolverConfig)], sources) == []
 
 
 # lists every module that importing the package adds, other than the

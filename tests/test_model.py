@@ -61,6 +61,16 @@ def test_validate_disconnected():
     assert "path" in validate_instance(inst)
 
 
+@pytest.mark.parametrize("arc", [(1, 7), (-1, 1)], ids=["beyond-sink", "negative"])
+def test_arc_to_unknown_activity_rejected(arc):
+    with pytest.raises(ValueError, match="unknown activity"):
+        ProjectInstance(
+            [Activity(0, 0, (0,)), Activity(1, 1, (1,)), Activity(2, 0, (0,))],
+            {(0, 1), (1, 2), arc},
+            (2,),
+        )
+
+
 def test_is_feasible_tiny1(tiny1):
     assert is_feasible(tiny1, Schedule((0, 0, 2, 5), 5))
     # both running in [0,1): 2 + 3 = 5 > 4

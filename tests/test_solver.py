@@ -1,12 +1,17 @@
 import hashlib
+import inspect
 import random
+from dataclasses import fields
 
 import pytest
 
 from rcpsp_hybrid.genetic import Population
 from rcpsp_hybrid.model import is_feasible
 from rcpsp_hybrid.random_instances import random_instance
+from rcpsp_hybrid.sgs import fbi
 from rcpsp_hybrid.solver import (
+    SIGMA1,
+    SIGMA2,
     AdaptiveState,
     Budget,
     RunStats,
@@ -25,19 +30,33 @@ from oracles import brute_force_optimum
 def test_config_defaults_valid():
     cfg = SolverConfig()
     assert cfg.lambda_budget == 50000
-    assert cfg.sigma1 == 0.2 and cfg.sigma2 == 0.6
-    assert cfg.parent_probability == 0.25
-    assert cfg.dense_threshold == 0.75
+    # the operator parameters start at the paper's values
+    assert SIGMA1 == 0.2 and SIGMA2 == 0.6
+    state = AdaptiveState()
+    assert state.parent_probability == 0.25
+    assert state.dense_threshold == 0.75
+    assert state.block_size == 4
 
 
-def test_config_rejects_bad_sigmas():
-    with pytest.raises(ValueError):
-        SolverConfig(sigma1=0.6, sigma2=0.2)
+def test_config_fields_are_run_settings():
+    assert [f.name for f in fields(SolverConfig)] == [
+        "lambda_budget",
+        "time_limit",
+        "population_capacity",
+        "ns_burst",
+        "stagnation_trigger",
+        "weight_mode",
+        "seed",
+    ]
 
 
-def test_config_rejects_bad_probability():
-    with pytest.raises(ValueError):
-        SolverConfig(parent_probability=0.0)
+# operator parameters that are constants beside their operators, not
+# configuration: naming one is a TypeError
+REMOVED_FIELDS = {
+    "sigma1", "sigma2", "parent_probability", "dense_threshold", "block_size",
+    "lambda_ns", "elite_count", "parents_size", "mutation_iterations",
+    "tabu_capacity", "grasp_constructions", "fbi_passes",
+}
 
 
 @pytest.mark.parametrize(
@@ -73,15 +92,13 @@ def test_config_rejects_bad_probability():
     ids=repr,
 )
 def test_config_rejects_bad_values(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError if REMOVED_FIELDS & set(bad) else ValueError):
         SolverConfig(**bad)
 
 
 def test_config_accepts_edge_values():
     SolverConfig(lambda_budget=None, time_limit=0.5)
-    SolverConfig(fbi_passes=0, tabu_capacity=0, block_size=1, grasp_constructions=1)
-    SolverConfig(dense_threshold=0, lambda_ns=1, mutation_iterations=0, seed=-7)
-    SolverConfig(ns_burst=0, stagnation_trigger=0, elite_count=1, parents_size=1)
+    SolverConfig(ns_burst=0, stagnation_trigger=0, seed=-7)
     SolverConfig(population_capacity=2)
     for mode in ("random", "steep", "shallow", "uniform", "ratio"):
         SolverConfig(weight_mode=mode)
@@ -92,14 +109,14 @@ def test_config_from_file(tmp_path):
     path.write_text(
         "# solver settings\n"
         "lambda_budget = 1234\n"
-        "sigma1 = 0.1\n"
+        "stagnation_trigger = 3\n"
         "weight_mode = uniform  # fixed for reproducibility\n"
         "population_capacity = 2\n"
         "ns_burst = none\n"
     )
     cfg = SolverConfig.from_file(str(path))
     assert cfg.lambda_budget == 1234
-    assert cfg.sigma1 == 0.1
+    assert cfg.stagnation_trigger == 3
     assert cfg.weight_mode == "uniform"
     assert cfg.population_capacity == 2
     assert cfg.ns_burst is None
@@ -107,12 +124,11 @@ def test_config_from_file(tmp_path):
 
 def test_config_from_file_reads_each_field_as_its_type(tmp_path):
     path = tmp_path / "solver.conf"
-    path.write_text("dense_threshold = 1\ntime_limit = 2\nseed = 7\nweight_mode = none\n")
+    path.write_text("time_limit = 2\nseed = 7\nweight_mode = none\n")
     with pytest.raises(ValueError, match="weight_mode must be"):
         SolverConfig.from_file(str(path))
-    path.write_text("dense_threshold = 1\ntime_limit = 2\nseed = 7\n")
+    path.write_text("time_limit = 2\nseed = 7\n")
     cfg = SolverConfig.from_file(str(path))
-    assert cfg.dense_threshold == 1.0 and isinstance(cfg.dense_threshold, float)
     assert cfg.time_limit == 2.0 and isinstance(cfg.time_limit, float)
     assert cfg.seed == 7
 
@@ -120,13 +136,16 @@ def test_config_from_file_reads_each_field_as_its_type(tmp_path):
 @pytest.mark.parametrize(
     "text, key",
     [
-        ("dense_threshold = abc\nlambda_budget = 3000\n", "dense_threshold"),
         ("population_capacity = 2.5\n", "population_capacity"),
         ("population_capacity = 1\n", "population_capacity"),
-        # ablations are not config keys
+        # ablations and operator parameters are not config keys
         ("use_crossover = 1\n", "use_crossover"),
         ("unique_init = false\n", "unique_init"),
+        ("dense_threshold = abc\nlambda_budget = 3000\n", "dense_threshold"),
         ("elite_count = -3\n", "elite_count"),
+        ("fbi_passes = 2\n", "unknown key 'fbi_passes'"),
+        ("sigma1 = 0.1\n", "unknown key 'sigma1'"),
+        ("tabu_capacity = 10\n", "unknown key 'tabu_capacity'"),
     ],
 )
 def test_config_from_file_rejects_bad_values(tmp_path, text, key):
@@ -166,48 +185,42 @@ def test_budget_unlimited_without_caps():
 
 
 def test_classify_subset_examples():
-    assert classify_subset(11, 10, 0.2, 0.6) == 1
-    assert classify_subset(13, 10, 0.2, 0.6) == 2
-    assert classify_subset(17, 10, 0.2, 0.6) == 3
+    assert classify_subset(11, 10) == 1
+    assert classify_subset(13, 10) == 2
+    assert classify_subset(17, 10) == 3
 
 
 def test_classify_subset_scale_invariant():
     for scale in (2, 3, 10):
-        assert classify_subset(13 * scale, 10 * scale, 0.2, 0.6) == 2
+        assert classify_subset(13 * scale, 10 * scale) == 2
 
 
 # -------------------------------------------------------------- adaptation
 
 
-def _state(**kw):
-    base = dict(dense_threshold=0.75, parent_probability=0.25, block_size=4)
-    base.update(kw)
-    return AdaptiveState(**base)
-
-
 def test_adapt_blocks_grow_on_nonempty_neighbors():
-    state = _state()
+    state = AdaptiveState()
     state.ns_nonempty, state.ns_empty = 9, 1
     adapt_parameters(state)
     assert state.block_size == 5
 
 
 def test_adapt_blocks_shrink_on_empty_neighbors():
-    state = _state()
+    state = AdaptiveState()
     state.ns_nonempty, state.ns_empty = 1, 9
     adapt_parameters(state)
     assert state.block_size == 3
 
 
 def test_adapt_block_floor_is_one():
-    state = _state(block_size=1)
+    state = AdaptiveState(block_size=1)
     state.ns_nonempty, state.ns_empty = 0, 10
     adapt_parameters(state)
     assert state.block_size == 1
 
 
 def test_adapt_counts_changes_without_record():
-    state = _state()
+    state = AdaptiveState()
     for expected in (1, 2, 3, 4, 5):
         state.ns_nonempty, state.ns_empty = 10, 0
         state.record_improved = False
@@ -216,7 +229,7 @@ def test_adapt_counts_changes_without_record():
 
 
 def test_adapt_record_resets_change_count():
-    state = _state(p_changes_without_record=4)
+    state = AdaptiveState(p_changes_without_record=4)
     state.ns_nonempty, state.ns_empty = 10, 0
     state.record_improved = True
     adapt_parameters(state)
@@ -224,7 +237,7 @@ def test_adapt_record_resets_change_count():
 
 
 def test_adapt_dense_threshold_moves_toward_supply():
-    state = _state()
+    state = AdaptiveState()
     state.dense_gene_counts = [6, 7, 8]
     adapt_parameters(state)
     assert state.dense_threshold == 0.70
@@ -235,12 +248,12 @@ def test_adapt_dense_threshold_moves_toward_supply():
 
 
 def test_adapt_parent_probability_bounds():
-    state = _state(parent_probability=0.5)
+    state = AdaptiveState(parent_probability=0.5)
     state.record_improved = False
     adapt_parameters(state)
     assert state.parent_probability == 0.5  # capped
 
-    state = _state(parent_probability=0.25)
+    state = AdaptiveState(parent_probability=0.25)
     for _ in range(10):
         state.record_improved = False
         adapt_parameters(state)
@@ -324,7 +337,8 @@ def test_solve_budget_respected():
     cfg = SolverConfig(lambda_budget=400, population_capacity=8, seed=1)
     _, stats = solve(inst, cfg)
     # in-flight decodes may overshoot by at most one FBI batch
-    assert stats.schedules_generated <= 400 + 2 * cfg.fbi_passes + 2
+    fbi_passes = inspect.signature(fbi).parameters["max_passes"].default
+    assert stats.schedules_generated <= 400 + 2 * fbi_passes + 2
 
 
 def test_solve_pure_ga_ablation():
