@@ -3,7 +3,6 @@ project scheduling problem, with a PSPLIB benchmark harness."""
 
 from .model import (
     Activity,
-    ActivityList,
     ProjectInstance,
     Schedule,
     critical_path_lower_bound,

@@ -1,5 +1,6 @@
 """Population lifecycle: initialization, parent selection, dense genes,
-crossovers A and B, two-phase mutation, elitist replacement."""
+crossovers A and B, two-phase mutation, offspring, elitist replacement.
+The chromosome is an activity list: a tuple of activity ids."""
 
 from __future__ import annotations
 
@@ -8,13 +9,13 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .model import ActivityList, ProjectInstance, Schedule, random_feasible_list
+from .model import ProjectInstance, Schedule, random_feasible_list
 from .sgs import fbi, parallel_sgs, schedule_to_list, serial_sgs
 
 
 @dataclass
 class Individual:
-    list: ActivityList
+    list: tuple[int, ...]
     schedule: Schedule
 
     @property
@@ -57,15 +58,11 @@ class DenseGene:
 
 
 def decode_and_improve(
-    inst: ProjectInstance,
-    lst: ActivityList,
-    budget=None,
-    use_parallel: bool = False,
+    inst: ProjectInstance, lst: Sequence[int], budget=None
 ) -> Individual:
-    """Decode a list and polish with FBI; the list is refreshed from the
-    improved schedule so list and schedule stay consistent."""
-    decoder = parallel_sgs if use_parallel else serial_sgs
-    sched = decoder(inst, lst, budget=budget)
+    """Parallel-decode a list and polish with FBI; the list is refreshed
+    from the final schedule so list and schedule stay consistent."""
+    sched = parallel_sgs(inst, lst, budget=budget)
     # fbi returns its input unless it finds a shorter schedule
     sched = fbi(inst, sched, budget=budget)
     # a start-sorted list never serial-decodes worse than its schedule, so
@@ -89,7 +86,7 @@ def init_population(
     max_failures = 5 * capacity
     while len(pop) < capacity:
         lst = random_feasible_list(inst, rng)
-        ind = decode_and_improve(inst, lst, budget=budget, use_parallel=True)
+        ind = decode_and_improve(inst, lst, budget=budget)
         key = (ind.makespan, ind.schedule.starts)
         if unique and key in seen:
             failures += 1
@@ -101,7 +98,7 @@ def init_population(
                 continue
         seen.add(key)
         pop.insert(ind)
-        if budget is not None and budget.exhausted and len(pop) > 0:
+        if budget is not None and budget.exhausted:
             break
     return pop
 
@@ -210,7 +207,7 @@ def crossover_a(
     parent2: Individual,
     genes1: Sequence[DenseGene],
     genes2: Sequence[DenseGene],
-) -> ActivityList:
+) -> tuple[int, ...]:
     """Gene-prefix crossover.
 
     Each parent's genes are consumed in time order; at every step the
@@ -219,7 +216,7 @@ def crossover_a(
     winning parent's list prefix up to the gene's last activity is copied
     (skipping duplicates); leftovers follow in the shorter parent's order.
     """
-    p1, p2 = parent1.list.order, parent2.list.order
+    p1, p2 = parent1.list, parent2.list
     pos1 = {a: i for i, a in enumerate(p1)}
     pos2 = {a: i for i, a in enumerate(p2)}
     queues = [list(genes1), list(genes2)]
@@ -250,7 +247,7 @@ def crossover_a(
 
     filler = p1 if parent1.makespan <= parent2.makespan else p2
     _copy_prefix(offspring, present, filler, len(filler) - 1)
-    return ActivityList(tuple(offspring))
+    return tuple(offspring)
 
 
 def repair_precedence(inst: ProjectInstance, seq: Sequence[int]) -> list[int]:
@@ -304,7 +301,7 @@ def crossover_b(
     genes1: Sequence[DenseGene],
     genes2: Sequence[DenseGene],
     rng,
-) -> ActivityList:
+) -> tuple[int, ...]:
     """Segment-transplant crossover.
 
     The lowest-weight dense gene of each parent forms the block; the
@@ -322,7 +319,7 @@ def crossover_b(
     block -= {0, inst.sink}
     if not block:
         shorter = parent1 if parent1.makespan <= parent2.makespan else parent2
-        return ActivityList(tuple(shorter.list.order))
+        return shorter.list
 
     outgoing = rng.random() < 0.5
     extended = set(block)
@@ -330,31 +327,33 @@ def crossover_b(
         extended |= _schedule_graph_network(inst, parent2.schedule, a, outgoing)
     extended -= {0, inst.sink}
 
-    donor = parent2.list.order
+    donor = parent2.list
     pos = {a: i for i, a in enumerate(donor)}
     left = min(pos[a] for a in extended)
     right = max(pos[a] for a in extended)
     segment = list(donor[left : right + 1])
     seg_set = set(segment)
 
-    base = [a for a in parent1.list.order if a not in seg_set]
+    base = [a for a in parent1.list if a not in seg_set]
     insert_at = min(left, len(base) - 1)  # keep the dummy sink last
     insert_at = max(insert_at, 1)  # keep the dummy source first
     merged = base[:insert_at] + segment + base[insert_at:]
-    return ActivityList(tuple(repair_precedence(inst, merged)))
+    return tuple(repair_precedence(inst, merged))
 
 
 # swap-and-relocate rounds per offspring in the GA
 MUTATION_ITERATIONS = 2
 
 
-def mutate(inst: ProjectInstance, lst: ActivityList, iterations: int, rng) -> ActivityList:
+def mutate(
+    inst: ProjectInstance, lst: Sequence[int], iterations: int, rng
+) -> tuple[int, ...]:
     """Two-phase mutation: a feasibility-preserving random swap, then a
     random relocation, repeated `iterations` times."""
-    order = list(lst.order)
+    order = list(lst)
     n2 = len(order)
     if n2 <= 3 or iterations <= 0:
-        return ActivityList(tuple(order))
+        return tuple(order)
     pred_sets = [set(p) for p in inst.preds]
     succ_sets = [set(s) for s in inst.succs]
 
@@ -388,7 +387,35 @@ def mutate(inst: ProjectInstance, lst: ActivityList, iterations: int, rng) -> Ac
             order.insert(i, a)
         else:
             order.insert(rng.randrange(lo, hi + 1), a)
-    return ActivityList(tuple(order))
+    return tuple(order)
+
+
+def make_child(
+    inst: ProjectInstance,
+    parents: Sequence[Individual],
+    genes: dict[int, Sequence[DenseGene]],
+    rng,
+    budget=None,
+) -> Individual:
+    """One GA offspring: crossover A or B (fair coin) of two parents drawn
+    with replacement, serial decode, mutation canceled when it worsens,
+    FBI.  `genes` maps id(parent) to that parent's dense genes."""
+    p1, p2 = rng.choice(parents), rng.choice(parents)
+    if rng.random() < 0.5:
+        lst = crossover_a(inst, p1, p2, genes[id(p1)], genes[id(p2)])
+    else:
+        lst = crossover_b(inst, p1, p2, genes[id(p1)], genes[id(p2)], rng)
+    sched = serial_sgs(inst, lst, budget=budget)
+    mutated = mutate(inst, lst, MUTATION_ITERATIONS, rng)
+    if mutated != lst:
+        mut_sched = serial_sgs(inst, mutated, budget=budget)
+        # a worsening mutation is canceled
+        if mut_sched.makespan <= sched.makespan:
+            lst, sched = mutated, mut_sched
+    polished = fbi(inst, sched, budget=budget)
+    if polished.makespan < sched.makespan:
+        return Individual(schedule_to_list(inst, polished), polished)
+    return Individual(lst, sched)
 
 
 def next_generation(

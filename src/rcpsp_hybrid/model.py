@@ -137,19 +137,6 @@ class Schedule:
         return cls(tuple(starts), mk)
 
 
-@dataclass(frozen=True)
-class ActivityList:
-    """Precedence-feasible permutation of 0..n+1; the chromosome."""
-
-    order: tuple[int, ...]
-
-    def __iter__(self):
-        return iter(self.order)
-
-    def __len__(self):
-        return len(self.order)
-
-
 def topological_order(inst: ProjectInstance) -> Optional[list[int]]:
     """The lexicographically smallest topological order (Kahn's algorithm
     with a min-heap); None if the precedence graph has a cycle."""
@@ -278,7 +265,7 @@ def latest_starts(inst: ProjectInstance, deadline: int) -> list[int]:
     return lst
 
 
-def random_feasible_list(inst: ProjectInstance, rng) -> ActivityList:
+def random_feasible_list(inst: ProjectInstance, rng) -> tuple[int, ...]:
     """Random topological order: iteratively pick uniformly among activities
     whose predecessors are all placed."""
     n2 = len(inst)
@@ -295,4 +282,4 @@ def random_feasible_list(inst: ProjectInstance, rng) -> ActivityList:
             if indeg[s] == 0:
                 ready.append(s)
     assert len(out) == n2, "instance must be acyclic"
-    return ActivityList(tuple(out))
+    return tuple(out)

@@ -5,10 +5,10 @@ memory on summed start times, and the GRASP knapsack solver."""
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .model import ActivityList, ProjectInstance, Schedule
+from .model import ProjectInstance, Schedule
 from .genetic import Individual, repair_precedence
 from .sgs import left_shift, schedule_to_list, serial_place, serial_sgs
 from . import profile
@@ -24,7 +24,6 @@ TABU_CAPACITY = 50
 class Block:
     core: int
     members: set[int]
-    windows: dict[int, tuple[int, int]] = field(default_factory=dict)
 
 
 class TabuList:
@@ -103,7 +102,6 @@ def compute_windows(
             if l not in members and sched.starts[l] < lft:
                 lft = sched.starts[l]
         windows[i] = (est, lft)
-    block.windows = windows
     return windows
 
 
@@ -128,8 +126,7 @@ def neighborhood_a_move(
     place the members by a rank-biased random priority inside their
     windows, left-shift the assembled schedule, and return the first
     strict improvement.  None after `tries` attempts."""
-    if not block.windows:
-        compute_windows(inst, sched, block)
+    windows = compute_windows(inst, sched, block)
     members = block.members
     guard, packed = inst.guard, inst.packed_demand
     rem = profile.empty(inst, sched.makespan + 1)
@@ -162,7 +159,7 @@ def neighborhood_a_move(
             pick_weights = [m - i for i in range(m)]
             chosen = rng.choices(eligible_idx, weights=pick_weights, k=1)[0]
             a = pending.pop(chosen)
-            est, lft = block.windows[a]
+            est, lft = windows[a]
             for p in member_preds[a]:
                 f = new_start[p] + inst.durations[p]
                 if f > est:
@@ -237,12 +234,12 @@ def grasp_knapsack(
 
 def neighborhood_b_move(
     inst: ProjectInstance,
-    lst: ActivityList,
+    lst: Sequence[int],
     sched: Schedule,
     block: Block,
     weights: Sequence[float],
     rng,
-) -> Optional[ActivityList]:
+) -> Optional[tuple[int, ...]]:
     """Partial rebuild: empty when the block holds a predecessor of the
     core; otherwise the list prefix before the block is serially decoded,
     the block is extended by parallel decoding with knapsack-selected
@@ -255,7 +252,7 @@ def neighborhood_b_move(
     if any(m != j and (m, j) in inst.arcs for m in members):
         return None
 
-    order = list(lst.order)
+    order = list(lst)
     pos = {a: i for i, a in enumerate(order)}
     last_pos = max(pos[m] for m in members)
     prefix = [a for a in order[: last_pos + 1] if a not in members]
@@ -324,7 +321,7 @@ def neighborhood_b_move(
 
     new_block_order = sorted(members, key=lambda a: (starts[a], a))
     rebuilt = prefix + new_block_order + suffix
-    return ActivityList(tuple(repair_precedence(inst, rebuilt)))
+    return tuple(repair_precedence(inst, rebuilt))
 
 
 @dataclass

@@ -1,11 +1,12 @@
 """Schedule generation schemes and justification operators.
 
-serial_sgs / parallel_sgs decode an activity list into an active
-schedule; fbi and left_shift are the makespan-nonincreasing improvement
-operators.  All functions are pure given (instance, list); an optional
-`budget` (anything with a charge() method) is debited once per full
-schedule constructed; a serial decode served from the instance's memo
-counts as constructed.
+serial_sgs / parallel_sgs decode an activity list (any sequence of
+activity ids) into an active schedule, and schedule_to_list turns a
+schedule back into a list, as a tuple; fbi and left_shift are the
+makespan-nonincreasing improvement operators.  All functions are pure
+given (instance, list); an optional `budget` (anything with a charge()
+method) is debited once per full schedule constructed; a serial decode
+served from the instance's memo counts as constructed.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import heapq
 from typing import Sequence
 
-from .model import ActivityList, ProjectInstance, Schedule
+from .model import ProjectInstance, Schedule
 from . import profile
 
 # There is one decode backend, pure Python.  perfbench/run.py still reads
@@ -28,7 +29,7 @@ def _charge(budget, k: int = 1) -> None:
 
 def serial_sgs(
     inst: ProjectInstance,
-    lst: ActivityList | Sequence[int],
+    lst: Sequence[int],
     budget=None,
 ) -> Schedule:
     """Serial decoder: each activity, in list order, starts at the earliest
@@ -38,7 +39,7 @@ def serial_sgs(
     Decodes are memoized per instance on the activity order (the search
     revisits the same lists often); the budget is charged once per call,
     hit or miss, so λ counts calls exactly as without the memo."""
-    order = tuple(lst.order if isinstance(lst, ActivityList) else lst)
+    order = tuple(lst)
     sched = inst.serial_memo.get(order)
     if sched is None:
         starts, finish = serial_place(inst, order, profile.empty(inst, inst.horizon + 1))
@@ -79,14 +80,13 @@ def serial_place(
 
 def parallel_sgs(
     inst: ProjectInstance,
-    lst: ActivityList | Sequence[int],
+    lst: Sequence[int],
     budget=None,
 ) -> Schedule:
     """Parallel decoder: advances decision time over finish events; at each
     decision time starts eligible activities in list order while the
     resources permit."""
-    order = lst.order if isinstance(lst, ActivityList) else lst
-    rank = {j: i for i, j in enumerate(order)}
+    rank = {j: i for i, j in enumerate(lst)}
     durs = inst.durations
     succs = inst.succs
     packed = inst.packed_demand
@@ -135,11 +135,11 @@ def parallel_sgs(
     return sched
 
 
-def schedule_to_list(inst: ProjectInstance, sched: Schedule) -> ActivityList:
+def schedule_to_list(inst: ProjectInstance, sched: Schedule) -> tuple[int, ...]:
     """Activities sorted by start time, ties in the instance's smallest
     topological order (by id on a topologically numbered instance), so
     zero-duration chains sharing a start stay precedence-feasible."""
-    return ActivityList(tuple(sorted(inst.topo_order, key=sched.starts.__getitem__)))
+    return tuple(sorted(inst.topo_order, key=sched.starts.__getitem__))
 
 
 def _backward_order(inst: ProjectInstance, starts: Sequence[int]) -> list[int]:

@@ -17,20 +17,16 @@ from .model import (
     validate_instance,
 )
 from .genetic import (
-    MUTATION_ITERATIONS,
     Individual,
-    crossover_a,
-    crossover_b,
     decode_and_improve,
     dense_activities,
     init_population,
-    mutate,
+    make_child,
     next_generation,
     select_parents,
 )
 from .neighborhood import NsStats, TabuList, ns_run
 from .ranking import WEIGHT_MODES, rank_and_weigh
-from .sgs import fbi, schedule_to_list, serial_sgs
 
 
 class Budget:
@@ -303,25 +299,7 @@ def solve(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunSta
         for _ in range(parents_size):
             if budget.exhausted:
                 break
-            p1, p2 = rng.choice(parents), rng.choice(parents)
-            if rng.random() < 0.5:
-                child_list = crossover_a(inst, p1, p2, genes[id(p1)], genes[id(p2)])
-            else:
-                child_list = crossover_b(
-                    inst, p1, p2, genes[id(p1)], genes[id(p2)], rng
-                )
-            child_sched = serial_sgs(inst, child_list, budget=budget)
-            mutated = mutate(inst, child_list, MUTATION_ITERATIONS, rng)
-            if mutated.order != child_list.order:
-                mut_sched = serial_sgs(inst, mutated, budget=budget)
-                # a worsening mutation is canceled
-                if mut_sched.makespan <= child_sched.makespan:
-                    child_list, child_sched = mutated, mut_sched
-            polished = fbi(inst, child_sched, budget=budget)
-            if polished.makespan < child_sched.makespan:
-                child_list = schedule_to_list(inst, polished)
-                child_sched = polished
-            child = Individual(child_list, child_sched)
+            child = make_child(inst, parents, genes, rng, budget=budget)
             offspring.append(child)
             if child.makespan < best.makespan:
                 best = child
@@ -344,7 +322,7 @@ def solve(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunSta
                 if budget.exhausted:
                     break
                 lst = random_feasible_list(inst, rng)
-                pop.insert(decode_and_improve(inst, lst, budget=budget, use_parallel=True))
+                pop.insert(decode_and_improve(inst, lst, budget=budget))
 
             seed_ind = select_parents(pop, 1, state.parent_probability, rng)[0]
             # each NS step costs at least one decode; the sub-budget is the

@@ -17,7 +17,6 @@ import pytest
 from rcpsp_hybrid.bench import run_benchmark
 from rcpsp_hybrid.genetic import Individual
 from rcpsp_hybrid.model import (
-    ActivityList,
     critical_path_lower_bound,
     is_feasible,
     random_feasible_list,

@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from rcpsp_hybrid.genetic import (
     crossover_b,
     dense_activities,
     init_population,
+    make_child,
     mutate,
     next_generation,
     repair_precedence,
@@ -17,18 +19,20 @@ from rcpsp_hybrid.genetic import (
 )
 from rcpsp_hybrid.model import (
     Activity,
-    ActivityList,
     ProjectInstance,
     Schedule,
+    is_feasible,
     random_feasible_list,
 )
 from rcpsp_hybrid.random_instances import random_instance
-from rcpsp_hybrid.sgs import serial_sgs
+from rcpsp_hybrid.sgs import fbi, serial_sgs
+from rcpsp_hybrid.solver import Budget
+from conftest import with_zero_durations
 from oracles import is_precedence_feasible_list
 
 
 def _individual(inst, order):
-    lst = ActivityList(tuple(order))
+    lst = tuple(order)
     return Individual(lst, serial_sgs(inst, lst))
 
 
@@ -162,50 +166,50 @@ def _tiny1_parents(tiny1):
 def test_crossover_a_tiny1(tiny1):
     p1, p2, g1, g2 = _tiny1_parents(tiny1)
     child = crossover_a(tiny1, p1, p2, g1, g2)
-    assert child.order == (0, 2, 1, 3)
+    assert child == (0, 2, 1, 3)
 
 
 def test_crossover_a_no_genes_returns_shorter(tiny1):
     p1, p2, _, _ = _tiny1_parents(tiny1)
     child = crossover_a(tiny1, p1, p2, [], [])
     shorter = p1 if p1.makespan <= p2.makespan else p2
-    assert child.order == shorter.list.order
+    assert child == shorter.list
 
 
 def test_crossover_a_identical_parents(tiny1):
     p1, _, g1, _ = _tiny1_parents(tiny1)
     child = crossover_a(tiny1, p1, p1, g1, g1)
-    assert child.order == p1.list.order
+    assert child == p1.list
 
 
 def test_crossover_b_chain_returns_donor_order(tiny2):
     p = _individual(tiny2, [0, 1, 2, 3, 4])
     genes = [DenseGene(frozenset({1}), 0.5, 0)]
     child = crossover_b(tiny2, p, p, genes, genes, random.Random(0))
-    assert child.order == (0, 1, 2, 3, 4)
+    assert child == (0, 1, 2, 3, 4)
 
 
 def test_crossover_b_no_genes_returns_shorter(tiny1):
     p1, p2, _, _ = _tiny1_parents(tiny1)
     child = crossover_b(tiny1, p1, p2, [], [], random.Random(0))
     shorter = p1 if p1.makespan <= p2.makespan else p2
-    assert child.order == shorter.list.order
+    assert child == shorter.list
 
 
 def test_crossovers_closed_and_feasible():
     rng = random.Random(6)
     for _ in range(60):
         inst = random_instance(rng, rng.randint(2, 25), rng.randint(1, 3))
-        p1 = _individual(inst, random_feasible_list(inst, rng).order)
-        p2 = _individual(inst, random_feasible_list(inst, rng).order)
+        p1 = _individual(inst, random_feasible_list(inst, rng))
+        p2 = _individual(inst, random_feasible_list(inst, rng))
         g1 = dense_activities(inst, p1.schedule, 0.75, (1.0,) * inst.n_resources)
         g2 = dense_activities(inst, p2.schedule, 0.75, (1.0,) * inst.n_resources)
         for child in (
             crossover_a(inst, p1, p2, g1, g2),
             crossover_b(inst, p1, p2, g1, g2, rng),
         ):
-            assert sorted(child.order) == list(range(len(inst)))
-            assert is_precedence_feasible_list(inst, child.order)
+            assert sorted(child) == list(range(len(inst)))
+            assert is_precedence_feasible_list(inst, child)
 
 
 # ----------------------------------------------------------------- mutation
@@ -213,19 +217,19 @@ def test_crossovers_closed_and_feasible():
 
 def test_mutate_chain_is_rigid(tiny2):
     rng = random.Random(7)
-    lst = ActivityList((0, 1, 2, 3, 4))
+    lst = (0, 1, 2, 3, 4)
     for _ in range(50):
-        assert mutate(tiny2, lst, 3, rng).order == lst.order
+        assert mutate(tiny2, lst, 3, rng) == lst
 
 
 def test_mutate_zero_iterations_identity(tiny1):
-    lst = ActivityList((0, 1, 2, 3))
-    assert mutate(tiny1, lst, 0, random.Random(0)).order == lst.order
+    lst = (0, 1, 2, 3)
+    assert mutate(tiny1, lst, 0, random.Random(0)) == lst
 
 
 def test_mutate_tiny1_reaches_both_orders(tiny1):
     rng = random.Random(8)
-    seen = {mutate(tiny1, ActivityList((0, 1, 2, 3)), 2, rng).order for _ in range(200)}
+    seen = {mutate(tiny1, (0, 1, 2, 3), 2, rng) for _ in range(200)}
     assert seen == {(0, 1, 2, 3), (0, 2, 1, 3)}
 
 
@@ -235,8 +239,37 @@ def test_mutate_always_feasible():
         inst = random_instance(rng, rng.randint(2, 25), rng.randint(1, 3))
         lst = random_feasible_list(inst, rng)
         out = mutate(inst, lst, 2, rng)
-        assert sorted(out.order) == list(range(len(inst)))
-        assert is_precedence_feasible_list(inst, out.order)
+        assert sorted(out) == list(range(len(inst)))
+        assert is_precedence_feasible_list(inst, out)
+
+
+# ---------------------------------------------------------------- offspring
+
+
+def test_make_child_valid_and_charged_per_decode():
+    """Each child is a precedence-feasible list with a feasible schedule
+    no better than the list's own serial decode; it costs one serial
+    decode, one more for a changed mutant, and two per FBI pass."""
+    fbi_passes = inspect.signature(fbi).parameters["max_passes"].default
+    rng = random.Random(12)
+    for _ in range(30):
+        base = random_instance(rng, rng.randint(2, 25), rng.randint(1, 3))
+        for inst in (base, with_zero_durations(base, rng)):
+            weights = (1.0,) * inst.n_resources
+            parents = [
+                _individual(inst, random_feasible_list(inst, rng)) for _ in range(4)
+            ]
+            genes = {
+                id(p): dense_activities(inst, p.schedule, 0.75, weights)
+                for p in parents
+            }
+            for _ in range(5):
+                budget = Budget(None)
+                child = make_child(inst, parents, genes, rng, budget=budget)
+                assert is_precedence_feasible_list(inst, child.list)
+                assert is_feasible(inst, child.schedule)
+                assert serial_sgs(inst, child.list).makespan <= child.makespan
+                assert 3 <= budget.used <= 2 + 2 * fbi_passes
 
 
 # --------------------------------------------------------------- succession

@@ -100,12 +100,12 @@ def test_critical_path_dummy_only():
 def test_random_feasible_list_chain(tiny2):
     rng = random.Random(0)
     for _ in range(10):
-        assert random_feasible_list(tiny2, rng).order == (0, 1, 2, 3, 4)
+        assert random_feasible_list(tiny2, rng) == (0, 1, 2, 3, 4)
 
 
 def test_random_feasible_list_tiny1_both_orders_observed(tiny1):
     rng = random.Random(0)
-    seen = {random_feasible_list(tiny1, rng).order for _ in range(1000)}
+    seen = {random_feasible_list(tiny1, rng) for _ in range(1000)}
     assert seen == {(0, 1, 2, 3), (0, 2, 1, 3)}
 
 
@@ -114,7 +114,7 @@ def test_random_feasible_list_always_valid():
     for _ in range(200):
         inst = random_instance(rng, rng.randint(1, 30), rng.randint(1, 4))
         lst = random_feasible_list(inst, rng)
-        assert is_precedence_feasible_list(inst, lst.order)
+        assert is_precedence_feasible_list(inst, lst)
 
 
 def test_cp_bound_below_any_feasible_makespan():

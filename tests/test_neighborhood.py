@@ -5,7 +5,6 @@ import pytest
 
 from rcpsp_hybrid.genetic import Individual
 from rcpsp_hybrid.model import (
-    ActivityList,
     Schedule,
     is_feasible,
     random_feasible_list,
@@ -28,7 +27,7 @@ from oracles import brute_force_knapsack, is_precedence_feasible_list
 
 
 def _individual(inst, order):
-    lst = ActivityList(tuple(order))
+    lst = tuple(order)
     return Individual(lst, serial_sgs(inst, lst))
 
 
@@ -178,27 +177,27 @@ def test_na_outputs_always_feasible_and_better():
 
 
 def test_nb_chain_block_contains_predecessor(tiny2):
-    lst = ActivityList((0, 1, 2, 3, 4))
+    lst = (0, 1, 2, 3, 4)
     sched = serial_sgs(tiny2, lst)
     block = Block(core=2, members={1, 2})
     assert neighborhood_b_move(tiny2, lst, sched, block, (1.0,), random.Random(0)) is None
 
 
 def test_nb_tiny1_rebuild(tiny1):
-    lst = ActivityList((0, 1, 2, 3))
+    lst = (0, 1, 2, 3)
     sched = serial_sgs(tiny1, lst)
     block = Block(core=1, members={1, 2})
     out = neighborhood_b_move(tiny1, lst, sched, block, (1.0,), random.Random(0))
     assert out is not None
-    assert out.order == (0, 2, 1, 3)
+    assert out == (0, 2, 1, 3)
 
 
 def test_nb_empty_block_unchanged(tiny1):
-    lst = ActivityList((0, 1, 2, 3))
+    lst = (0, 1, 2, 3)
     sched = serial_sgs(tiny1, lst)
     block = Block(core=1, members=set())
     out = neighborhood_b_move(tiny1, lst, sched, block, (1.0,), random.Random(0))
-    assert out.order == lst.order
+    assert out == lst
 
 
 def test_nb_outputs_valid_lists():
@@ -213,8 +212,8 @@ def test_nb_outputs_valid_lists():
         out = neighborhood_b_move(inst, lst, sched, block, (1.0, 1.0), rng)
         if out is not None:
             nonempty += 1
-            assert sorted(out.order) == list(range(len(inst)))
-            assert is_precedence_feasible_list(inst, out.order)
+            assert sorted(out) == list(range(len(inst)))
+            assert is_precedence_feasible_list(inst, out)
     assert nonempty > 0
 
 
@@ -239,7 +238,7 @@ def _move_digest(cases, polish=True):
             h.update(repr((out and out.starts, rng.getstate())).encode())
             block = create_block(inst, rng.randrange(1, inst.sink), sched, P, rng)
             out = neighborhood_b_move(inst, lst, sched, block, weights, rng)
-            h.update(repr((out and out.order, rng.getstate())).encode())
+            h.update(repr((out, rng.getstate())).encode())
     return h.hexdigest()[:16]
 
 
@@ -347,7 +346,7 @@ def test_ns_run_never_worse_and_feasible():
     rng = random.Random(18)
     for _ in range(20):
         inst = random_instance(rng, rng.randint(4, 20), 2)
-        start = _individual(inst, random_feasible_list(inst, rng).order)
+        start = _individual(inst, random_feasible_list(inst, rng))
         out = ns_run(inst, start, (1.0, 1.0), 25, rng)
         assert out.makespan <= start.makespan
         assert is_feasible(inst, out.schedule)
@@ -359,7 +358,7 @@ def test_ns_run_improves_random_starts():
     improved = 0
     for _ in range(15):
         inst = random_instance(rng, 15, 2)
-        start = _individual(inst, random_feasible_list(inst, rng).order)
+        start = _individual(inst, random_feasible_list(inst, rng))
         out = ns_run(inst, start, (1.0, 1.0), 40, rng)
         if out.makespan < start.makespan:
             improved += 1

@@ -6,7 +6,6 @@ import threading
 from rcpsp_hybrid import sgs
 from rcpsp_hybrid.model import (
     Activity,
-    ActivityList,
     ProjectInstance,
     Schedule,
     is_feasible,
@@ -137,14 +136,14 @@ def test_fbi_and_left_shift_monotone_idempotent():
 
 
 def test_schedule_to_list(tiny1):
-    assert schedule_to_list(tiny1, Schedule((0, 0, 2, 5), 5)).order == (0, 1, 2, 3)
-    assert schedule_to_list(tiny1, Schedule((0, 3, 0, 5), 5)).order == (0, 2, 1, 3)
+    assert schedule_to_list(tiny1, Schedule((0, 0, 2, 5), 5)) == (0, 1, 2, 3)
+    assert schedule_to_list(tiny1, Schedule((0, 3, 0, 5), 5)) == (0, 2, 1, 3)
 
 
 def test_schedule_to_list_ties_by_id(tiny1):
     # zero-duration source shares t=0 with both: id order breaks the tie
     lst = schedule_to_list(tiny1, Schedule((0, 0, 2, 5), 5))
-    assert lst.order[0] == 0
+    assert lst[0] == 0
 
 
 def test_schedule_to_list_zero_duration_chain():
@@ -162,7 +161,7 @@ def test_schedule_to_list_zero_duration_chain():
         (1,),
     )
     sched = Schedule((0, 0, 5, 5, 5), 5)
-    assert schedule_to_list(inst, sched).order == (0, 1, 3, 2, 4)
+    assert schedule_to_list(inst, sched) == (0, 1, 3, 2, 4)
     assert left_shift(inst, sched) == sched
 
 
@@ -187,7 +186,7 @@ def test_schedule_to_list_precedence_feasible_on_any_numbering():
         for dec in (serial_sgs, parallel_sgs):
             sched = dec(inst, random_feasible_list(inst, rng))
             lst = schedule_to_list(inst, sched)
-            assert is_precedence_feasible_list(inst, lst.order)
+            assert is_precedence_feasible_list(inst, lst)
             assert is_feasible(inst, left_shift(inst, sched))
             assert is_feasible(inst, fbi(inst, sched))
 
@@ -249,7 +248,7 @@ def test_decoders_match_stepwise_oracles():
         cases.append((with_zero_durations(inst, rng), 4))
     for inst, n_lists in cases:
         for _ in range(n_lists):
-            order = random_feasible_list(inst, rng).order
+            order = random_feasible_list(inst, rng)
             sched = serial_sgs(inst, order)
             assert sched.starts == reference_serial_starts(inst, order)
             back = sgs._right_justify(inst, sched)
@@ -265,7 +264,7 @@ def test_serial_memo_charges_every_call():
     budget = Budget(None)
     first = serial_sgs(inst, lst, budget=budget)
     again = serial_sgs(inst, lst, budget=budget)
-    as_list = serial_sgs(inst, list(lst.order), budget=budget)
+    as_list = serial_sgs(inst, list(lst), budget=budget)
     assert budget.used == 3
     assert again == first and as_list == first
     assert is_feasible(inst, first)
@@ -290,7 +289,7 @@ def test_serial_memo_shared_across_threads():
     inst = random_instance(random.Random(5), 6, 1)
     rng = random.Random(3)
     lists = sorted(
-        {random_feasible_list(inst, rng) for _ in range(400)}, key=lambda l: l.order
+        {random_feasible_list(inst, rng) for _ in range(400)}
     )
     assert len(lists) > 2 * inst.serial_memo.SIZE
     fresh = random_instance(random.Random(5), 6, 1)
