@@ -60,16 +60,21 @@ def run_benchmark(
     threads: int = 1,
 ) -> BenchReport:
     """Solve every instance with an independently seeded run; deterministic
-    for a given (seed, config, dataset) regardless of worker count."""
+    for a given (seed, config, dataset) regardless of worker count.  At
+    most one worker process per instance is started."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, not {threads}")
     instances = load_dataset(dataset_dir)
     jobs = [
         (name, inst, replace(config, seed=config.seed + idx))
         for idx, (name, inst) in enumerate(instances)
     ]
-    if threads <= 1:
+    # the pool forks all its workers at once, whether or not they get a job
+    workers = min(threads, len(jobs))
+    if workers <= 1:
         rows = [_solve_one(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_solve_one, jobs, chunksize=1))
     rows.sort(key=lambda r: r.name)
     report = BenchReport(rows)

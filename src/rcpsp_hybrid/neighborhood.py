@@ -128,11 +128,16 @@ def neighborhood_a_move(
     strict improvement.  None after `tries` attempts."""
     windows = compute_windows(inst, sched, block)
     members = block.members
-    guard, packed = inst.guard, inst.packed_demand
-    rem = profile.empty(inst, sched.makespan + 1)
-    for j in range(1, inst.sink):
-        if j not in members:
-            profile.reserve(rem, packed[j], sched.starts[j], inst.durations[j])
+    packed = inst.packed_demand
+    rem = profile.booked(
+        inst,
+        sched.makespan + 1,
+        (
+            (packed[j], sched.starts[j], inst.durations[j])
+            for j in range(1, inst.sink)
+            if j not in members
+        ),
+    )
 
     ranked = sorted(
         members, key=lambda a: (-activity_value(inst, a, weights), a)
@@ -144,7 +149,7 @@ def neighborhood_a_move(
     for _ in range(tries):
         if budget is not None and budget.exhausted:
             break
-        slots = rem[:]
+        slots = rem.copy()
         new_start: dict[int, int] = {}
         pending = list(ranked)
         failed = False
@@ -165,7 +170,7 @@ def neighborhood_a_move(
                 if f > est:
                     est = f
             p_a = inst.durations[a]
-            t = profile.place(slots, guard, packed[a], est, lft - p_a, p_a)
+            t = slots.place(packed[a], est, lft - p_a, p_a)
             if t is None:
                 failed = True
                 break
@@ -261,7 +266,7 @@ def neighborhood_b_move(
     # serial partial schedule of the prefix; the members are not in it,
     # so their finish 0 leaves their successors in the prefix unconstrained
     horizon = inst.horizon + 1
-    guard, packed = inst.guard, inst.packed_demand
+    packed = inst.packed_demand
     slots = profile.empty(inst, horizon)
     starts, prefix_finish = serial_place(inst, prefix, slots)
     finish = {a: prefix_finish[a] for a in prefix}
@@ -296,18 +301,18 @@ def neighborhood_b_move(
         fits = [
             a
             for a in sorted(ready)
-            if profile.fits(slots, guard, packed[a], t, inst.durations[a])
+            if slots.fits(packed[a], t, inst.durations[a])
         ]
         if fits:
             vals = [activity_value(inst, a, weights) for a in fits]
             dem = [inst.demands[a] for a in fits]
-            remaining = profile.unpack(slots[t], inst.slot_bits, inst.n_resources)
+            remaining = profile.unpack(slots.at(t), inst.slot_bits, inst.n_resources)
             picked = grasp_knapsack(fits, remaining, dem, vals, rng)
             placed_any = False
             for idx in sorted(picked, key=lambda i: (-vals[i], fits[i])):
                 a = fits[idx]
                 p_a = inst.durations[a]
-                if profile.place(slots, guard, packed[a], t, t, p_a) is None:
+                if slots.place(packed[a], t, t, p_a) is None:
                     continue
                 starts[a] = t
                 finish[a] = t + p_a

@@ -50,9 +50,9 @@ def serial_sgs(
 
 
 def serial_place(
-    inst: ProjectInstance, order: Sequence[int], slots: list[int]
+    inst: ProjectInstance, order: Sequence[int], rem: profile.Profile
 ) -> tuple[list[int], list[int]]:
-    """Place `order` serially into the profile `slots` (covering at least
+    """Place `order` serially into the profile `rem` (covering at least
     [0, horizon)): each activity at the earliest start after its
     predecessors' finishes at which it fits.  Returns the start and finish
     vectors; an activity missing from the order keeps start and finish 0,
@@ -60,9 +60,8 @@ def serial_place(
     durs = inst.durations
     preds = inst.preds
     packed = inst.packed_demand
-    guard = inst.guard
     horizon = inst.horizon
-    place = profile.place
+    place = rem.place
     starts = [0] * len(inst)
     finish = [0] * len(inst)
     for j in order:
@@ -72,7 +71,7 @@ def serial_place(
             f = finish[i]
             if f > est:
                 est = f
-        t = place(slots, guard, packed[j], est, horizon - p, p)
+        t = place(packed[j], est, horizon - p, p)
         starts[j] = t
         finish[j] = t + p
     return starts, finish
@@ -90,9 +89,8 @@ def parallel_sgs(
     durs = inst.durations
     succs = inst.succs
     packed = inst.packed_demand
-    guard = inst.guard
-    place = profile.place
     rem = profile.empty(inst, inst.horizon + 1)
+    place = rem.place
 
     n2 = len(inst)
     starts = [0] * n2
@@ -115,7 +113,7 @@ def parallel_sgs(
                         eligible.add(s)
             for j in sorted(eligible, key=rank.__getitem__):
                 p = durs[j]
-                if place(rem, guard, packed[j], t, t, p) is None:
+                if place(packed[j], t, t, p) is None:
                     continue
                 starts[j] = t
                 finish[j] = t + p
@@ -166,9 +164,8 @@ def _right_justify(inst: ProjectInstance, sched: Schedule, budget=None) -> Sched
     durs = inst.durations
     succs = inst.succs
     packed = inst.packed_demand
-    guard = inst.guard
     sink = inst.sink
-    rem = profile.empty(inst, T + 1)
+    place_latest = profile.empty(inst, T + 1).place_latest
     new_start = [0] * len(inst)
     new_start[sink] = T
     for j in _backward_order(inst, sched.starts):
@@ -180,7 +177,7 @@ def _right_justify(inst: ProjectInstance, sched: Schedule, budget=None) -> Sched
             ns = new_start[s]
             if ns < deadline:
                 deadline = ns
-        t = profile.place_latest(rem, guard, packed[j], 0, deadline - p, p)
+        t = place_latest(packed[j], 0, deadline - p, p)
         assert t is not None, "right justification ran out of room"
         new_start[j] = t
     new_start[0] = 0

@@ -4,6 +4,7 @@ stagnation, and parameter self-tuning."""
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field, fields
@@ -83,8 +84,9 @@ class SolverConfig:
                 raise bad(name, f"none or an integer >= {least}")
         if not _is_int(self.seed):
             raise bad("seed", "an integer")
-        if self.time_limit is not None and not _is_positive(self.time_limit):
-            raise bad("time_limit", "none or a positive number")
+        # an infinite time limit would be no cap at all
+        if self.time_limit is not None and not _is_finite_positive(self.time_limit):
+            raise bad("time_limit", "none or a finite positive number")
         if self.lambda_budget is None and self.time_limit is None:
             raise ValueError("lambda_budget and time_limit are both none: no cap")
         if self.weight_mode != "random" and self.weight_mode not in WEIGHT_MODES:
@@ -123,8 +125,8 @@ def _is_int(value, least: float = float("-inf")) -> bool:
     return _is_number(value) and isinstance(value, int) and value >= least
 
 
-def _is_positive(value) -> bool:
-    return _is_number(value) and value > 0
+def _is_finite_positive(value) -> bool:
+    return _is_number(value) and 0 < value < math.inf
 
 
 def _coerce(text: str, kind):

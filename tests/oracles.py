@@ -6,8 +6,8 @@ relaxation optima from exhaustive start-vector search, knapsack optima
 from full subset enumeration, a list's precedence feasibility from a
 check of every arc, and the reference serial decode and right
 justification keep one list row per resource and try one start at a
-time, where the library packs all resources of a slot into one int and
-skips runs of short slots.
+time, where the library stores the profile as change points, packs all
+resources of a segment into one int, and skips runs of short segments.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from rcpsp_hybrid import bench
 from rcpsp_hybrid.bench import (
     BenchReport,
     InstanceResult,
@@ -135,6 +136,51 @@ def test_run_benchmark_threads_match_serial(tmp_path):
     assert [(r.name, r.makespan) for r in serial.rows] == [
         (r.name, r.makespan) for r in pooled.rows
     ]
+
+
+class _PoolRecorder:
+    """Stands in for ProcessPoolExecutor: records the worker count asked
+    for and runs the jobs in this process, so no process is started."""
+
+    workers: list = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize(
+    "count, threads, workers",
+    [(3, 5000, [3]), (3, 2, [2]), (1, 8, []), (3, 1, [])],
+)
+def test_run_benchmark_starts_at_most_one_worker_per_instance(
+    tmp_path, monkeypatch, count, threads, workers
+):
+    _write_dataset(tmp_path, count=count)
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", _PoolRecorder)
+    monkeypatch.setattr(_PoolRecorder, "workers", [])
+    cfg = SolverConfig(lambda_budget=50, population_capacity=4, seed=3)
+    report = run_benchmark(str(tmp_path), cfg, threads=threads)
+    assert _PoolRecorder.workers == workers
+    assert len(report.rows) == count
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_run_benchmark_rejects_fewer_than_one_thread(tmp_path, monkeypatch, threads):
+    _write_dataset(tmp_path)
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", _PoolRecorder)
+    monkeypatch.setattr(_PoolRecorder, "workers", [])
+    with pytest.raises(ValueError, match="threads"):
+        run_benchmark(str(tmp_path), SolverConfig(lambda_budget=50), threads=threads)
+    assert _PoolRecorder.workers == []
 
 
 def test_run_benchmark_rows_sorted_and_complete(tmp_path):

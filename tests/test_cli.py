@@ -111,6 +111,13 @@ def test_bench_bounds_report(dataset_dir, tmp_path, capsys):
     assert "improved over best known" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_bench_fewer_than_one_thread_exit_1(dataset_dir, capsys, threads):
+    assert main(["bench", dataset_dir, "--lambda", "50", "--threads", threads]) == 1
+    err = capsys.readouterr().err
+    assert "threads must be >= 1" in err and "internal error" not in err
+
+
 def test_bench_missing_directory_exit_1(tmp_path):
     assert main(["bench", str(tmp_path / "nope")]) == 1
 
@@ -150,12 +157,13 @@ def test_seed_changes_nothing_on_reruns(instance_file, capsys):
         "fbi_passes = 2\n",
         "sigma1 = 0.1\n",
         "tabu_capacity = 10\n",
+        "lambda_budget = none\ntime_limit = inf\n",
     ],
     ids=[
         "unknown-weight-mode", "no-equals", "no-cap", "block-size-0", "sigma-text",
         "dense-threshold-text", "negative-elite-count", "one-member-population",
         "removed-ablation-key", "removed-fbi-passes", "removed-sigma1",
-        "removed-tabu-capacity",
+        "removed-tabu-capacity", "infinite-time-limit",
     ],
 )
 def test_bad_config_file_exit_1(instance_file, tmp_path, capsys, text):
@@ -169,6 +177,13 @@ def test_bad_config_file_exit_1(instance_file, tmp_path, capsys, text):
 def test_nonpositive_lambda_option_exit_1(instance_file, capsys):
     assert main(["solve", instance_file, "--lambda", "0"]) == 1
     assert "lambda_budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("limit", ["inf", "nan", "0"])
+def test_time_limit_option_must_be_a_finite_positive_cap(instance_file, capsys, limit):
+    assert main(["solve", instance_file, "--time-limit", limit]) == 1
+    err = capsys.readouterr().err
+    assert "time_limit must be" in err and "internal error" not in err
 
 
 def test_time_limit_option_lifts_the_schedule_cap(instance_file, capsys):

@@ -1,7 +1,8 @@
 """The window searches of profile.py against a per-resource brute-force
-scan.  The oracle never looks at the packed layout: a case is drawn as
-one row of remaining capacities per resource, packed into slots for the
-call, and the booked slots are unpacked again to compare rows."""
+scan.  The oracle never looks at the packed layout or the segments: a case
+is drawn as one row of remaining capacities per resource, packed into
+segments for the call, and the booked profile is expanded back into rows
+to compare."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +22,14 @@ def _booked(rows, demand, t, p):
     return out
 
 
+def _earliest(rows, demand, lo, hi, p):
+    return next((t for t in range(lo, hi + 1) if _fits(rows, demand, t, p)), None)
+
+
+def _latest(rows, demand, lo, hi, p):
+    return next((t for t in range(hi, lo - 1, -1) if _fits(rows, demand, t, p)), None)
+
+
 @st.composite
 def _edge_value(draw, top):
     """0..top, often exactly 0 or top."""
@@ -37,71 +46,161 @@ def capacities(draw):
 
 @st.composite
 def searches(draw):
+    """A profile drawn as rows, how to cut it into segments, and a search
+    whose window is often flush with the end of the profile."""
     caps = draw(capacities())
     length = draw(st.integers(1, 14))
     rows = [draw(st.lists(_edge_value(c), min_size=length, max_size=length)) for c in caps]
     demand = [draw(_edge_value(c)) for c in caps]
     p = draw(st.integers(0, length))
-    lo = draw(st.integers(0, length - p))
-    hi = draw(st.integers(lo - 2, length - p))
-    return caps, rows, demand, lo, hi, p
+    lo = draw(st.one_of(st.just(length - p), st.integers(0, length - p)))
+    hi = draw(st.one_of(st.just(length - p), st.integers(lo - 2, length - p)))
+    per_slot = draw(st.booleans())
+    return caps, rows, demand, lo, hi, p, per_slot
 
 
-def _packed(caps, rows, demand):
-    """The case in the packed layout: (slots, guard, demand, unpack)."""
+def _expand(prof, bits, n_resources):
+    """The profile as one row of remaining capacities per resource, after
+    checking the segment invariants."""
+    times, vals = prof.times, prof.vals
+    assert times[0] == 0
+    assert all(a < b for a, b in zip(times, times[1:]))
+    assert len(vals) == len(times) - 1
+    assert all(v & prof.guard == prof.guard for v in vals)
+    cols = []
+    for i, v in enumerate(vals):
+        cols += [profile.unpack(v, bits, n_resources)] * (times[i + 1] - times[i])
+    return [list(row) for row in zip(*cols)]
+
+
+def _instance(caps):
+    """A two-activity instance with these capacities."""
+    acts = [Activity(j, 0, (0,) * len(caps)) for j in range(2)]
+    return ProjectInstance(acts, [(0, 1)], caps)
+
+
+def _packed(caps, rows, demand, per_slot):
+    """The case in the packed layout: (profile, demand, expand).  The
+    profile has one segment per slot, or one per run of equal slots."""
     bits, guard = profile.layout(caps)
     slots = [guard + profile.pack(col, bits) for col in zip(*rows)]
+    times, vals = [], []
+    for t, v in enumerate(slots):
+        if per_slot or not vals or vals[-1] != v:
+            times.append(t)
+            vals.append(v)
+    times.append(len(slots))
+    prof = profile.Profile(times, vals, guard)
 
-    def unpack(got):
-        cols = [profile.unpack(slot, bits, len(caps)) for slot in got]
-        assert all(slot & guard == guard for slot in got)
-        return [list(row) for row in zip(*cols)]
+    def expand(got):
+        return _expand(got, bits, len(caps))
 
-    assert unpack(slots) == rows
-    return slots, guard, profile.pack(demand, bits), unpack
+    assert expand(prof) == rows
+    return prof, profile.pack(demand, bits), expand
 
 
 @settings(max_examples=400, deadline=None)
 @given(searches())
 def test_place_is_the_earliest_fit(case):
-    caps, rows, demand, lo, hi, p = case
-    want = next((t for t in range(lo, hi + 1) if _fits(rows, demand, t, p)), None)
-    slots, guard, packed, unpack = _packed(caps, rows, demand)
-    got = profile.place(slots, guard, packed, lo, hi, p)
+    caps, rows, demand, lo, hi, p, per_slot = case
+    want = _earliest(rows, demand, lo, hi, p)
+    prof, packed, expand = _packed(caps, rows, demand, per_slot)
+    got = prof.place(packed, lo, hi, p)
     assert got == want
-    assert unpack(slots) == (rows if want is None else _booked(rows, demand, want, p))
+    assert expand(prof) == (rows if want is None else _booked(rows, demand, want, p))
 
 
 @settings(max_examples=400, deadline=None)
 @given(searches())
 def test_place_latest_is_the_latest_fit(case):
-    caps, rows, demand, lo, hi, p = case
-    want = next((t for t in range(hi, lo - 1, -1) if _fits(rows, demand, t, p)), None)
-    slots, guard, packed, unpack = _packed(caps, rows, demand)
-    got = profile.place_latest(slots, guard, packed, lo, hi, p)
+    caps, rows, demand, lo, hi, p, per_slot = case
+    want = _latest(rows, demand, lo, hi, p)
+    prof, packed, expand = _packed(caps, rows, demand, per_slot)
+    got = prof.place_latest(packed, lo, hi, p)
     assert got == want
-    assert unpack(slots) == (rows if want is None else _booked(rows, demand, want, p))
+    assert expand(prof) == (rows if want is None else _booked(rows, demand, want, p))
 
 
 @settings(max_examples=200, deadline=None)
 @given(searches())
 def test_fits_and_reserve(case):
-    caps, rows, demand, lo, _, p = case
-    slots, guard, packed, unpack = _packed(caps, rows, demand)
-    before = slots[:]
-    assert profile.fits(slots, guard, packed, lo, p) == _fits(rows, demand, lo, p)
-    assert slots == before
+    """fits and reserve, and the copy and the value at each t beside them."""
+    caps, rows, demand, lo, _, p, per_slot = case
+    prof, packed, expand = _packed(caps, rows, demand, per_slot)
+    bits, _ = profile.layout(caps)
+    for t in range(len(rows[0])):
+        assert profile.unpack(prof.at(t), bits, len(caps)) == [row[t] for row in rows]
+    before = prof.copy()
+    assert prof.fits(packed, lo, p) == _fits(rows, demand, lo, p)
+    assert expand(prof) == rows
     if _fits(rows, demand, lo, p):
-        profile.reserve(slots, packed, lo, p)
-        assert unpack(slots) == _booked(rows, demand, lo, p)
+        prof.reserve(packed, lo, p)
+        assert expand(prof) == _booked(rows, demand, lo, p)
+        assert expand(before) == rows
 
 
 @settings(max_examples=100, deadline=None)
 @given(capacities(), st.integers(1, 6))
 def test_empty_holds_every_capacity(caps, length):
-    acts = [Activity(j, 0, (0,) * len(caps)) for j in range(2)]
-    inst = ProjectInstance(acts, [(0, 1)], caps)
-    slots = profile.empty(inst, length)
-    assert len(slots) == length
-    assert all(profile.unpack(s, inst.slot_bits, len(caps)) == caps for s in slots)
-    assert all(s & inst.guard == inst.guard for s in slots)
+    inst = _instance(caps)
+    prof = profile.empty(inst, length)
+    assert prof.times == [0, length]
+    assert _expand(prof, inst.slot_bits, len(caps)) == [[c] * length for c in caps]
+
+
+@settings(max_examples=200, deadline=None)
+@given(capacities(), st.integers(1, 14), st.data())
+def test_operation_sequences_match_the_oracle(caps, length, data):
+    """Random reserve / place / place_latest sequences from a full profile.
+    Starts and window ends are often drawn from the current segment
+    boundaries and the profile's end; durations and demands include 0 and
+    `hi < lo` occurs."""
+    inst = _instance(caps)
+    bits = inst.slot_bits
+    prof = profile.empty(inst, length)
+    rows = [[c] * length for c in caps]
+    for _ in range(data.draw(st.integers(1, 12))):
+        demand = [data.draw(_edge_value(c)) for c in caps]
+        packed = profile.pack(demand, bits)
+        p = data.draw(st.integers(0, length))
+        bounds = [t for t in prof.times if t <= length - p]
+        point = st.one_of(st.sampled_from(bounds), st.integers(0, length - p))
+        op = data.draw(st.sampled_from(["reserve", "place", "place_latest"]))
+        if op == "reserve":
+            t = data.draw(point)
+            if _fits(rows, demand, t, p):
+                prof.reserve(packed, t, p)
+                rows = _booked(rows, demand, t, p)
+        else:
+            lo = data.draw(point)
+            hi = data.draw(st.one_of(point, st.integers(lo - 2, length - p)))
+            if op == "place":
+                want = _earliest(rows, demand, lo, hi, p)
+                got = prof.place(packed, lo, hi, p)
+            else:
+                want = _latest(rows, demand, lo, hi, p)
+                got = prof.place_latest(packed, lo, hi, p)
+            assert got == want
+            if want is not None:
+                rows = _booked(rows, demand, want, p)
+        assert _expand(prof, bits, len(caps)) == rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(capacities(), st.integers(1, 14), st.data())
+def test_booked_equals_one_reserve_per_booking(caps, length, data):
+    """The one-sweep build gives the profile that reserving each booking in
+    turn gives, whatever order the bookings come in."""
+    inst = _instance(caps)
+    bits = inst.slot_bits
+    rows = [[c] * length for c in caps]
+    bookings = []
+    for _ in range(data.draw(st.integers(0, 10))):
+        demand = [data.draw(_edge_value(c)) for c in caps]
+        p = data.draw(st.integers(0, length))
+        t = data.draw(st.integers(0, length - p))
+        if _fits(rows, demand, t, p):
+            rows = _booked(rows, demand, t, p)
+            bookings.append((profile.pack(demand, bits), t, p))
+    got = profile.booked(inst, length, data.draw(st.permutations(bookings)))
+    assert _expand(got, bits, len(caps)) == rows

@@ -233,7 +233,7 @@ def test_exhaustive_serial_reaches_optimum():
 def test_decoders_match_stepwise_oracles():
     """The serial decode and the right justification give exactly the
     start vectors of the stepwise oracles, which share no code with the
-    packed profile and its run-skipping scans."""
+    change-point profile and its segment-skipping scans."""
     rng = random.Random(23)
     cases = [(_criterion_10_instance(), 30)]
     for _ in range(40):

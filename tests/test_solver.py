@@ -67,6 +67,9 @@ REMOVED_FIELDS = {
         dict(lambda_budget=-5),
         dict(time_limit=0.0),
         dict(lambda_budget=None, time_limit=-1.0),
+        dict(lambda_budget=None, time_limit=float("inf")),
+        dict(time_limit=float("inf")),
+        dict(lambda_budget=None, time_limit=float("nan")),
         dict(block_size=0),
         dict(fbi_passes=-1),
         dict(tabu_capacity=-3),
@@ -127,6 +130,10 @@ def test_config_from_file_reads_each_field_as_its_type(tmp_path):
     path.write_text("time_limit = 2\nseed = 7\nweight_mode = none\n")
     with pytest.raises(ValueError, match="weight_mode must be"):
         SolverConfig.from_file(str(path))
+    for limit in ("inf", "nan"):
+        path.write_text(f"lambda_budget = none\ntime_limit = {limit}\n")
+        with pytest.raises(ValueError, match="time_limit must be"):
+            SolverConfig.from_file(str(path))
     path.write_text("time_limit = 2\nseed = 7\n")
     cfg = SolverConfig.from_file(str(path))
     assert cfg.time_limit == 2.0 and isinstance(cfg.time_limit, float)
