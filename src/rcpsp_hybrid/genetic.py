@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .model import ProjectInstance, Schedule, random_feasible_list
@@ -17,10 +17,23 @@ from .sgs import fbi, parallel_sgs, schedule_to_list, serial_sgs
 class Individual:
     list: tuple[int, ...]
     schedule: Schedule
+    # ((threshold, weights), dense genes) of the latest dense_genes call
+    _genes: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def makespan(self) -> int:
         return self.schedule.makespan
+
+    def dense_genes(
+        self, inst: ProjectInstance, threshold: float, weights: Sequence[float]
+    ) -> tuple[DenseGene, ...]:
+        """The dense genes of this schedule (`dense_activities`), computed
+        once per (threshold, weights): an individual is a parent in many
+        generations, and both change only at stagnation checkpoints."""
+        key = (threshold, tuple(weights))
+        if self._genes is None or self._genes[0] != key:
+            self._genes = (key, tuple(dense_activities(inst, self.schedule, threshold, weights)))
+        return self._genes[1]
 
 
 class Population:

@@ -100,7 +100,8 @@ class ProjectInstance:
             [(k, d) for k, d in enumerate(dem) if d] for dem in self.demands
         ]
         # the same demands packed into one int each for the profile scans
-        self.slot_bits, self.guard = profile.layout(self.capacities)
+        largest = max((d for dem in self.demands for d in dem), default=0)
+        self.slot_bits, self.guard = profile.layout(self.capacities, largest)
         self.packed_demand = [profile.pack(dem, self.slot_bits) for dem in self.demands]
         self.topo_order = topological_order(self)
         self.serial_memo = DecodeMemo()

@@ -8,16 +8,18 @@ are never merged, so a segment is only split, by a booking that starts or
 ends inside it.
 
 The value of a segment packs all resources into one int, each in its own
-bit field of B = max(capacity).bit_length() + 1 bits: resource k's field,
-at bit kB, holds 2**(B-1) + remaining_k.  The top bit of a field is a
-guard bit, set in every stored value; `guard` masks all of them.  A demand
-is packed the same way without guard bits (`ProjectInstance.packed_demand`).
+bit field of B bits, where B - 1 bits hold the largest capacity and the
+largest demand: resource k's field, at bit kB, holds 2**(B-1) +
+remaining_k.  The top bit of a field is a guard bit, set in every stored
+value; `guard` masks all of them.  A demand is packed the same way without
+guard bits (`ProjectInstance.packed_demand`).
 
-Capacities must be >= 0 and demands within them (`validate_instance`
-checks both), so 0 <= d_k <= c_k < 2**(B-1): subtracting a packed demand
-never borrows across fields, and resource k's guard bit survives exactly
-when remaining_k >= d_k.  So (value - demand) & guard == guard tests all
-resources of a segment at once, and value -= demand books it.
+Capacities and demands must be >= 0, so 0 <= d_k < 2**(B-1): subtracting
+a packed demand never borrows across fields, and resource k's guard bit
+survives exactly when remaining_k >= d_k.  So (value - demand) & guard ==
+guard tests all resources of a segment at once, and value -= demand books
+it.  A demand above its capacity (`validate_instance` rejects one) then
+fits nowhere, so a decoder called on such an instance finds no start.
 
 `place` and `place_latest` return the earliest (latest) fitting start
 exactly, as a scan trying every candidate would: they test a window one
@@ -35,9 +37,10 @@ from bisect import bisect_left, bisect_right
 from typing import Iterable, Optional, Sequence
 
 
-def layout(capacities: Sequence[int]) -> tuple[int, int]:
-    """The field width B and the guard mask for these capacities."""
-    bits = max(capacities, default=0).bit_length() + 1
+def layout(capacities: Sequence[int], largest_demand: int = 0) -> tuple[int, int]:
+    """The field width B and the guard mask for these capacities and
+    demands up to `largest_demand`."""
+    bits = max(max(capacities, default=0), largest_demand).bit_length() + 1
     return bits, pack([1 << (bits - 1)] * len(capacities), bits)
 
 

@@ -7,11 +7,21 @@ makespan-nonincreasing improvement operators.  All functions are pure
 given (instance, list); an optional `budget` (anything with a charge()
 method) is debited once per full schedule constructed; a serial decode
 served from the instance's memo counts as constructed.
+
+The serial decode and the right justification search a resource profile
+(profile.py) for each activity's window.  The parallel decode needs none:
+it starts activities only at the decision time t, and every activity it
+has started started at or before t, so the remaining capacity from t on
+never falls below the capacity at t.  One packed int of free capacity, in
+profile.py's guard-bit layout, decides each fit.  A decoder called on an
+instance with a demand above its capacity (`validate_instance` rejects
+one) raises ValueError.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from typing import Sequence
 
 from .model import ProjectInstance, Schedule
@@ -72,6 +82,8 @@ def serial_place(
             if f > est:
                 est = f
         t = place(packed[j], est, horizon - p, p)
+        if t is None:
+            raise ValueError(f"activity {j} fits nowhere before the horizon {horizon}")
         starts[j] = t
         finish[j] = t + p
     return starts, finish
@@ -82,55 +94,75 @@ def parallel_sgs(
     lst: Sequence[int],
     budget=None,
 ) -> Schedule:
-    """Parallel decoder: advances decision time over finish events; at each
-    decision time starts eligible activities in list order while the
-    resources permit."""
-    rank = {j: i for i, j in enumerate(lst)}
+    """Parallel decoder: advances the decision time t over finish events;
+    at each t, starts the eligible activities in list order while the
+    resources permit.
+
+    Every activity started so far started at or before t, so from t on
+    the remaining capacity only rises as they finish (Kolisch 1996): an
+    activity fits over [t, t+p) exactly when it fits at t.  So the decoder
+    keeps no profile, only the packed free capacity at t in the layout of
+    profile.py, guard bits included; an activity's packed demand leaves it
+    when the activity starts and returns when it finishes."""
     durs = inst.durations
     succs = inst.succs
     packed = inst.packed_demand
-    rem = profile.empty(inst, inst.horizon + 1)
-    place = rem.place
-
-    n2 = len(inst)
-    starts = [0] * n2
-    finish = [0] * n2
+    guard = inst.guard
+    free = guard + profile.pack(inst.capacities, inst.slot_bits)
+    rank = {j: i for i, j in enumerate(lst)}
+    starts = [0] * len(inst)
     # predecessors of each activity not yet finished by t; an activity is
     # eligible once that count is zero
     waiting = [len(p) for p in inst.preds]
-    eligible = {j for j in range(n2) if not waiting[j]}
-    running: list[tuple[int, int]] = []  # heap of (finish, activity)
-    unplaced = n2
+    # list positions of the eligible activities, ascending
+    eligible = sorted(rank[j] for j, w in enumerate(waiting) if not w)
+    running: list[tuple[int, int]] = []  # heap of (finish, activity), p > 0
     t = 0
-    while unplaced:
-        progressed = True
-        while progressed:
-            progressed = False
-            while running and running[0][0] <= t:
-                for s in succs[heapq.heappop(running)[1]]:
+    while True:
+        # a zero-duration activity books nothing and finishes at t, so its
+        # successors are tried in another pass at t
+        while eligible:
+            left = []
+            ended = []
+            for i in eligible:
+                j = lst[i]
+                p = durs[j]
+                if not p:
+                    starts[j] = t
+                    ended.append(j)
+                    continue
+                d = packed[j]
+                if (free - d) & guard != guard:
+                    left.append(i)
+                    continue
+                free -= d
+                starts[j] = t
+                heapq.heappush(running, (t + p, j))
+            eligible = left
+            if not ended:
+                break
+            for j in ended:
+                for s in succs[j]:
                     waiting[s] -= 1
                     if not waiting[s]:
-                        eligible.add(s)
-            for j in sorted(eligible, key=rank.__getitem__):
-                p = durs[j]
-                if place(packed[j], t, t, p) is None:
-                    continue
-                starts[j] = t
-                finish[j] = t + p
-                eligible.discard(j)
-                heapq.heappush(running, (t + p, j))
-                unplaced -= 1
-                # a zero-duration activity finishes at t: its successors
-                # may start at t too
-                if not p:
-                    progressed = True
-        if not unplaced:
+                        insort(eligible, rank[s])
+        if not running:
             break
-        # next decision time: earliest finish event beyond t
-        t = min((f for f, _ in running if f > t), default=t + 1)
-    sched = Schedule(tuple(starts), finish[inst.sink])
+        t = running[0][0]
+        while running and running[0][0] == t:
+            j = heapq.heappop(running)[1]
+            free += packed[j]
+            for s in succs[j]:
+                waiting[s] -= 1
+                if not waiting[s]:
+                    insort(eligible, rank[s])
+    # nothing runs, so the capacity is full
+    if eligible:
+        raise ValueError(f"activity {lst[eligible[0]]} demands more than a capacity")
+    if any(waiting):
+        raise ValueError("the precedence graph has a cycle")
     _charge(budget)
-    return sched
+    return Schedule(tuple(starts), starts[inst.sink] + durs[inst.sink])
 
 
 def schedule_to_list(inst: ProjectInstance, sched: Schedule) -> tuple[int, ...]:

@@ -20,7 +20,6 @@ from .model import (
 from .genetic import (
     Individual,
     decode_and_improve,
-    dense_activities,
     init_population,
     make_child,
     next_generation,
@@ -289,10 +288,7 @@ def solve(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunSta
     since_improvement = 0
     while not budget.exhausted:
         parents = select_parents(pop, parents_size, state.parent_probability, rng)
-        genes = {
-            id(p): dense_activities(inst, p.schedule, state.dense_threshold, weights)
-            for p in parents
-        }
+        genes = {id(p): p.dense_genes(inst, state.dense_threshold, weights) for p in parents}
         for p in parents:
             state.dense_gene_counts.append(len(genes[id(p)]))
 

@@ -8,6 +8,9 @@ check of every arc, and the reference serial decode and right
 justification keep one list row per resource and try one start at a
 time, where the library stores the profile as change points, packs all
 resources of a segment into one int, and skips runs of short segments.
+The reference parallel decode tests each candidate's whole window in
+those rows, where the library keeps only a running sum of the demands in
+progress and tests the capacity at the decision time.
 """
 
 from __future__ import annotations
@@ -89,6 +92,42 @@ def reference_serial_starts(inst: ProjectInstance, order) -> tuple[int, ...]:
         starts[j] = t
         finish[j] = t + inst.durations[j]
     return tuple(starts)
+
+
+def reference_parallel_starts(inst: ProjectInstance, order) -> tuple[int, ...]:
+    """Parallel decode of `order`: at each decision time t, from 0 on, the
+    activities whose predecessors have all finished by t are tried in list
+    order, and each whose whole window [t, t+p) has room on every resource
+    starts at t.  These passes repeat at t until one starts nothing, so an
+    activity freed by a zero-duration predecessor started at t is tried in
+    the next pass.  Then t moves to the earliest finish after it."""
+    durs = inst.durations
+    rows = [[cap] * (inst.horizon + 1) for cap in inst.capacities]
+    starts: list = [None] * len(inst)
+
+    def finished_by(i: int, t: int) -> bool:
+        return starts[i] is not None and starts[i] + durs[i] <= t
+
+    t = 0
+    while True:
+        started = True
+        while started:
+            started = False
+            ready = [
+                j
+                for j in order
+                if starts[j] is None and all(finished_by(i, t) for i in inst.preds[j])
+            ]
+            for j in ready:
+                if _window_fits(inst, rows, j, t):
+                    _book(inst, rows, j, t)
+                    starts[j] = t
+                    started = True
+        if None not in starts:
+            return tuple(starts)
+        later = [s + durs[j] for j, s in enumerate(starts) if s is not None and s + durs[j] > t]
+        assert later, "nothing is running and nothing fits"
+        t = min(later)
 
 
 def reference_right_justify_starts(inst: ProjectInstance, order, T: int) -> tuple[int, ...]:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from rcpsp_hybrid import genetic
 from rcpsp_hybrid.genetic import (
     DenseGene,
     Individual,
@@ -150,6 +151,36 @@ def test_dense_genes_overlap_keeps_lighter(tiny1):
     genes = dense_activities(inst, sched, 0.9, (1.0,))
     # J(0)={1,2} (v=0), J(2)={2} (v=0.4): both dense, {2} overlaps {1,2}
     assert [set(g.activities) for g in genes] == [{1, 2}]
+
+
+def test_cached_dense_genes_equal_a_fresh_call(monkeypatch):
+    """An individual computes its dense genes once per (threshold,
+    weights): the cached genes equal a fresh call, also after the
+    threshold moves and after the weights are re-drawn."""
+    rng = random.Random(31)
+    inst = random_instance(rng, 30, 3)
+    ind = _individual(inst, random_feasible_list(inst, rng))
+    calls = []
+    real = genetic.dense_activities
+    monkeypatch.setattr(genetic, "dense_activities", lambda *a: calls.append(a) or real(*a))
+    drawn = (1.0, 1.5, 2.0)
+    redrawn = (2.0, 1.0, 1.25)
+    steps = [
+        (0.75, drawn),
+        (0.75, list(drawn)),  # equal weights hit, whatever their type
+        (1.2, drawn),  # the threshold moves
+        (1.2, drawn),
+        (1.2, redrawn),  # the weights are re-drawn
+        (1.2, redrawn),
+        (0.75, drawn),
+    ]
+    for threshold, weights in steps:
+        got = ind.dense_genes(inst, threshold, weights)
+        assert list(got) == dense_activities(inst, ind.schedule, threshold, weights)
+    assert len(calls) == 4
+    assert len({ind.dense_genes(inst, t, w) for t, w in steps}) > 1
+    assert ind == Individual(ind.list, ind.schedule)
+    assert "genes" not in repr(ind)
 
 
 # --------------------------------------------------------------- crossovers

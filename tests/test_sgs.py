@@ -3,6 +3,9 @@ import random
 import sys
 import threading
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from rcpsp_hybrid import sgs
 from rcpsp_hybrid.model import (
     Activity,
@@ -25,6 +28,7 @@ from oracles import (
     brute_force_optimum,
     is_precedence_feasible_list,
     iter_topological_orders,
+    reference_parallel_starts,
     reference_right_justify_starts,
     reference_serial_starts,
 )
@@ -231,9 +235,10 @@ def test_exhaustive_serial_reaches_optimum():
 
 
 def test_decoders_match_stepwise_oracles():
-    """The serial decode and the right justification give exactly the
-    start vectors of the stepwise oracles, which share no code with the
-    change-point profile and its segment-skipping scans."""
+    """The serial decode, the parallel decode and the right justification
+    give exactly the start vectors of the stepwise oracles, which share no
+    code with the change-point profile and its segment-skipping scans, nor
+    with the parallel decoder's running capacity sum."""
     rng = random.Random(23)
     cases = [(_criterion_10_instance(), 30)]
     for _ in range(40):
@@ -251,11 +256,84 @@ def test_decoders_match_stepwise_oracles():
             order = random_feasible_list(inst, rng)
             sched = serial_sgs(inst, order)
             assert sched.starts == reference_serial_starts(inst, order)
+            assert parallel_sgs(inst, order).starts == reference_parallel_starts(inst, order)
             back = sgs._right_justify(inst, sched)
             back_order = sgs._backward_order(inst, sched.starts)
             assert back.starts == reference_right_justify_starts(
                 inst, back_order, sched.makespan
             )
+
+
+@st.composite
+def small_instances(draw):
+    """Up to 8 real activities on 1 to 3 resources, with zero durations,
+    zero demands and zero capacities, and any order of the activities:
+    the parallel decoder ranks only the eligible ones by it."""
+    n = draw(st.integers(0, 8))
+    caps = draw(st.lists(st.sampled_from([0, 0, 1, 2, 3, 7, 8]), min_size=1, max_size=3))
+    sink = n + 1
+    acts = [Activity(0, 0, (0,) * len(caps))]
+    for j in range(1, sink):
+        demand = tuple(draw(st.one_of(st.just(0), st.just(c), st.integers(0, c))) for c in caps)
+        acts.append(Activity(j, draw(st.sampled_from([0, 0, 1, 2, 3, 5])), demand))
+    acts.append(Activity(sink, 0, (0,) * len(caps)))
+    pairs = [(i, j) for i in range(1, sink) for j in range(i + 1, sink)]
+    arcs = set(draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else [])
+    arcs |= {(0, j) for j in range(1, sink) if all(b != j for _, b in arcs)}
+    arcs |= {(i, sink) for i in range(1, sink) if all(a != i for a, _ in arcs)}
+    if not n:
+        arcs = {(0, sink)}
+    inst = ProjectInstance(acts, arcs, caps)
+    return inst, draw(st.permutations(range(len(inst))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_instances())
+def test_parallel_matches_the_stepwise_oracle(case):
+    inst, order = case
+    sched = parallel_sgs(inst, order)
+    assert sched.starts == reference_parallel_starts(inst, order)
+    assert is_feasible(inst, sched)
+
+
+def _over_capacity(demand):
+    """One activity demanding `demand` of a resource of capacity 2, after
+    one that fits."""
+    return ProjectInstance(
+        [
+            Activity(0, 0, (0,)),
+            Activity(1, 2, (2,)),
+            Activity(2, 1, (demand,)),
+            Activity(3, 0, (0,)),
+        ],
+        {(0, 1), (0, 2), (1, 3), (2, 3)},
+        (2,),
+    )
+
+
+@pytest.mark.parametrize("demand", [3, 7, 1000])
+def test_parallel_stops_on_demand_above_capacity(demand):
+    """validate_instance rejects such an instance; a decoder called on it
+    directly stops with ValueError, naming the activity, instead of
+    running on or booking it."""
+    with pytest.raises(ValueError, match="activity 2"):
+        parallel_sgs(_over_capacity(demand), [0, 1, 2, 3])
+
+
+@pytest.mark.parametrize("demand", [3, 7, 1000])
+def test_serial_stops_on_demand_above_capacity(demand):
+    with pytest.raises(ValueError, match="activity 2"):
+        serial_sgs(_over_capacity(demand), [0, 2, 1, 3])
+
+
+def test_parallel_stops_on_a_precedence_cycle():
+    inst = ProjectInstance(
+        [Activity(0, 0, (0,)), Activity(1, 1, (0,)), Activity(2, 1, (0,)), Activity(3, 0, (0,))],
+        {(0, 1), (1, 2), (2, 1), (2, 3)},
+        (1,),
+    )
+    with pytest.raises(ValueError, match="cycle"):
+        parallel_sgs(inst, [0, 1, 2, 3])
 
 
 def test_serial_memo_charges_every_call():
