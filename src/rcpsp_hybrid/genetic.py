@@ -267,9 +267,12 @@ def repair_precedence(inst: ProjectInstance, seq: Sequence[int]) -> list[int]:
     """Stable precedence repair: greedily emit the earliest activity in the
     sequence whose predecessors are all emitted.  The identity on
     already-feasible sequences."""
+    n2 = len(inst)
     pos = {a: i for i, a in enumerate(seq)}
-    remaining = [len(inst.preds[j]) for j in range(len(inst))]
-    heap = [pos[j] for j in range(len(inst)) if remaining[j] == 0]
+    if len(seq) != n2 or pos.keys() != set(range(n2)):
+        raise ValueError("sequence is not a permutation of activities")
+    remaining = [len(inst.preds[j]) for j in range(n2)]
+    heap = [pos[j] for j in range(n2) if remaining[j] == 0]
     heapq.heapify(heap)
     out: list[int] = []
     seq = list(seq)
@@ -280,7 +283,8 @@ def repair_precedence(inst: ProjectInstance, seq: Sequence[int]) -> list[int]:
             remaining[s] -= 1
             if remaining[s] == 0:
                 heapq.heappush(heap, pos[s])
-    assert len(out) == len(inst), "sequence is not a permutation of activities"
+    if len(out) != n2:
+        raise ValueError("the precedence graph has a cycle")
     return out
 
 

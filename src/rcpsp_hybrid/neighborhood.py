@@ -189,8 +189,9 @@ def neighborhood_a_move(
 
 def grasp_knapsack(
     eligible: Sequence[int],
-    remaining: Sequence[int],
-    demands: Sequence[Sequence[int]],
+    remaining: int,
+    demands: Sequence[int],
+    guard: int,
     values: Sequence[float],
     rng,
     constructions: int = 16,
@@ -198,23 +199,23 @@ def grasp_knapsack(
     """Multi-dimensional knapsack via GRASP: repeated randomized-greedy
     constructions (restricted candidate list = top RCL_FRACTION by value)
     keeping the best; the pure greedy construction is always included, so
-    the result never falls below it.  Returns indices into `eligible`."""
+    the result never falls below it.  Returns indices into `eligible`.
+
+    The capacity and the demands are packed in the layout of profile.py:
+    `remaining` carries the guard bits `guard`, the demands do not, and an
+    item fits exactly when (remaining - demand) & guard == guard."""
     m = len(eligible)
     if m == 0:
         return []
+    order = sorted(range(m), key=lambda i: (-values[i], i))
 
     def construct(randomized: bool) -> tuple[float, list[int]]:
-        order = sorted(range(m), key=lambda i: (-values[i], i))
-        rem = list(remaining)
+        rem = remaining
         picked: list[int] = []
         total = 0.0
         candidates = order[:]
         while candidates:
-            feasible = [
-                i
-                for i in candidates
-                if all(d <= rem[k] for k, d in enumerate(demands[i]))
-            ]
+            feasible = [i for i in candidates if (rem - demands[i]) & guard == guard]
             if not feasible:
                 break
             if randomized:
@@ -224,8 +225,7 @@ def grasp_knapsack(
                 i = feasible[0]
             picked.append(i)
             total += values[i]
-            for k, d in enumerate(demands[i]):
-                rem[k] -= d
+            rem -= demands[i]
             candidates.remove(i)
         return total, sorted(picked)
 
@@ -305,9 +305,8 @@ def neighborhood_b_move(
         ]
         if fits:
             vals = [activity_value(inst, a, weights) for a in fits]
-            dem = [inst.demands[a] for a in fits]
-            remaining = profile.unpack(slots.at(t), inst.slot_bits, inst.n_resources)
-            picked = grasp_knapsack(fits, remaining, dem, vals, rng)
+            dem = [packed[a] for a in fits]
+            picked = grasp_knapsack(fits, slots.at(t), dem, inst.guard, vals, rng)
             placed_any = False
             for idx in sorted(picked, key=lambda i: (-vals[i], fits[i])):
                 a = fits[idx]

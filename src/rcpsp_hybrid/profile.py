@@ -49,12 +49,6 @@ def pack(values: Sequence[int], bits: int) -> int:
     return sum(v << (k * bits) for k, v in enumerate(values))
 
 
-def unpack(value: int, bits: int, n_resources: int) -> list[int]:
-    """The remaining capacity of each resource in one packed value."""
-    low = (1 << (bits - 1)) - 1
-    return [(value >> (k * bits)) & low for k in range(n_resources)]
-
-
 def empty(inst, length: int) -> Profile:
     """Full capacity over [0, length), as one segment."""
     return booked(inst, length, ())

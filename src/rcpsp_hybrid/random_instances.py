@@ -41,5 +41,6 @@ def random_instance(
 
     inst = ProjectInstance(activities, arcs, capacities, name=name)
     problem = validate_instance(inst)
-    assert problem is None, problem
+    if problem is not None:
+        raise ValueError(f"generated an invalid instance: {problem}")
     return inst

@@ -5,8 +5,15 @@ activity ids) into an active schedule, and schedule_to_list turns a
 schedule back into a list, as a tuple; fbi and left_shift are the
 makespan-nonincreasing improvement operators.  All functions are pure
 given (instance, list); an optional `budget` (anything with a charge()
-method) is debited once per full schedule constructed; a serial decode
-served from the instance's memo counts as constructed.
+method) is debited once per full schedule constructed.
+
+Two of them are memoized per instance (model.DecodeMemo), because the
+search asks for the same work again and again: `serial_sgs` on the
+activity order, and `fbi` on its input schedule and pass cap (model.py
+gives both sizes and the sweep behind them).  A hit charges the budget
+what the miss charged, so λ, every record and every schedule are the same
+as without the memos.  `solve` empties both memos when it ends, returning
+or raising.
 
 The serial decode and the right justification search a resource profile
 (profile.py) for each activity's window.  The parallel decode needs none:
@@ -15,7 +22,8 @@ has started started at or before t, so the remaining capacity from t on
 never falls below the capacity at t.  One packed int of free capacity, in
 profile.py's guard-bit layout, decides each fit.  A decoder called on an
 instance with a demand above its capacity (`validate_instance` rejects
-one) raises ValueError.
+one) raises ValueError, and so does FBI on an input schedule that does not
+fit the resources within its makespan.
 """
 
 from __future__ import annotations
@@ -210,7 +218,8 @@ def _right_justify(inst: ProjectInstance, sched: Schedule, budget=None) -> Sched
             if ns < deadline:
                 deadline = ns
         t = place_latest(packed[j], 0, deadline - p, p)
-        assert t is not None, "right justification ran out of room"
+        if t is None:
+            raise ValueError(f"activity {j} fits nowhere before its successors")
         new_start[j] = t
     new_start[0] = 0
     _charge(budget)
@@ -232,13 +241,28 @@ def fbi(
     budget=None,
 ) -> Schedule:
     """Forward-backward improvement: alternate right justification and left
-    shift until a full pass yields no improvement (capped at max_passes)."""
+    shift until a full pass yields no improvement (capped at max_passes).
+
+    Memoized per instance on (sched, max_passes): in ProGen j30 solves,
+    47 % of the right justifications repeat an input, mostly for duplicate
+    initial members.  A hit returns the recorded result and charges the
+    budget the recorded number of schedules at once; nothing reads the
+    budget during FBI, so λ ends the same as on a miss."""
+    key = (sched, max_passes)
+    hit = inst.fbi_memo.get(key)
+    if hit is not None:
+        best, charges = hit
+        _charge(budget, charges)
+        return best
     best = sched
+    charges = 0
     for _ in range(max_passes):
         back = _right_justify(inst, best, budget=budget)
         fwd = left_shift(inst, back, budget=budget)
+        charges += 2  # one right justification, one serial decode
         if fwd.makespan < best.makespan:
             best = fwd
         else:
             break
+    inst.fbi_memo.put(key, (best, charges))
     return best

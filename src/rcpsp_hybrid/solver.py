@@ -247,7 +247,18 @@ def adapt_parameters(state: AdaptiveState, log: Optional[list[str]] = None) -> A
 
 
 def solve(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunStats]:
-    """Run the full hybrid loop and return the best schedule found."""
+    """Run the full hybrid loop and return the best schedule found.
+
+    The instance's decode memos are emptied when the run ends, returning or
+    raising: a caller that keeps many solved instances, as `run_benchmark`
+    at one worker does, would otherwise keep a full memo for each."""
+    try:
+        return _search(inst, config)
+    finally:
+        inst.clear_memos()
+
+
+def _search(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunStats]:
     problem = validate_instance(inst)
     if problem is not None:
         raise ValueError(f"invalid instance: {problem}")

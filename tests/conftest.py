@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+from rcpsp_hybrid import profile
 from rcpsp_hybrid.model import Activity, ProjectInstance
 
 
@@ -16,6 +17,19 @@ def with_zero_durations(inst, rng, share=0.25):
         for a in inst.activities
     ]
     return ProjectInstance(acts, inst.arcs, inst.capacities, name=inst.name)
+
+
+def packed_knapsack(remaining, demands):
+    """A knapsack's capacities and item demands, one list entry per
+    resource, in the packed layout grasp_knapsack takes: (remaining,
+    demands, guard)."""
+    largest = max((d for dem in demands for d in dem), default=0)
+    bits, guard = profile.layout(remaining, largest)
+    return (
+        guard + profile.pack(remaining, bits),
+        [profile.pack(dem, bits) for dem in demands],
+        guard,
+    )
 
 
 @pytest.fixture

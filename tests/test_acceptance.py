@@ -32,6 +32,7 @@ from rcpsp_hybrid.random_instances import random_instance
 from rcpsp_hybrid.ranking import solve_cumulative_relaxation
 from rcpsp_hybrid.sgs import fbi, left_shift, parallel_sgs, serial_sgs
 from rcpsp_hybrid.solver import SolverConfig, solve
+from conftest import packed_knapsack
 from oracles import brute_force_knapsack, brute_force_optimum
 
 
@@ -263,7 +264,7 @@ def test_criterion_8_knapsack_quality():
                 demands.append(d)
                 values.append(round(rng.uniform(0.05, 1.0), 3))
         picked = grasp_knapsack(
-            list(range(m)), remaining, demands, values, rng
+            list(range(m)), *packed_knapsack(remaining, demands), values, rng
         )
         for k, cap in enumerate(remaining):
             assert sum(demands[i][k] for i in picked) <= cap

@@ -314,6 +314,14 @@ def test_repair_precedence_fixes_violations(tiny2):
     assert repair_precedence(tiny2, [0, 3, 1, 2, 4]) == [0, 1, 2, 3, 4]
 
 
+@pytest.mark.parametrize(
+    "seq", [[0, 1, 3], [0, 1, 1, 2, 3], [0, 1, 2, 7], [0, 1, 2, 3, 3]], ids=str
+)
+def test_repair_precedence_rejects_a_non_permutation(tiny1, seq):
+    with pytest.raises(ValueError, match="not a permutation"):
+        repair_precedence(tiny1, seq)
+
+
 def test_next_generation_replaces_even_when_worse(tiny1):
     pop = Population()
     for _ in range(4):

@@ -1,7 +1,7 @@
 """Every module of the package uses each name it imports (the package
-__init__ imports only to re-export, so it is left out), every
-SolverConfig field is read somewhere, and the package imports nothing
-outside the standard library."""
+__init__ imports only to re-export, so it is left out), no module makes a
+check with `assert`, every SolverConfig field is read somewhere, and the
+package imports nothing outside the standard library."""
 
 import ast
 import os
@@ -41,6 +41,23 @@ def test_guard_sees_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def assert_lines(source: str) -> list[int]:
+    """The lines of every assert statement: `python -O` drops them, so a
+    check made with one vanishes."""
+    tree = ast.parse(source)
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert))
+
+
+def test_guard_sees_asserts():
+    source = "def f(x):\n    assert x, 'x'\n    return x\nassert f(1)\n"
+    assert assert_lines(source) == [2, 4]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert assert_lines(path.read_text()) == []
 
 
 def unread_fields(names, sources) -> list[str]:

@@ -7,7 +7,9 @@ from rcpsp_hybrid.model import (
     ProjectInstance,
     Schedule,
     critical_path_lower_bound,
+    earliest_starts,
     is_feasible,
+    latest_starts,
     random_feasible_list,
     validate_instance,
 )
@@ -20,8 +22,8 @@ def test_validate_ok(tiny2):
     assert validate_instance(tiny2) is None
 
 
-def test_validate_cycle():
-    inst = ProjectInstance(
+def _cyclic():
+    return ProjectInstance(
         [
             Activity(0, 0, (0,)),
             Activity(1, 1, (0,)),
@@ -31,7 +33,39 @@ def test_validate_cycle():
         {(0, 1), (1, 2), (2, 1), (2, 3), (1, 3)},
         (1,),
     )
-    assert "cycle" in validate_instance(inst)
+
+
+def test_validate_cycle():
+    assert "cycle" in validate_instance(_cyclic())
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        earliest_starts,
+        critical_path_lower_bound,
+        lambda inst: latest_starts(inst, 10),
+        lambda inst: random_feasible_list(inst, random.Random(0)),
+    ],
+    ids=["earliest_starts", "critical_path", "latest_starts", "random_feasible_list"],
+)
+def test_cycle_raises_value_error(call):
+    """validate_instance rejects a cyclic instance; these helpers, called on
+    one directly, raise ValueError, which `python -O` keeps."""
+    with pytest.raises(ValueError, match="cycle"):
+        call(_cyclic())
+
+
+class _BrokenRng(random.Random):
+    """Draws every integer one past its range."""
+
+    def randint(self, a, b):
+        return b + 1
+
+
+def test_random_instance_rejects_what_it_generated_wrong():
+    with pytest.raises(ValueError, match="generated an invalid instance"):
+        random_instance(_BrokenRng(0), 5, 2)
 
 
 def test_validate_demand_exceeds_capacity():

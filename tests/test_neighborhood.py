@@ -22,7 +22,7 @@ from rcpsp_hybrid.neighborhood import (
 )
 from rcpsp_hybrid.random_instances import random_instance
 from rcpsp_hybrid.sgs import fbi, schedule_to_list, serial_sgs
-from conftest import with_zero_durations
+from conftest import packed_knapsack, with_zero_durations
 from oracles import brute_force_knapsack, is_precedence_feasible_list
 
 
@@ -274,17 +274,22 @@ def test_moves_pinned():
 
 def test_grasp_prefers_heavier_item():
     # two items, only one fits: the higher-value one wins
-    picked = grasp_knapsack([1, 2], [4], [(2,), (3,)], [0.5, 0.75], random.Random(0))
+    picked = grasp_knapsack(
+        [1, 2], *packed_knapsack([4], [(2,), (3,)]), [0.5, 0.75], random.Random(0)
+    )
     assert picked == [1]
 
 
 def test_grasp_empty():
-    assert grasp_knapsack([], [4], [], [], random.Random(0)) == []
+    assert grasp_knapsack([], *packed_knapsack([4], []), [], random.Random(0)) == []
 
 
 def test_grasp_all_fit_takes_all():
     picked = grasp_knapsack(
-        [5, 6, 7], [10, 10], [(1, 2), (2, 1), (3, 3)], [0.2, 0.3, 0.4], random.Random(0)
+        [5, 6, 7],
+        *packed_knapsack([10, 10], [(1, 2), (2, 1), (3, 3)]),
+        [0.2, 0.3, 0.4],
+        random.Random(0),
     )
     assert picked == [0, 1, 2]
 
@@ -315,7 +320,7 @@ def test_grasp_feasible_and_near_optimal():
     for _ in range(trials):
         demands, remaining, values = _random_knapsack(rng, rng.randint(1, 10), 2)
         picked = grasp_knapsack(
-            list(range(len(demands))), remaining, demands, values, rng
+            list(range(len(demands))), *packed_knapsack(remaining, demands), values, rng
         )
         for k, cap in enumerate(remaining):
             assert sum(demands[i][k] for i in picked) <= cap

@@ -59,6 +59,12 @@ def searches(draw):
     return caps, rows, demand, lo, hi, p, per_slot
 
 
+def _unpack(value, bits, n_resources):
+    """The remaining capacity of each resource in one packed value."""
+    low = (1 << (bits - 1)) - 1
+    return [(value >> (k * bits)) & low for k in range(n_resources)]
+
+
 def _expand(prof, bits, n_resources):
     """The profile as one row of remaining capacities per resource, after
     checking the segment invariants."""
@@ -69,7 +75,7 @@ def _expand(prof, bits, n_resources):
     assert all(v & prof.guard == prof.guard for v in vals)
     cols = []
     for i, v in enumerate(vals):
-        cols += [profile.unpack(v, bits, n_resources)] * (times[i + 1] - times[i])
+        cols += [_unpack(v, bits, n_resources)] * (times[i + 1] - times[i])
     return [list(row) for row in zip(*cols)]
 
 
@@ -129,7 +135,7 @@ def test_fits_and_reserve(case):
     prof, packed, expand = _packed(caps, rows, demand, per_slot)
     bits, _ = profile.layout(caps)
     for t in range(len(rows[0])):
-        assert profile.unpack(prof.at(t), bits, len(caps)) == [row[t] for row in rows]
+        assert _unpack(prof.at(t), bits, len(caps)) == [row[t] for row in rows]
     before = prof.copy()
     assert prof.fits(packed, lo, p) == _fits(rows, demand, lo, p)
     assert expand(prof) == rows

@@ -351,9 +351,9 @@ def test_serial_memo_charges_every_call():
 def test_serial_memo_is_bounded_and_not_pickled():
     inst = _criterion_10_instance()
     rng = random.Random(2)
-    for _ in range(inst.serial_memo.SIZE + 10):
+    for _ in range(inst.serial_memo.size + 10):
         serial_sgs(inst, random_feasible_list(inst, rng))
-    assert len(inst.serial_memo) == inst.serial_memo.SIZE
+    assert len(inst.serial_memo) == inst.serial_memo.size
     copy = pickle.loads(pickle.dumps(inst))
     assert len(copy.serial_memo) == 0
     lst = random_feasible_list(inst, rng)
@@ -362,15 +362,15 @@ def test_serial_memo_is_bounded_and_not_pickled():
 
 def test_serial_memo_shared_across_threads():
     """Threads sharing one instance hammer its memo with more distinct
-    lists than it holds; decodes of a 6-activity instance are short, so
+    lists than it holds; decodes of a 10-activity instance are short, so
     an unguarded evict between a lookup and its reordering would show."""
-    inst = random_instance(random.Random(5), 6, 1)
+    inst = random_instance(random.Random(5), 10, 1, edge_probability=0.2)
     rng = random.Random(3)
     lists = sorted(
-        {random_feasible_list(inst, rng) for _ in range(400)}
+        {random_feasible_list(inst, rng) for _ in range(2000)}
     )
-    assert len(lists) > 2 * inst.serial_memo.SIZE
-    fresh = random_instance(random.Random(5), 6, 1)
+    assert len(lists) > 2 * inst.serial_memo.size
+    fresh = random_instance(random.Random(5), 10, 1, edge_probability=0.2)
     want = {lst: serial_sgs(fresh, lst) for lst in lists}
     errors: list[str] = []
 
@@ -395,4 +395,65 @@ def test_serial_memo_shared_across_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not errors, errors[:3]
-    assert len(inst.serial_memo) == inst.serial_memo.SIZE
+    assert len(inst.serial_memo) == inst.serial_memo.size
+
+
+def test_fbi_memo_hit_equals_the_miss_per_pass_cap():
+    """A hit returns the schedule of the miss and charges the same λ; the
+    pass caps 1 and 4 on one input keep an entry each.  The misses run on
+    pickled copies of the instance, which arrive with empty memos."""
+    inst = _criterion_10_instance()
+    rng = random.Random(4)
+    while True:
+        # an input whose first pass improves, so the two caps differ in λ
+        sched = serial_sgs(inst, random_feasible_list(inst, rng))
+        want = {}
+        for passes in (1, 4):
+            budget = Budget(None)
+            fresh = pickle.loads(pickle.dumps(inst))
+            want[passes] = (fbi(fresh, sched, max_passes=passes, budget=budget), budget.used)
+        if want[1][1] != want[4][1]:
+            break
+    for passes in (1, 4, 1, 4):
+        budget = Budget(None)
+        got = fbi(inst, sched, max_passes=passes, budget=budget)
+        assert (got, budget.used) == want[passes]
+    assert len(inst.fbi_memo) == 2
+
+
+def test_fbi_memo_is_bounded_and_not_pickled():
+    inst = _criterion_10_instance()
+    rng = random.Random(6)
+    inputs = [
+        serial_sgs(inst, random_feasible_list(inst, rng))
+        for _ in range(inst.fbi_memo.size + 10)
+    ]
+    for sched in inputs:
+        fbi(inst, sched)
+    assert len(inst.fbi_memo) == inst.fbi_memo.size
+    copy = pickle.loads(pickle.dumps(inst))
+    assert len(copy.fbi_memo) == 0 and len(copy.serial_memo) == 0
+    assert fbi(copy, inputs[-1]) == fbi(inst, inputs[-1])
+
+
+def test_fbi_stops_when_an_activity_fits_nowhere(tiny1):
+    """Both activities of tiny1 start at 0, over the capacity, and the
+    makespan 3 leaves no room to move activity 1 before activity 2: the
+    right justification raises instead of returning a schedule."""
+    with pytest.raises(ValueError, match="activity 1 fits nowhere"):
+        fbi(tiny1, Schedule((0, 0, 0, 3), 3))
+    assert len(tiny1.fbi_memo) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_instances())
+def test_fbi_feasible_never_worse_and_replayed_on_a_hit(case):
+    inst, order = case
+    sched = parallel_sgs(inst, order)
+    miss = Budget(None)
+    out = fbi(inst, sched, budget=miss)
+    assert is_feasible(inst, out)
+    assert out.makespan <= sched.makespan
+    hit = Budget(None)
+    assert fbi(inst, sched, budget=hit) == out
+    assert hit.used == miss.used

@@ -405,6 +405,28 @@ def test_solve_rejects_invalid_instance():
         solve(bad, SolverConfig(lambda_budget=10))
 
 
+def test_solve_releases_its_memos(monkeypatch):
+    """After solve returns, and after it raises, the instance's serial and
+    FBI memos are empty; the run had filled both."""
+    from rcpsp_hybrid import solver
+
+    inst = random_instance(random.Random(13), 12, 2)
+    solve(inst, SolverConfig(lambda_budget=200, population_capacity=6, seed=1))
+    assert len(inst.serial_memo) == 0 and len(inst.fbi_memo) == 0
+
+    filled = []
+
+    def fail(*args):
+        filled.append((len(inst.serial_memo), len(inst.fbi_memo)))
+        raise RuntimeError("stop after the initial population")
+
+    monkeypatch.setattr(solver, "select_parents", fail)
+    with pytest.raises(RuntimeError, match="stop after"):
+        solve(inst, SolverConfig(lambda_budget=200, population_capacity=6, seed=1))
+    assert filled and min(filled[0]) > 0
+    assert len(inst.serial_memo) == 0 and len(inst.fbi_memo) == 0
+
+
 def test_solve_time_limit_only():
     rng = random.Random(10)
     inst = random_instance(rng, 20, 2)
