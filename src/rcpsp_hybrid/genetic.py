@@ -152,7 +152,8 @@ def dense_activities(
     keeping the smaller v_t.  Result sorted by time."""
     T = sched.makespan
     caps = inst.capacities
-    wk_over_rk = [w / c for w, c in zip(weights, caps)]
+    # a resource of zero capacity has no room to leave unused
+    wk_over_rk = [w / c if c else 0.0 for w, c in zip(weights, caps)]
     idle_weight = sum(w * c for w, c in zip(wk_over_rk, caps))
 
     # running set of activities per unit interval via start/finish events

@@ -268,32 +268,36 @@ def critical_path_lower_bound(inst: ProjectInstance) -> int:
     return earliest_starts(inst)[inst.sink]
 
 
+def _longest_paths(inst: ProjectInstance, backward: bool) -> list[int]:
+    """Per activity, the longest duration-weighted path of the activities
+    before it (the CPM head, its earliest start) or, with `backward`, after
+    it (the CPM tail).  The backward pass is the forward one over the
+    reversed topological order with the arcs turned round."""
+    order = inst.topo_order
+    if order is None:
+        raise ValueError("the precedence graph has a cycle")
+    nexts = inst.succs
+    if backward:
+        order, nexts = reversed(order), inst.preds
+    durs = inst.durations
+    length = [0] * len(inst)
+    for j in order:
+        fj = length[j] + durs[j]
+        for s in nexts[j]:
+            if fj > length[s]:
+                length[s] = fj
+    return length
+
+
 def earliest_starts(inst: ProjectInstance) -> list[int]:
     """CPM earliest precedence-feasible starts (resources ignored)."""
-    if inst.topo_order is None:
-        raise ValueError("the precedence graph has a cycle")
-    est = [0] * len(inst)
-    durs = inst.durations
-    for j in inst.topo_order:
-        fj = est[j] + durs[j]
-        for s in inst.succs[j]:
-            if fj > est[s]:
-                est[s] = fj
-    return est
+    return _longest_paths(inst, backward=False)
 
 
 def latest_starts(inst: ProjectInstance, deadline: int) -> list[int]:
     """CPM latest starts so that the sink finishes by `deadline`."""
-    if inst.topo_order is None:
-        raise ValueError("the precedence graph has a cycle")
-    durs = inst.durations
-    lst = [deadline] * len(inst)
-    for j in reversed(inst.topo_order):
-        if inst.succs[j]:
-            lst[j] = min(lst[s] for s in inst.succs[j]) - durs[j]
-        else:
-            lst[j] = deadline - durs[j]
-    return lst
+    tail = _longest_paths(inst, backward=True)
+    return [deadline - q - p for q, p in zip(tail, inst.durations)]
 
 
 def random_feasible_list(inst: ProjectInstance, rng) -> tuple[int, ...]:

@@ -16,6 +16,10 @@ from . import profile
 # share of the value-ranked feasible items a randomized GRASP construction
 # picks from
 RCL_FRACTION = 0.5
+# GRASP constructions per knapsack, the greedy one included
+GRASP_CONSTRUCTIONS = 16
+# λ_NS: placement attempts of one N_A move before it returns None
+NA_TRIES = 5
 # visited-solution fingerprints the tabu list remembers
 TABU_CAPACITY = 50
 
@@ -194,12 +198,12 @@ def grasp_knapsack(
     guard: int,
     values: Sequence[float],
     rng,
-    constructions: int = 16,
 ) -> list[int]:
-    """Multi-dimensional knapsack via GRASP: repeated randomized-greedy
-    constructions (restricted candidate list = top RCL_FRACTION by value)
-    keeping the best; the pure greedy construction is always included, so
-    the result never falls below it.  Returns indices into `eligible`.
+    """Multi-dimensional knapsack via GRASP: GRASP_CONSTRUCTIONS
+    randomized-greedy constructions (restricted candidate list = top
+    RCL_FRACTION by value) keeping the best; the pure greedy construction
+    is the first of them, so the result never falls below it.  Returns
+    indices into `eligible`.
 
     The capacity and the demands are packed in the layout of profile.py:
     `remaining` carries the guard bits `guard`, the demands do not, and an
@@ -230,7 +234,7 @@ def grasp_knapsack(
         return total, sorted(picked)
 
     best_total, best_picked = construct(randomized=False)
-    for _ in range(max(0, constructions - 1)):
+    for _ in range(GRASP_CONSTRUCTIONS - 1):
         total, picked = construct(randomized=True)
         if total > best_total or (total == best_total and picked < best_picked):
             best_total, best_picked = total, picked
@@ -268,7 +272,7 @@ def neighborhood_b_move(
     horizon = inst.horizon + 1
     packed = inst.packed_demand
     slots = profile.empty(inst, horizon)
-    starts, prefix_finish = serial_place(inst, prefix, slots)
+    starts, prefix_finish = serial_place(inst, prefix, slots, inst.preds, inst.horizon)
     finish = {a: prefix_finish[a] for a in prefix}
 
     # parallel extension over the block with knapsack-selected batches
@@ -342,7 +346,6 @@ def ns_run(
     steps: int,
     rng,
     P: int = 4,
-    lambda_ns: int = 5,
     budget=None,
     tabu: Optional[TabuList] = None,
     stats: Optional[NsStats] = None,
@@ -370,7 +373,7 @@ def ns_run(
                 current.schedule,
                 block,
                 weights,
-                tries=lambda_ns,
+                tries=NA_TRIES,
                 rng=rng,
                 budget=budget,
             )

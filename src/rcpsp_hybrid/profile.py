@@ -21,19 +21,22 @@ guard tests all resources of a segment at once, and value -= demand books
 it.  A demand above its capacity (`validate_instance` rejects one) then
 fits nowhere, so a decoder called on such an instance finds no start.
 
-`place` and `place_latest` return the earliest (latest) fitting start
-exactly, as a scan trying every candidate would: they test a window one
-segment at a time, and on a conflict they skip the whole run of segments
+`place` is the one window search.  It returns the earliest fitting start
+exactly, as a scan trying every candidate would: it tests a window one
+segment at a time, and on a conflict it skips the whole run of segments
 short of some resource, since no window covering such a segment fits.
-That is why the serial decode and the right justification built on them
-give the start vectors of the stepwise oracles in tests/oracles.py, which
-keep one list row per resource and try one start at a time
-(tests/test_sgs.py compares the two).
+The right justification needs the latest fitting start instead, and gets
+it from `place` on a mirrored time axis (sgs._right_justify): over [0, T]
+the window [t, t+p) maps to [T-t-p, T-t), so the latest fit before a
+deadline is the earliest fit after a release time.  That is why the
+serial decode and the right justification give the start vectors of the
+stepwise oracles in tests/oracles.py, which keep one list row per
+resource and try one start at a time (tests/test_sgs.py compares them).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from typing import Iterable, Optional, Sequence
 
 
@@ -110,13 +113,6 @@ class Profile:
                 return True
         return False
 
-    def reserve(self, demand: int, t: int, p: int) -> None:
-        """Book the packed demand over [t, t+p)."""
-        if p and demand:
-            times = self.times
-            i = bisect_right(times, t) - 1
-            self._book(demand, t, t + p, i, bisect_left(times, t + p, i))
-
     def _book(self, demand: int, t: int, end: int, i: int, k: int) -> None:
         """Book [t, end), which starts in segment i and ends at or before
         times[k], splitting the two segments it starts and ends inside."""
@@ -155,29 +151,4 @@ class Profile:
                 k += 1
             t = times[k]
             i = k
-        return None
-
-    def place_latest(self, demand: int, lo: int, hi: int, p: int) -> Optional[int]:
-        """Book the latest window [t, t+p) with lo <= t <= hi that fits and
-        return t; return None, booking nothing, when none fits."""
-        if not (p and demand):
-            return hi if lo <= hi else None
-        times, vals, guard = self.times, self.vals, self.guard
-        t = hi
-        k = bisect_right(times, t + p - 1) - 1
-        while t >= lo:
-            i = k
-            while (vals[i] - demand) & guard == guard:
-                if times[i] <= t:
-                    self._book(demand, t, t + p, i, k + 1)
-                    return t
-                i -= 1
-            # the window must end before this run of short segments
-            i -= 1
-            while i >= 0 and (vals[i] - demand) & guard != guard:
-                i -= 1
-            if i < 0:
-                return None
-            k = i
-            t = times[i + 1] - p
         return None

@@ -105,7 +105,7 @@ def _parse_precedence(lines: list[str], job_count: int) -> dict[int, list[int]]:
     start, body = _section_body(lines, _PRECEDENCE)
     successors: dict[int, list[int]] = {}
     for off, line in enumerate(body):
-        nums = [int(x) for x in re.findall(r"\d+", line)]
+        nums = [int(x) for x in re.findall(r"-?\d+", line)]
         if not nums:
             continue
         if len(nums) < 3:
@@ -183,7 +183,7 @@ def _parse_availabilities(lines: list[str]) -> list[int]:
     start, body = _section_body(lines, _AVAILABILITIES)
     for off, line in enumerate(body):
         if re.search(r"\d", line) and not re.search(r"[A-Za-z]", line):
-            return [int(x) for x in re.findall(r"\d+", line)]
+            return [int(x) for x in re.findall(r"-?\d+", line)]
     raise PsplibParseError(
         f"section '{_AVAILABILITIES}' carries no capacity line"
     )

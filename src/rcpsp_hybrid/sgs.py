@@ -15,8 +15,11 @@ what the miss charged, so λ, every record and every schedule are the same
 as without the memos.  `solve` empties both memos when it ends, returning
 or raising.
 
-The serial decode and the right justification search a resource profile
-(profile.py) for each activity's window.  The parallel decode needs none:
+The serial decode and the right justification share one placement loop,
+`serial_place`, which searches a resource profile (profile.py) for each
+activity's earliest window.  The right justification runs it on the time
+axis mirrored in [0, T], with successors as predecessors, so the earliest
+mirrored window is the latest real one.  The parallel decode needs none:
 it starts activities only at the decision time t, and every activity it
 has started started at or before t, so the remaining capacity from t on
 never falls below the capacity at t.  One packed int of free capacity, in
@@ -60,7 +63,9 @@ def serial_sgs(
     order = tuple(lst)
     sched = inst.serial_memo.get(order)
     if sched is None:
-        starts, finish = serial_place(inst, order, profile.empty(inst, inst.horizon + 1))
+        starts, finish = serial_place(
+            inst, order, profile.empty(inst, inst.horizon + 1), inst.preds, inst.horizon
+        )
         sched = Schedule(tuple(starts), finish[inst.sink])
         inst.serial_memo.put(order, sched)
     _charge(budget)
@@ -68,17 +73,20 @@ def serial_sgs(
 
 
 def serial_place(
-    inst: ProjectInstance, order: Sequence[int], rem: profile.Profile
+    inst: ProjectInstance,
+    order: Sequence[int],
+    rem: profile.Profile,
+    preds: Sequence[Sequence[int]],
+    horizon: int,
 ) -> tuple[list[int], list[int]]:
     """Place `order` serially into the profile `rem` (covering at least
-    [0, horizon)): each activity at the earliest start after its
-    predecessors' finishes at which it fits.  Returns the start and finish
-    vectors; an activity missing from the order keeps start and finish 0,
-    so it does not hold back its successors."""
+    [0, horizon)): each activity at the earliest start after the finishes
+    of its `preds` at which it fits and finishes by `horizon`.  Returns the
+    start and finish vectors; an activity missing from the order keeps
+    start and finish 0, so it holds back no activity that lists it in
+    `preds`.  Raises ValueError when an activity fits nowhere."""
     durs = inst.durations
-    preds = inst.preds
     packed = inst.packed_demand
-    horizon = inst.horizon
     place = rem.place
     starts = [0] * len(inst)
     finish = [0] * len(inst)
@@ -91,7 +99,7 @@ def serial_place(
                 est = f
         t = place(packed[j], est, horizon - p, p)
         if t is None:
-            raise ValueError(f"activity {j} fits nowhere before the horizon {horizon}")
+            raise ValueError(f"activity {j} fits nowhere within the horizon {horizon}")
         starts[j] = t
         finish[j] = t + p
     return starts, finish
@@ -199,31 +207,19 @@ def _backward_order(inst: ProjectInstance, starts: Sequence[int]) -> list[int]:
 
 def _right_justify(inst: ProjectInstance, sched: Schedule, budget=None) -> Schedule:
     """Schedule backward in decreasing finish-time order: each activity is
-    moved to its latest resource-feasible start before its successors."""
+    moved to its latest resource-feasible start before its successors.
+
+    This is the serial placement on the time axis mirrored in [0, T]: the
+    window [t, t+p) maps to [T-t-p, T-t), successors become predecessors,
+    and the latest start before a deadline becomes the earliest start
+    after a release time.  So each start is T minus the mirrored finish."""
     T = sched.makespan
-    durs = inst.durations
-    succs = inst.succs
-    packed = inst.packed_demand
-    sink = inst.sink
-    place_latest = profile.empty(inst, T + 1).place_latest
-    new_start = [0] * len(inst)
-    new_start[sink] = T
-    for j in _backward_order(inst, sched.starts):
-        if j == sink:
-            continue
-        p = durs[j]
-        deadline = T
-        for s in succs[j]:
-            ns = new_start[s]
-            if ns < deadline:
-                deadline = ns
-        t = place_latest(packed[j], 0, deadline - p, p)
-        if t is None:
-            raise ValueError(f"activity {j} fits nowhere before its successors")
-        new_start[j] = t
-    new_start[0] = 0
+    order = _backward_order(inst, sched.starts)
+    _, finish = serial_place(inst, order, profile.empty(inst, T + 1), inst.succs, T)
+    starts = [T - f for f in finish]
+    starts[0] = 0
     _charge(budget)
-    return Schedule(tuple(new_start), T)
+    return Schedule(tuple(starts), T)
 
 
 def left_shift(inst: ProjectInstance, sched: Schedule, budget=None) -> Schedule:

@@ -2,6 +2,7 @@ import os
 import sys
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -17,6 +18,29 @@ def with_zero_durations(inst, rng, share=0.25):
         for a in inst.activities
     ]
     return ProjectInstance(acts, inst.arcs, inst.capacities, name=inst.name)
+
+
+@st.composite
+def small_instances(draw):
+    """Up to 8 real activities on 1 to 3 resources, with zero durations,
+    zero demands and zero capacities, and any order of the activities:
+    the parallel decoder ranks only the eligible ones by it."""
+    n = draw(st.integers(0, 8))
+    caps = draw(st.lists(st.sampled_from([0, 0, 1, 2, 3, 7, 8]), min_size=1, max_size=3))
+    sink = n + 1
+    acts = [Activity(0, 0, (0,) * len(caps))]
+    for j in range(1, sink):
+        demand = tuple(draw(st.one_of(st.just(0), st.just(c), st.integers(0, c))) for c in caps)
+        acts.append(Activity(j, draw(st.sampled_from([0, 0, 1, 2, 3, 5])), demand))
+    acts.append(Activity(sink, 0, (0,) * len(caps)))
+    pairs = [(i, j) for i in range(1, sink) for j in range(i + 1, sink)]
+    arcs = set(draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else [])
+    arcs |= {(0, j) for j in range(1, sink) if all(b != j for _, b in arcs)}
+    arcs |= {(i, sink) for i in range(1, sink) if all(a != i for a, _ in arcs)}
+    if not n:
+        arcs = {(0, sink)}
+    inst = ProjectInstance(acts, arcs, caps)
+    return inst, draw(st.permutations(range(len(inst))))
 
 
 def packed_knapsack(remaining, demands):

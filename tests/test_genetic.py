@@ -2,6 +2,7 @@ import inspect
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rcpsp_hybrid import genetic
 from rcpsp_hybrid.genetic import (
@@ -28,7 +29,7 @@ from rcpsp_hybrid.model import (
 from rcpsp_hybrid.random_instances import random_instance
 from rcpsp_hybrid.sgs import fbi, serial_sgs
 from rcpsp_hybrid.solver import Budget
-from conftest import with_zero_durations
+from conftest import small_instances, with_zero_durations
 from oracles import is_precedence_feasible_list
 
 
@@ -347,3 +348,31 @@ def test_next_generation_counts(tiny1):
     assert len(out) == 4
     spans = [m.makespan for m in out]
     assert spans == sorted(spans)
+
+
+# ------------------------------------------------- properties on small instances
+
+
+@st.composite
+def parent_pairs(draw):
+    """Two individuals on a small instance (conftest.small_instances), from
+    drawn lists repaired and decoded serially, their dense genes at a drawn
+    threshold and weights, and an rng."""
+    inst, order = draw(small_instances())
+    other = draw(st.permutations(range(len(inst))))
+    parents = [_individual(inst, repair_precedence(inst, o)) for o in (order, other)]
+    k = inst.n_resources
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
+    threshold = draw(st.floats(0.0, 1.0)) * sum(weights)
+    genes = [p.dense_genes(inst, threshold, weights) for p in parents]
+    return inst, parents, genes, random.Random(draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(parent_pairs())
+def test_crossovers_and_mutation_give_precedence_feasible_lists(case):
+    inst, (p1, p2), (g1, g2), rng = case
+    assert is_precedence_feasible_list(inst, crossover_a(inst, p1, p2, g1, g2))
+    assert is_precedence_feasible_list(inst, crossover_b(inst, p1, p2, g1, g2, rng))
+    for iterations in (1, 2, 5):
+        assert is_precedence_feasible_list(inst, mutate(inst, p1.list, iterations, rng))

@@ -1,5 +1,6 @@
 """Every module of the package uses each name it imports (the package
-__init__ imports only to re-export, so it is left out), no module makes a
+__init__ imports only to re-export, so it is left out), every function,
+class and method it defines is named somewhere in it, no module makes a
 check with `assert`, every SolverConfig field is read somewhere, and the
 package imports nothing outside the standard library."""
 
@@ -41,6 +42,46 @@ def test_guard_sees_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unnamed_definitions(sources: dict[str, str]) -> list[str]:
+    """The functions, classes and methods defined in `sources` (module name
+    to source text), dunders aside, whose name no module ever uses as a
+    name, an attribute or an imported name, so that a re-export in the
+    package __init__ counts as a use."""
+    defined = []
+    named = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.name, node.lineno))
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                named.update(alias.name for alias in node.names)
+    return [
+        f"{module}.{name} (line {line})"
+        for module, name, line in sorted(defined)
+        if name not in named and not (name.startswith("__") and name.endswith("__"))
+    ]
+
+
+def test_guard_sees_unnamed_definitions():
+    sources = {
+        "a": "class C:\n    def __len__(self):\n        return 0\n    def m(self):\n"
+        "        return helper()\n    def dead(self):\n        pass\n"
+        "def helper():\n    return C().m()\ndef gone():\n    pass\n",
+        "__init__": "from .a import C\n",
+    }
+    assert unnamed_definitions(sources) == ["a.dead (line 6)", "a.gone (line 10)"]
+
+
+def test_every_definition_is_named():
+    """A definition nothing names is dead code: only tests could reach it."""
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unnamed_definitions(sources) == []
 
 
 def assert_lines(source: str) -> list[int]:

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rcpsp_hybrid.model import (
     Activity,
@@ -15,6 +16,7 @@ from rcpsp_hybrid.model import (
 )
 from rcpsp_hybrid.random_instances import random_instance
 from rcpsp_hybrid.sgs import serial_sgs
+from conftest import small_instances
 from oracles import is_precedence_feasible_list
 
 
@@ -122,6 +124,24 @@ def test_is_feasible_rejects_precedence_violation(tiny2):
 def test_critical_path(tiny1, tiny2):
     assert critical_path_lower_bound(tiny2) == 9
     assert critical_path_lower_bound(tiny1) == 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_instances(), st.integers(0, 6))
+def test_cpm_starts_meet_their_definitions(case, slack):
+    """Earliest starts: 0 without predecessors, else the latest predecessor
+    finish.  Latest starts: the deadline without successors, else the
+    earliest successor start, less the duration."""
+    inst, _ = case
+    durs = inst.durations
+    est = earliest_starts(inst)
+    for j in range(len(inst)):
+        assert est[j] == max((est[i] + durs[i] for i in inst.preds[j]), default=0)
+    deadline = est[inst.sink] + slack
+    lst = latest_starts(inst, deadline)
+    for j in range(len(inst)):
+        assert lst[j] == min((lst[s] for s in inst.succs[j]), default=deadline) - durs[j]
+    assert lst[0] == slack
 
 
 def test_critical_path_dummy_only():

@@ -2,8 +2,9 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rcpsp_hybrid.genetic import Individual
+from rcpsp_hybrid.genetic import Individual, repair_precedence
 from rcpsp_hybrid.model import (
     Schedule,
     is_feasible,
@@ -21,8 +22,8 @@ from rcpsp_hybrid.neighborhood import (
     tabu_status,
 )
 from rcpsp_hybrid.random_instances import random_instance
-from rcpsp_hybrid.sgs import fbi, schedule_to_list, serial_sgs
-from conftest import packed_knapsack, with_zero_durations
+from rcpsp_hybrid.sgs import fbi, parallel_sgs, schedule_to_list, serial_sgs
+from conftest import packed_knapsack, small_instances, with_zero_durations
 from oracles import brute_force_knapsack, is_precedence_feasible_list
 
 
@@ -368,3 +369,45 @@ def test_ns_run_improves_random_starts():
         if out.makespan < start.makespan:
             improved += 1
     assert improved > 0
+
+
+# ------------------------------------------------- properties on small instances
+
+
+@st.composite
+def moves(draw):
+    """A small instance (conftest.small_instances) with a real activity, an
+    individual on it (a drawn list, repaired, decoded serially or in
+    parallel, and sometimes delayed after the source so that N_A can
+    improve it), a block around a drawn core, weights and an rng."""
+    inst, order = draw(small_instances().filter(lambda case: case[0].n_real))
+    lst = tuple(repair_precedence(inst, order))
+    decode = draw(st.sampled_from([serial_sgs, parallel_sgs]))
+    delay = draw(st.sampled_from([0, 0, 2]))
+    starts = [0] + [s + delay for s in decode(inst, lst).starts[1:]]
+    ind = Individual(lst, Schedule.from_starts(inst, starts))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    core = draw(st.integers(1, inst.n_real))
+    block = create_block(inst, core, ind.schedule, draw(st.integers(1, 6)), rng)
+    k = inst.n_resources
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
+    return inst, ind, block, weights, rng
+
+
+@settings(max_examples=300, deadline=None)
+@given(moves())
+def test_neighborhood_a_gives_none_or_a_feasible_shorter_schedule(case):
+    inst, ind, block, weights, rng = case
+    moved = neighborhood_a_move(inst, ind.schedule, block, weights, tries=5, rng=rng)
+    if moved is not None:
+        assert is_feasible(inst, moved)
+        assert moved.makespan < ind.makespan
+
+
+@settings(max_examples=300, deadline=None)
+@given(moves())
+def test_neighborhood_b_gives_none_or_a_precedence_feasible_list(case):
+    inst, ind, block, weights, rng = case
+    rebuilt = neighborhood_b_move(inst, ind.list, ind.schedule, block, weights, rng)
+    if rebuilt is not None:
+        assert is_precedence_feasible_list(inst, rebuilt)

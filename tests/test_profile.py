@@ -26,10 +26,6 @@ def _earliest(rows, demand, lo, hi, p):
     return next((t for t in range(lo, hi + 1) if _fits(rows, demand, t, p)), None)
 
 
-def _latest(rows, demand, lo, hi, p):
-    return next((t for t in range(hi, lo - 1, -1) if _fits(rows, demand, t, p)), None)
-
-
 @st.composite
 def _edge_value(draw, top):
     """0..top, often exactly 0 or top."""
@@ -116,21 +112,11 @@ def test_place_is_the_earliest_fit(case):
     assert expand(prof) == (rows if want is None else _booked(rows, demand, want, p))
 
 
-@settings(max_examples=400, deadline=None)
-@given(searches())
-def test_place_latest_is_the_latest_fit(case):
-    caps, rows, demand, lo, hi, p, per_slot = case
-    want = _latest(rows, demand, lo, hi, p)
-    prof, packed, expand = _packed(caps, rows, demand, per_slot)
-    got = prof.place_latest(packed, lo, hi, p)
-    assert got == want
-    assert expand(prof) == (rows if want is None else _booked(rows, demand, want, p))
-
-
 @settings(max_examples=200, deadline=None)
 @given(searches())
 def test_fits_and_reserve(case):
-    """fits and reserve, and the copy and the value at each t beside them."""
+    """fits and a booking at one fixed start (a search with lo == hi), and
+    the copy and the value at each t beside them."""
     caps, rows, demand, lo, _, p, per_slot = case
     prof, packed, expand = _packed(caps, rows, demand, per_slot)
     bits, _ = profile.layout(caps)
@@ -140,7 +126,7 @@ def test_fits_and_reserve(case):
     assert prof.fits(packed, lo, p) == _fits(rows, demand, lo, p)
     assert expand(prof) == rows
     if _fits(rows, demand, lo, p):
-        prof.reserve(packed, lo, p)
+        assert prof.place(packed, lo, lo, p) == lo
         assert expand(prof) == _booked(rows, demand, lo, p)
         assert expand(before) == rows
 
@@ -157,10 +143,10 @@ def test_empty_holds_every_capacity(caps, length):
 @settings(max_examples=200, deadline=None)
 @given(capacities(), st.integers(1, 14), st.data())
 def test_operation_sequences_match_the_oracle(caps, length, data):
-    """Random reserve / place / place_latest sequences from a full profile.
-    Starts and window ends are often drawn from the current segment
-    boundaries and the profile's end; durations and demands include 0 and
-    `hi < lo` occurs."""
+    """Random sequences of searches from a full profile, half of them at one
+    fixed start (lo == hi).  Starts and window ends are often drawn from the
+    current segment boundaries and the profile's end; durations and demands
+    include 0 and `hi < lo` occurs."""
     inst = _instance(caps)
     bits = inst.slot_bits
     prof = profile.empty(inst, length)
@@ -171,31 +157,22 @@ def test_operation_sequences_match_the_oracle(caps, length, data):
         p = data.draw(st.integers(0, length))
         bounds = [t for t in prof.times if t <= length - p]
         point = st.one_of(st.sampled_from(bounds), st.integers(0, length - p))
-        op = data.draw(st.sampled_from(["reserve", "place", "place_latest"]))
-        if op == "reserve":
-            t = data.draw(point)
-            if _fits(rows, demand, t, p):
-                prof.reserve(packed, t, p)
-                rows = _booked(rows, demand, t, p)
+        lo = data.draw(point)
+        if data.draw(st.booleans()):
+            hi = lo
         else:
-            lo = data.draw(point)
             hi = data.draw(st.one_of(point, st.integers(lo - 2, length - p)))
-            if op == "place":
-                want = _earliest(rows, demand, lo, hi, p)
-                got = prof.place(packed, lo, hi, p)
-            else:
-                want = _latest(rows, demand, lo, hi, p)
-                got = prof.place_latest(packed, lo, hi, p)
-            assert got == want
-            if want is not None:
-                rows = _booked(rows, demand, want, p)
+        want = _earliest(rows, demand, lo, hi, p)
+        assert prof.place(packed, lo, hi, p) == want
+        if want is not None:
+            rows = _booked(rows, demand, want, p)
         assert _expand(prof, bits, len(caps)) == rows
 
 
 @settings(max_examples=200, deadline=None)
 @given(capacities(), st.integers(1, 14), st.data())
 def test_booked_equals_one_reserve_per_booking(caps, length, data):
-    """The one-sweep build gives the profile that reserving each booking in
+    """The one-sweep build gives the profile that booking each window in
     turn gives, whatever order the bookings come in."""
     inst = _instance(caps)
     bits = inst.slot_bits

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from rcpsp_hybrid.cli import main
 from rcpsp_hybrid.model import validate_instance
 from rcpsp_hybrid.psplib import (
     PsplibParseError,
@@ -12,6 +13,7 @@ from rcpsp_hybrid.psplib import (
     write_sm,
 )
 from rcpsp_hybrid.random_instances import random_instance
+from conftest import FIXTURE_A
 
 
 def test_parse_fixture_a(fixture_a_text):
@@ -92,6 +94,29 @@ def test_load_dataset_sorted(tmp_path, fixture_a_text):
 def test_load_dataset_empty(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_dataset(str(tmp_path))
+
+
+@pytest.mark.parametrize(
+    "old, new, problem",
+    [
+        ("   1        1          2           2   3", "   1        1          2          -2   3",
+         "successor -2 is outside jobs 1..4"),
+        ("  R 1\n   4\n", "  R 1\n  -4\n", "negative capacity -4"),
+    ],
+    ids=["negative-successor", "negative-capacity"],
+)
+def test_minus_signs_reach_the_checks(tmp_path, capsys, old, new, problem):
+    """A minus sign is read, not dropped: -2 is not job 2, nor -4 a
+    capacity of 4."""
+    assert old in FIXTURE_A
+    text = FIXTURE_A.replace(old, new)
+    with pytest.raises(ValueError, match=problem):
+        parse_sm(text)
+    path = tmp_path / "minus.sm"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert problem in err and "internal error" not in err
 
 
 def _edit_lines(text, rng):

@@ -4,7 +4,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from rcpsp_hybrid import sgs
 from rcpsp_hybrid.model import (
@@ -23,7 +23,7 @@ from rcpsp_hybrid.sgs import (
     serial_sgs,
 )
 from rcpsp_hybrid.solver import Budget
-from conftest import with_zero_durations
+from conftest import small_instances, with_zero_durations
 from oracles import (
     brute_force_optimum,
     is_precedence_feasible_list,
@@ -262,29 +262,6 @@ def test_decoders_match_stepwise_oracles():
             assert back.starts == reference_right_justify_starts(
                 inst, back_order, sched.makespan
             )
-
-
-@st.composite
-def small_instances(draw):
-    """Up to 8 real activities on 1 to 3 resources, with zero durations,
-    zero demands and zero capacities, and any order of the activities:
-    the parallel decoder ranks only the eligible ones by it."""
-    n = draw(st.integers(0, 8))
-    caps = draw(st.lists(st.sampled_from([0, 0, 1, 2, 3, 7, 8]), min_size=1, max_size=3))
-    sink = n + 1
-    acts = [Activity(0, 0, (0,) * len(caps))]
-    for j in range(1, sink):
-        demand = tuple(draw(st.one_of(st.just(0), st.just(c), st.integers(0, c))) for c in caps)
-        acts.append(Activity(j, draw(st.sampled_from([0, 0, 1, 2, 3, 5])), demand))
-    acts.append(Activity(sink, 0, (0,) * len(caps)))
-    pairs = [(i, j) for i in range(1, sink) for j in range(i + 1, sink)]
-    arcs = set(draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else [])
-    arcs |= {(0, j) for j in range(1, sink) if all(b != j for _, b in arcs)}
-    arcs |= {(i, sink) for i in range(1, sink) if all(a != i for a, _ in arcs)}
-    if not n:
-        arcs = {(0, sink)}
-    inst = ProjectInstance(acts, arcs, caps)
-    return inst, draw(st.permutations(range(len(inst))))
 
 
 @settings(max_examples=300, deadline=None)
