@@ -123,6 +123,8 @@ class ProjectInstance:
         largest = max((d for dem in self.demands for d in dem), default=0)
         self.slot_bits, self.guard = profile.layout(self.capacities, largest)
         self.packed_demand = [profile.pack(dem, self.slot_bits) for dem in self.demands]
+        # the full capacities, guard bits included: an empty profile's value
+        self.packed_capacity = self.guard + profile.pack(self.capacities, self.slot_bits)
         self.topo_order = topological_order(self)
         self._new_memos()
 

@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 
 from .model import ProjectInstance, Schedule
 from .genetic import Individual, repair_precedence
-from .sgs import left_shift, schedule_to_list, serial_place, serial_sgs
+from .sgs import left_shift, schedule_to_list, serial_sgs
 from . import profile
 
 # share of the value-ranked feasible items a randomized GRASP construction
@@ -272,7 +272,7 @@ def neighborhood_b_move(
     horizon = inst.horizon + 1
     packed = inst.packed_demand
     slots = profile.empty(inst, horizon)
-    starts, prefix_finish = serial_place(inst, prefix, slots, inst.preds, inst.horizon)
+    starts, prefix_finish = profile.serial_place(inst, prefix, slots, inst.preds, inst.horizon)
     finish = {a: prefix_finish[a] for a in prefix}
 
     # parallel extension over the block with knapsack-selected batches

@@ -83,7 +83,11 @@ def solve_cumulative_relaxation(
             work[k] += d * p
     lo = cp
     for k, w in enumerate(work):
+        if not w:
+            continue  # a resource nothing demands, of any capacity, binds nothing
         cap = inst.capacities[k]
+        if cap <= 0:
+            raise ValueError(f"resource {k}: demanded, but its capacity is {cap}")
         need = -(-w // cap)  # ceil
         if need > lo:
             lo = need
@@ -109,11 +113,13 @@ def rank_resources(
     capacities: Sequence[int],
     relaxed_makespan: int,
 ) -> tuple[int, ...]:
-    """Resources sorted by ascending relative residue; ties by index."""
+    """Resources sorted by ascending relative residue; ties by index.  A
+    resource without capacity, which no activity of a valid instance
+    demands, counts as wholly unused (relative residue 1)."""
     T = max(relaxed_makespan, 1)
 
     def frac(k: int) -> float:
-        return residues[k] / (T * capacities[k])
+        return residues[k] / (T * capacities[k]) if capacities[k] else 1.0
 
     return tuple(sorted(range(len(residues)), key=lambda k: (frac(k), k)))
 

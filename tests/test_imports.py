@@ -1,8 +1,9 @@
 """Every module of the package uses each name it imports (the package
 __init__ imports only to re-export, so it is left out), every function,
-class and method it defines is named somewhere in it, no module makes a
-check with `assert`, every SolverConfig field is read somewhere, and the
-package imports nothing outside the standard library."""
+class and method it defines is named somewhere in it, no module but
+profile.py reads a profile's change points, no module makes a check with
+`assert`, every SolverConfig field is read somewhere, and the package
+imports nothing outside the standard library."""
 
 import ast
 import os
@@ -82,6 +83,31 @@ def test_every_definition_is_named():
     """A definition nothing names is dead code: only tests could reach it."""
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unnamed_definitions(sources) == []
+
+
+def profile_field_reads(source: str) -> list[int]:
+    """The lines that read an attribute named `times` or `vals`: the change
+    points of a profile, whose format only profile.py may know."""
+    tree = ast.parse(source)
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("times", "vals")
+    )
+
+
+def test_guard_sees_profile_field_reads():
+    source = "def f(rem):\n    times = rem.times\n    return rem.vals[0], times\n"
+    assert profile_field_reads(source) == [2, 3]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "profile.py"],
+    ids=lambda p: p.name,
+)
+def test_only_profile_reads_the_change_points(path):
+    assert profile_field_reads(path.read_text()) == []
 
 
 def assert_lines(source: str) -> list[int]:

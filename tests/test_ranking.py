@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from rcpsp_hybrid.model import critical_path_lower_bound, random_feasible_list
+from rcpsp_hybrid.model import (
+    Activity,
+    ProjectInstance,
+    critical_path_lower_bound,
+    random_feasible_list,
+)
 from rcpsp_hybrid.random_instances import random_instance
 from rcpsp_hybrid.ranking import (
     WeightConfigError,
@@ -19,6 +24,19 @@ def test_relaxation_inactive_on_zero_demands(tiny2):
     sched, residues = solve_cumulative_relaxation(tiny2)
     assert sched.makespan == 9
     assert residues == (9 * 1,)
+
+
+def test_relaxation_stops_on_a_demanded_zero_capacity():
+    """validate_instance rejects a demand above a capacity of 0; called
+    directly, the relaxation raises instead of dividing by it, or doubling
+    its trial makespan forever."""
+    inst = ProjectInstance(
+        [Activity(0, 0, (0, 0)), Activity(1, 2, (1, 1)), Activity(2, 0, (0, 0))],
+        {(0, 1), (1, 2)},
+        (1, 0),
+    )
+    with pytest.raises(ValueError, match="resource 1"):
+        solve_cumulative_relaxation(inst)
 
 
 def test_relaxation_tiny1(tiny1):

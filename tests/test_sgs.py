@@ -273,6 +273,23 @@ def test_parallel_matches_the_stepwise_oracle(case):
     assert is_feasible(inst, sched)
 
 
+@settings(max_examples=300, deadline=None)
+@given(small_instances())
+def test_serial_and_right_justification_match_the_stepwise_oracles(case):
+    """The serial placement loop of profile.py, run forward by the serial
+    decode and mirrored by the right justification, gives the oracles'
+    starts: on zero durations, demands and capacities, on orders that
+    are not topological, and on bookings that cover one segment or span
+    several."""
+    inst, order = case
+    assert serial_sgs(inst, order).starts == reference_serial_starts(inst, order)
+    sched = parallel_sgs(inst, order)
+    back = sgs._right_justify(inst, sched)
+    back_order = sgs._backward_order(inst, sched.starts)
+    assert back.starts == reference_right_justify_starts(inst, back_order, sched.makespan)
+    assert is_feasible(inst, back)
+
+
 def _over_capacity(demand):
     """One activity demanding `demand` of a resource of capacity 2, after
     one that fits."""
