@@ -7,6 +7,7 @@ from __future__ import annotations
 import heapq
 from bisect import insort
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Optional, Sequence
 
 from .model import ProjectInstance, Schedule, random_feasible_list
@@ -156,20 +157,21 @@ def dense_activities(
     wk_over_rk = [w / c if c else 0.0 for w, c in zip(weights, caps)]
     idle_weight = sum(w * c for w, c in zip(wk_over_rk, caps))
 
-    # running set of activities per unit interval via start/finish events
-    events: list[list[int]] = [[] for _ in range(T + 1)]
+    # running set of activities per unit interval via start/finish events;
+    # at each time the events keep id order, starts and finishes mixed
+    events: dict[int, list[int]] = {}
     for j in range(1, inst.sink):
         p = inst.durations[j]
         if p == 0:
             continue
-        events[sched.starts[j]].append(j)
-        events[sched.starts[j] + p].append(-j)
-    event_times = sorted(t for t in range(T + 1) if events[t])
+        s = sched.starts[j]
+        events.setdefault(s, []).append(j)
+        events.setdefault(s + p, []).append(-j)
 
     candidates: list[DenseGene] = []
     current: set[int] = set()
     use = [0] * inst.n_resources
-    for idx, t in enumerate(event_times):
+    for t in sorted(events):
         if t >= T:
             break
         for e in events[t]:
@@ -184,9 +186,7 @@ def dense_activities(
                     use[k] -= d
         if not current:
             continue  # idle run; v_t is the full weight sum, never a gene here
-        v = idle_weight - sum(
-            use[k] * wk_over_rk[k] for k in range(inst.n_resources)
-        )
+        v = idle_weight - sum(map(mul, use, wk_over_rk))
         if v < threshold:
             candidates.append(DenseGene(frozenset(current), v, t))
 

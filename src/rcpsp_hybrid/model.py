@@ -126,6 +126,18 @@ class ProjectInstance:
         # the full capacities, guard bits included: an empty profile's value
         self.packed_capacity = self.guard + profile.pack(self.capacities, self.slot_bits)
         self.topo_order = topological_order(self)
+        # right justification's order (sgs._backward_order) sorts activity j
+        # on the int backward_base[j] - start_j * backward_radix
+        tie = list(range(n2))
+        if 0 in self.durations[1 : self.sink] and self.topo_order is not None:
+            for pos, j in enumerate(self.topo_order):
+                if not self.durations[j]:
+                    tie[j] = -pos
+        width = 2 * n2
+        self.backward_radix = (max(self.durations, default=0) + 1) * width
+        self.backward_base = [
+            n2 + t + p * (width - self.backward_radix) for p, t in zip(self.durations, tie)
+        ]
         self._new_memos()
 
     def _new_memos(self) -> None:

@@ -211,6 +211,20 @@ def grasp_knapsack(
     m = len(eligible)
     if m == 0:
         return []
+    # When every item fits at once, each construction takes them all, so
+    # only the draws of the randomized ones are made, to leave the rng as
+    # they would.  The items are booked one at a time: a sum of packed
+    # demands could carry from one field into the next.
+    rem = remaining
+    for d in demands:
+        rem -= d
+        if rem & guard != guard:
+            break
+    else:
+        for _ in range(GRASP_CONSTRUCTIONS - 1):
+            for r in range(m, 0, -1):
+                rng.randrange(max(1, int(r * RCL_FRACTION)))
+        return list(range(m))
     order = sorted(range(m), key=lambda i: (-values[i], i))
 
     def construct(randomized: bool) -> tuple[float, list[int]]:

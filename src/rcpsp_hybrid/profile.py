@@ -26,7 +26,15 @@ window, and `serial_place` runs the whole serial placement loop.  Each
 returns the earliest fitting start exactly, as a scan trying every
 candidate would: it tests a window one segment at a time, and on a
 conflict it skips the whole run of segments short of some resource,
-since no window covering such a segment fits.
+since no window covering such a segment fits.  The segment that ends the
+run fits, so the next window test starts one segment after it.  For the
+length of a search, a sentinel segment is appended: the value with every
+bit set, which fits every demand of the layout, from the profile's end to
+a far end past every window that starts inside the profile.  So a skip
+stops at the sentinel at the latest and needs no bound test; a window
+that reaches the sentinel ends past the profile, and one test of the
+window's end after the search catches it.  A `finally` removes the
+sentinel again, also when the search raises, so it is never stored.
 
 `serial_place` is the serial decode (sgs.serial_sgs), the right
 justification (sgs._right_justify) and N_B's prefix decode, so it makes
@@ -38,8 +46,14 @@ fit inline, with no method call per activity.  Against one `place` call
 per activity, serial decodes with their right justifications took about
 1.2x less CPU on ProGen j120, j30 and scarce120 instances (timed
 alternately in one process, equal starts), and perfbench's progen-j120
-schedules_per_s rose 1.14x (BENCH_14.json).  It also keeps the
-change-point format private to this module.
+schedules_per_s rose 1.14x (BENCH_14.json).  The sentinel then took
+another 1.11-1.13x off each call: against the loop that tested `k < n`
+in each skip and the horizon before each window, on about 5 000-7 000
+placement loops captured from ProGen j120, j30 and scarce120 solves
+(timed alternately in one process; equal starts, finishes and
+profiles), and perfbench's progen-j120 schedules_per_s rose 1.11x with
+the int-keyed right justification order (BENCH_15.json).  It also keeps
+the change-point format private to this module.
 
 The right justification needs the latest fitting start instead, and
 gets it from `serial_place` on a mirrored time axis: over [0, T] the
@@ -97,6 +111,17 @@ def booked(inst, length: int, bookings: Iterable[tuple[int, int, int]]) -> Profi
     return Profile(times, vals, inst.guard)
 
 
+def _all_fit(guard: int) -> int:
+    """The sentinel segment value: every bit of all K fields of B bits set,
+    2**(B*K) - 1, where B*K is the length of the guard mask.  It fits every
+    packed demand of the layout."""
+    return (1 << guard.bit_length()) - 1
+
+
+def _fits_nowhere(j: int, horizon: int) -> ValueError:
+    return ValueError(f"activity {j} fits nowhere within the horizon {horizon}")
+
+
 def serial_place(
     inst,
     order: Sequence[int],
@@ -113,36 +138,47 @@ def serial_place(
     durs = inst.durations
     packed = inst.packed_demand
     times, vals, guard = rem.times, rem.vals, rem.guard
-    starts = [0] * len(inst)
-    finish = [0] * len(inst)
-    for j in order:
-        p = durs[j]
-        t = 0
-        for q in preds[j]:
-            f = finish[q]
-            if f > t:
-                t = f
-        hi = horizon - p
-        d = packed[j]
-        if p and d:
-            i = bisect_right(times, t) - 1
-            while t <= hi:
-                end = t + p
-                k = i
-                while (vals[k] - d) & guard == guard:
-                    k += 1
-                    if times[k] >= end:
-                        break
-                else:
-                    # no window can start before the end of this run of
-                    # short segments
-                    k += 1
-                    n = len(vals)
-                    while k < n and (vals[k] - d) & guard != guard:
+    starts = [0] * len(durs)
+    finish = [0] * len(durs)
+    # the sentinel segment ends every run of short segments, and its far
+    # end lies past every window that starts within the profile
+    vals.append(_all_fit(guard))
+    times.append(times[-1] + max(durs))
+    try:
+        for j in order:
+            p = durs[j]
+            t = 0
+            for q in preds[j]:
+                f = finish[q]
+                if f > t:
+                    t = f
+            end = t + p
+            d = packed[j]
+            if p and d:
+                i = k = bisect_right(times, t) - 1
+                while True:
+                    # segments i..k-1 fit the window [t, end); test on from k
+                    while (vals[k] - d) & guard == guard:
                         k += 1
-                    t = times[k]
-                    i = k
-                    continue
+                        if times[k] >= end:
+                            break
+                    else:
+                        # no window can start before the end of this run of
+                        # short segments; the segment after it fits, so the
+                        # next test starts one segment on
+                        k += 1
+                        while (vals[k] - d) & guard != guard:
+                            k += 1
+                        i = k
+                        t = times[k]
+                        end = t + p
+                        k += 1
+                        if times[k] < end:
+                            continue
+                    break
+                # a window reaching the sentinel ends past the horizon too
+                if end > horizon:
+                    raise _fits_nowhere(j, horizon)
                 # book [t, end): split the segments it starts and ends inside
                 if times[k] != end:
                     times.insert(k, end)
@@ -157,11 +193,13 @@ def serial_place(
                 else:
                     for q in range(i, k):
                         vals[q] -= d
-                break
-        if t > hi:
-            raise ValueError(f"activity {j} fits nowhere within the horizon {horizon}")
-        starts[j] = t
-        finish[j] = t + p
+            elif end > horizon:
+                raise _fits_nowhere(j, horizon)
+            starts[j] = t
+            finish[j] = end
+    finally:
+        vals.pop()
+        times.pop()
     return starts, finish
 
 
@@ -200,27 +238,37 @@ class Profile:
     def place(self, demand: int, lo: int, hi: int, p: int) -> Optional[int]:
         """Book the earliest window [t, t+p) with lo <= t <= hi that fits and
         return t; return None, booking nothing, when none fits.  The loop
-        is `serial_place`'s for one activity."""
+        is `serial_place`'s for one activity, except that it gives up after
+        the skip that passes `hi`: N_B asks with lo == hi."""
+        if lo > hi:
+            return None
         if not (p and demand):
-            return lo if lo <= hi else None
+            return lo
         times, vals, guard = self.times, self.vals, self.guard
-        t = lo
-        i = bisect_right(times, t) - 1
-        while t <= hi:
+        vals.append(_all_fit(guard))
+        times.append(times[-1] + p)
+        try:
+            t = lo
             end = t + p
-            k = i
-            while (vals[k] - demand) & guard == guard:
-                k += 1
-                if times[k] >= end:
-                    break
-            else:
-                k += 1
-                n = len(vals)
-                while k < n and (vals[k] - demand) & guard != guard:
+            i = k = bisect_right(times, t) - 1
+            while True:
+                while (vals[k] - demand) & guard == guard:
                     k += 1
-                t = times[k]
-                i = k
-                continue
+                    if times[k] >= end:
+                        break
+                else:
+                    k += 1
+                    while (vals[k] - demand) & guard != guard:
+                        k += 1
+                    i = k
+                    t = times[k]
+                    if t > hi:
+                        return None
+                    end = t + p
+                    k += 1
+                    if times[k] < end:
+                        continue
+                break
             if times[k] != end:
                 times.insert(k, end)
                 vals.insert(k, vals[k - 1])
@@ -235,4 +283,6 @@ class Profile:
                 for q in range(i, k):
                     vals[q] -= demand
             return t
-        return None
+        finally:
+            vals.pop()
+            times.pop()

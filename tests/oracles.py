@@ -10,7 +10,12 @@ time, where the library stores the profile as change points, packs all
 resources of a segment into one int, and skips runs of short segments.
 The reference parallel decode tests each candidate's whole window in
 those rows, where the library keeps only a running sum of the demands in
-progress and tests the capacity at the decision time.
+progress and tests the capacity at the decision time.  The reference
+dense genes recount the running set and its demands at every unit slot,
+where the library walks start and finish events; the reference GRASP
+keeps one remaining capacity per resource and runs every construction,
+where the library packs the resources and draws only, without
+constructing, when every item fits at once.
 """
 
 from __future__ import annotations
@@ -219,3 +224,70 @@ def brute_force_knapsack(
                 if value > best:
                     best = value
     return best
+
+
+def reference_dense_genes(inst: ProjectInstance, starts, T: int, threshold: float, weights):
+    """Dense genes of a start vector with makespan T, slot by slot: J(t)
+    is the set of real activities running in [t, t+1) and v_t = sum_k
+    (w_k / c_k) * (c_k - use_k(t)) its weighted unused capacity.  A
+    candidate (J(t), v_t, t) is taken at the first slot of each run of
+    equal nonempty J(t) with v_t below the threshold; then, by increasing
+    (v_t, t), each candidate sharing no activity with one kept before is
+    kept.  Returns (activities, v_t, t) triples by time."""
+    caps = inst.capacities
+    n_res = len(caps)
+    wk = [w / c if c else 0.0 for w, c in zip(weights, caps)]
+    idle = sum(w * c for w, c in zip(wk, caps))
+    candidates = []
+    before = frozenset()
+    for t in range(T):
+        running = frozenset(
+            j for j in range(1, inst.sink) if starts[j] <= t < starts[j] + inst.durations[j]
+        )
+        if running and running != before:
+            use = [sum(inst.demands[j][k] for j in running) for k in range(n_res)]
+            v = idle - sum(use[k] * wk[k] for k in range(n_res))
+            if v < threshold:
+                candidates.append((running, v, t))
+        before = running
+    kept = []
+    for running, v, t in sorted(candidates, key=lambda c: (c[1], c[2])):
+        if all(not (running & other) for other, _, _ in kept):
+            kept.append((running, v, t))
+    return sorted(kept, key=lambda c: c[2])
+
+
+def reference_grasp(demands, remaining, values, rng, constructions: int, rcl_fraction: float):
+    """GRASP for the multi-dimensional knapsack, one list entry per
+    resource: `constructions` greedy constructions on items by decreasing
+    value (ties by index), the first taking the best fitting item at each
+    step and the others a uniform draw among the first rcl_fraction of
+    the fitting items (at least one); the best total wins, ties to the
+    smaller sorted index list.  Returns the sorted indices."""
+    m = len(demands)
+    if not m:
+        return []
+    order = sorted(range(m), key=lambda i: (-values[i], i))
+    best = None
+    for c in range(constructions):
+        rem = list(remaining)
+        picked = []
+        total = 0.0
+        left = order[:]
+        while left:
+            fitting = [i for i in left if all(d <= r for d, r in zip(demands[i], rem))]
+            if not fitting:
+                break
+            if c:
+                rcl = fitting[: max(1, int(len(fitting) * rcl_fraction))]
+                i = rcl[rng.randrange(len(rcl))]
+            else:
+                i = fitting[0]
+            picked.append(i)
+            total += values[i]
+            rem = [r - d for r, d in zip(rem, demands[i])]
+            left.remove(i)
+        picked.sort()
+        if best is None or total > best[0] or (total == best[0] and picked < best[1]):
+            best = (total, picked)
+    return best[1]

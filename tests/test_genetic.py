@@ -30,7 +30,7 @@ from rcpsp_hybrid.random_instances import random_instance
 from rcpsp_hybrid.sgs import fbi, serial_sgs
 from rcpsp_hybrid.solver import Budget
 from conftest import small_instances, with_zero_durations
-from oracles import is_precedence_feasible_list
+from oracles import is_precedence_feasible_list, reference_dense_genes
 
 
 def _individual(inst, order):
@@ -119,6 +119,27 @@ def test_dense_genes_skip_idle_intervals(tiny2):
     # zero demands: every interval has v_t = 1.0, never below threshold
     sched = Schedule((0, 0, 2, 5, 9), 9)
     assert dense_activities(tiny2, sched, 0.75, (1.0,)) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_instances(), st.data())
+def test_dense_genes_match_the_slot_by_slot_oracle(case, data):
+    """Any start vector (overlaps over capacity included), weights and
+    threshold: the genes found at start and finish events are the ones a
+    scan of every unit slot finds, with the same v_t to the last bit."""
+    inst, _ = case
+    n_res = inst.n_resources
+    starts = [0] + [data.draw(st.integers(0, 6)) for _ in range(1, len(inst))]
+    sched = Schedule.from_starts(inst, starts)
+    # weights of all 53 bits, so that summing the terms in another order
+    # would change the last bits of some v_t
+    draw = random.Random(data.draw(st.integers(0, 2**32))).random
+    weights = [draw() for _ in range(n_res)]
+    threshold = data.draw(st.floats(0, 3.5))
+    genes = dense_activities(inst, sched, threshold, weights)
+    assert [(g.activities, g.weight, g.time) for g in genes] == reference_dense_genes(
+        inst, sched.starts, sched.makespan, threshold, weights
+    )
 
 
 def test_dense_gene_saturated_interval_weight_zero():

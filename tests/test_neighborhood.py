@@ -11,6 +11,8 @@ from rcpsp_hybrid.model import (
     random_feasible_list,
 )
 from rcpsp_hybrid.neighborhood import (
+    GRASP_CONSTRUCTIONS,
+    RCL_FRACTION,
     Block,
     TabuList,
     compute_windows,
@@ -24,7 +26,7 @@ from rcpsp_hybrid.neighborhood import (
 from rcpsp_hybrid.random_instances import random_instance
 from rcpsp_hybrid.sgs import fbi, parallel_sgs, schedule_to_list, serial_sgs
 from conftest import packed_knapsack, small_instances, with_zero_durations
-from oracles import brute_force_knapsack, is_precedence_feasible_list
+from oracles import brute_force_knapsack, is_precedence_feasible_list, reference_grasp
 
 
 def _individual(inst, order):
@@ -331,6 +333,43 @@ def test_grasp_feasible_and_near_optimal():
         if abs(total - best) < 1e-9:
             optimal += 1
     assert optimal >= 0.9 * trials
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n_res: st.tuples(
+            st.lists(st.tuples(*[st.integers(0, 6)] * n_res), max_size=8),
+            st.lists(st.integers(0, 30), min_size=n_res, max_size=n_res),
+        )
+    ),
+    st.lists(st.sampled_from([0.1, 0.25, 0.5, 0.75, 1.0]), min_size=8, max_size=8),
+    st.integers(0, 2**32),
+)
+def test_grasp_picks_and_draws_match_the_reference(knapsack, values, seed):
+    """Often every item fits at once (large capacities), sometimes one
+    item alone does not fit: the picks and the rng state afterwards are
+    those of every construction run in full."""
+    demands, remaining = knapsack
+    values = values[: len(demands)]
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    picked = grasp_knapsack(
+        list(range(len(demands))), *packed_knapsack(remaining, demands), values, rng
+    )
+    want = reference_grasp(demands, remaining, values, ref_rng, GRASP_CONSTRUCTIONS, RCL_FRACTION)
+    assert picked == want
+    assert rng.getstate() == ref_rng.getstate()
+
+
+def test_grasp_all_fit_books_one_item_at_a_time():
+    """Ten items of demand 1 on a capacity of 1, in fields of 4 bits: their
+    packed sum borrows past the first field and leaves every guard bit
+    set, so a fit test on the sum would take all ten.  Booked one at a
+    time, only one fits."""
+    remaining, demands, guard = packed_knapsack([1, 7], [(1, 0)] * 10)
+    assert (remaining - sum(demands)) & guard == guard
+    picked = grasp_knapsack(list(range(10)), remaining, demands, guard, [0.5] * 10, random.Random(0))
+    assert len(picked) == 1
 
 
 # ------------------------------------------------------------------ ns_run

@@ -4,6 +4,7 @@ is drawn as one row of remaining capacities per resource, packed into
 segments for the call, and the booked profile is expanded back into rows
 to compare."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from rcpsp_hybrid import profile
@@ -187,3 +188,54 @@ def test_booked_equals_one_reserve_per_booking(caps, length, data):
             bookings.append((profile.pack(demand, bits), t, p))
     got = profile.booked(inst, length, data.draw(st.permutations(bookings)))
     assert _expand(got, bits, len(caps)) == rows
+
+
+def _no_sentinel(prof, length):
+    """The profile still ends at `length`, one value per segment."""
+    assert prof.times[-1] == length
+    assert len(prof.vals) == len(prof.times) - 1
+
+
+def _chain(caps, durations, demands):
+    """Real activities 1..n in parallel between the dummies."""
+    sink = len(durations) + 1
+    acts = [Activity(0, 0, (0,) * len(caps))]
+    acts += [Activity(j, p, d) for j, (p, d) in enumerate(zip(durations, demands), 1)]
+    acts.append(Activity(sink, 0, (0,) * len(caps)))
+    arcs = [(0, j) for j in range(1, sink)] + [(j, sink) for j in range(1, sink)]
+    return ProjectInstance(acts, arcs, caps)
+
+
+def test_serial_place_leaves_no_sentinel():
+    inst = _chain((3, 7), [2, 3, 1], [(3, 7), (2, 1), (1, 6)])
+    prof = profile.empty(inst, inst.horizon + 1)
+    starts, _ = profile.serial_place(inst, range(len(inst)), prof, inst.preds, inst.horizon)
+    assert starts == [0, 0, 2, 2, 5]
+    _no_sentinel(prof, inst.horizon + 1)
+    assert _expand(prof, inst.slot_bits, 2)[0] == [0, 0, 0, 1, 1, 3, 3]
+
+
+def test_serial_place_leaves_no_sentinel_when_a_demand_exceeds_capacity():
+    """Activity 2 demands 4 of a capacity of 3: it fits nowhere, and the
+    booking of activity 1 before it stays."""
+    inst = _chain((3,), [2, 1], [(3,), (4,)])
+    prof = profile.empty(inst, inst.horizon + 1)
+    with pytest.raises(ValueError, match="activity 2 fits nowhere"):
+        profile.serial_place(inst, range(len(inst)), prof, inst.preds, inst.horizon)
+    _no_sentinel(prof, inst.horizon + 1)
+    assert _expand(prof, inst.slot_bits, 1) == [[0, 0, 3, 3]]
+
+
+def test_place_leaves_no_sentinel():
+    """A booking, a search that passes `hi`, and a demand of 4 above the
+    capacity of 3, which fits nowhere."""
+    inst = _chain((3,), [2, 1], [(2,), (4,)])
+    two, four = inst.packed_demand[1:3]
+    prof = profile.empty(inst, 4)
+    assert prof.place(two, 0, 3, 2) == 0
+    _no_sentinel(prof, 4)
+    assert prof.place(two, 1, 2, 2) == 2
+    assert prof.place(four, 0, 3, 1) is None
+    assert prof.place(two, 0, 0, 2) is None
+    _no_sentinel(prof, 4)
+    assert _expand(prof, inst.slot_bits, 1) == [[1, 1, 1, 1]]

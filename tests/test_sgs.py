@@ -4,9 +4,9 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from rcpsp_hybrid import sgs
+from rcpsp_hybrid import profile, sgs
 from rcpsp_hybrid.model import (
     Activity,
     ProjectInstance,
@@ -320,6 +320,19 @@ def test_serial_stops_on_demand_above_capacity(demand):
         serial_sgs(_over_capacity(demand), [0, 2, 1, 3])
 
 
+def test_serial_stops_at_the_horizon():
+    """On one unit of capacity the second activity fits only in [2, 3),
+    past the horizon 2, though the profile runs to 3."""
+    inst = ProjectInstance(
+        [Activity(0, 0, (0,)), Activity(1, 2, (1,)), Activity(2, 1, (1,)), Activity(3, 0, (0,))],
+        {(0, 1), (0, 2), (1, 3), (2, 3)},
+        (1,),
+        horizon=2,
+    )
+    with pytest.raises(ValueError, match="activity 2 fits nowhere within the horizon 2"):
+        serial_sgs(inst, [0, 1, 2, 3])
+
+
 def test_parallel_stops_on_a_precedence_cycle():
     inst = ProjectInstance(
         [Activity(0, 0, (0,)), Activity(1, 1, (0,)), Activity(2, 1, (0,)), Activity(3, 0, (0,))],
@@ -437,6 +450,41 @@ def test_fbi_stops_when_an_activity_fits_nowhere(tiny1):
     with pytest.raises(ValueError, match="activity 1 fits nowhere"):
         fbi(tiny1, Schedule((0, 0, 0, 3), 3))
     assert len(tiny1.fbi_memo) == 0
+
+
+def test_fbi_leaves_no_sentinel_when_an_activity_fits_nowhere(tiny1, monkeypatch):
+    """The right justification's profile ends at T + 1 after the raise, as
+    it began: the sentinel segment is gone."""
+    made = []
+
+    def empty(inst, length):
+        made.append(profile.Profile([0, length], [inst.packed_capacity], inst.guard))
+        return made[-1]
+
+    monkeypatch.setattr(profile, "empty", empty)
+    with pytest.raises(ValueError, match="fits nowhere"):
+        fbi(tiny1, Schedule((0, 0, 0, 3), 3))
+    (prof,) = made
+    assert prof.times[-1] == 4
+    assert len(prof.vals) == len(prof.times) - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_instances(), st.data())
+def test_backward_order_sorts_on_the_time_tuple(case, data):
+    """Any start vector: the one-int key sorts as (-finish, -start, tie),
+    tie being the id, or -position in the topological order for a
+    zero-duration activity when a real activity takes no time."""
+    inst, _ = case
+    durs = inst.durations
+    starts = [data.draw(st.integers(0, 9)) for _ in durs]
+    tie = list(range(len(inst)))
+    if 0 in durs[1:-1]:
+        for pos, j in enumerate(inst.topo_order):
+            if not durs[j]:
+                tie[j] = -pos
+    want = sorted(range(len(inst)), key=lambda j: (-(starts[j] + durs[j]), -starts[j], tie[j]))
+    assert sgs._backward_order(inst, starts) == want
 
 
 @settings(max_examples=300, deadline=None)
