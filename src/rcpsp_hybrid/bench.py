@@ -7,7 +7,6 @@ from __future__ import annotations
 import csv
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -74,6 +73,10 @@ def run_benchmark(
     if workers <= 1:
         rows = [_solve_one(job) for job in jobs]
     else:
+        # imported here: multiprocessing adds about 20 ms to every import
+        # of the package, and only a pool uses it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_solve_one, jobs, chunksize=1))
     rows.sort(key=lambda r: r.name)

@@ -13,8 +13,7 @@ from .bench import (
     read_bounds_csv,
     run_benchmark,
 )
-from .model import validate_instance
-from .psplib import load_dataset, parse_sm
+from .psplib import dataset_files, parse_sm
 from .ranking import WeightConfigError, rank_and_weigh
 from .solver import SolverConfig, solve
 
@@ -113,27 +112,24 @@ def cmd_rank(args) -> int:
 
 def cmd_validate(args) -> int:
     target = args.path
-    if os.path.isdir(target):
-        try:
-            pairs = load_dataset(target)
-        except (OSError, ValueError) as exc:
-            raise InputError(str(exc)) from exc
-        bad = 0
-        for name, inst in pairs:
-            problem = validate_instance(inst)
-            if problem is None:
-                print(f"{name}: ok")
-            else:
-                print(f"{name}: {problem}")
-                bad += 1
-        if bad:
-            raise InputError(f"{bad} invalid instance(s)")
+    if not os.path.isdir(target):
+        _load_instance(target)  # parse_sm rejects an invalid instance
+        print("ok")
         return 0
-    inst = _load_instance(target)
-    problem = validate_instance(inst)
-    if problem is not None:
-        raise InputError(problem)
-    print("ok")
+    bad = 0
+    try:
+        for name, _, text in dataset_files(target):
+            try:
+                parse_sm(text, name=name)
+            except ValueError as exc:
+                print(f"{name}: {exc}")
+                bad += 1
+            else:
+                print(f"{name}: ok")
+    except OSError as exc:
+        raise InputError(str(exc)) from exc
+    if bad:
+        raise InputError(f"{bad} invalid instance(s)")
     return 0
 
 

@@ -21,6 +21,14 @@ class Individual:
     # ((threshold, weights), dense genes) of the latest dense_genes call
     _genes: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
+    @classmethod
+    def of(cls, inst: ProjectInstance, sched: Schedule) -> Individual:
+        """The individual of a schedule, listed by start time: a start-sorted
+        list never serial-decodes worse than its schedule, so list and
+        schedule stay consistent even after a parallel decode or an FBI
+        improvement."""
+        return cls(schedule_to_list(inst, sched), sched)
+
     @property
     def makespan(self) -> int:
         return self.schedule.makespan
@@ -73,17 +81,10 @@ class DenseGene:
 
 def decode_and_improve(
     inst: ProjectInstance, lst: Sequence[int], budget=None
-) -> Individual:
-    """Parallel-decode a list and polish with FBI; the list is refreshed
-    from the final schedule so list and schedule stay consistent."""
-    sched = parallel_sgs(inst, lst, budget=budget)
-    # fbi returns its input unless it finds a shorter schedule
-    sched = fbi(inst, sched, budget=budget)
-    # a start-sorted list never serial-decodes worse than its schedule, so
-    # refreshing keeps list and schedule consistent even after a parallel
-    # decode or an FBI improvement
-    lst = schedule_to_list(inst, sched)
-    return Individual(lst, sched)
+) -> Schedule:
+    """Parallel-decode a list and polish with FBI, which returns its input
+    unless it finds a shorter schedule."""
+    return fbi(inst, parallel_sgs(inst, lst, budget=budget), budget=budget)
 
 
 def init_population(
@@ -92,17 +93,17 @@ def init_population(
     """Random feasible list -> parallel decoder -> FBI, repeated until the
     population is full.  Duplicate (makespan, start-vector) members are
     rejected until 5 * capacity attempts have failed or the budget runs
-    out; then the uniqueness requirement is waived."""
+    out; then the uniqueness requirement is waived.  A rejected attempt
+    builds no Individual: at λ = 1 000 on ProGen j30, over half of them
+    are rejected."""
     pop = Population()
     unique = True
-    seen: set[tuple] = set()
+    seen: set[Schedule] = set()
     failures = 0
     max_failures = 5 * capacity
     while len(pop) < capacity:
-        lst = random_feasible_list(inst, rng)
-        ind = decode_and_improve(inst, lst, budget=budget)
-        key = (ind.makespan, ind.schedule.starts)
-        if unique and key in seen:
+        sched = decode_and_improve(inst, random_feasible_list(inst, rng), budget=budget)
+        if unique and sched in seen:
             failures += 1
             if failures >= max_failures:
                 unique = False
@@ -110,8 +111,8 @@ def init_population(
                 if budget is not None and budget.exhausted:
                     unique = False
                 continue
-        seen.add(key)
-        pop.insert(ind)
+        seen.add(sched)
+        pop.insert(Individual.of(inst, sched))
         if budget is not None and budget.exhausted:
             break
     return pop
@@ -432,7 +433,7 @@ def make_child(
             lst, sched = mutated, mut_sched
     polished = fbi(inst, sched, budget=budget)
     if polished.makespan < sched.makespan:
-        return Individual(schedule_to_list(inst, polished), polished)
+        return Individual.of(inst, polished)
     return Individual(lst, sched)
 
 

@@ -24,24 +24,26 @@ class Activity:
     demand: tuple[int, ...]
 
 
-# Entries of each per-instance memo, from a sweep over 20 ProGen j30 solves
-# at λ = 1 000 (perfbench's progen-j30-pool generator), schedules unchanged.
-# FBI memo hit ratio: 26 % at 16 entries, 37 % at 64, 38 % at 256 and
-# 1 024.  Serial memo, beside a 64-entry FBI memo: 23 % at 16, 31 % at 64,
-# 37 % at 256 and 1 024.  CPU seconds, median of 5: 0.81 with a 1-entry FBI
-# memo and 16 serial entries, 0.68 with the FBI memo, 0.64 with 256 serial
-# entries, 0.67 with 1 024.  `solve` empties both memos when it ends, so
-# their size costs memory only while a solve runs.
+# Entries of each per-instance memo, from sweeps over perfbench's
+# generators, schedules unchanged.  Serial memo, 20 ProGen j30 solves at
+# λ = 1 000: hit ratio 23 % at 16 entries, 31 % at 64, 37 % at 256 and
+# 1 024; CPU seconds, median of 5: 0.68 at 16, 0.64 at 256, 0.67 at 1 024.
+# FBI pass memo (`sgs.fbi`), placement loops (profile.serial_place) over
+# progen-j30-pool's 60 solves, seed 1: 36 171 at 1 entry, 30 140 at 16,
+# 27 206 at 64, 26 150 at 256, 26 149 at 1 024 (29 108 with the 64-entry
+# whole-call memo before it); progen-j120's 8 solves: 28 549 at 256,
+# 28 994 at 64 (28 938 before).  `solve` empties both memos when it ends,
+# so their size costs memory only while a solve runs.
 SERIAL_MEMO_SIZE = 256
-FBI_MEMO_SIZE = 64
+FBI_MEMO_SIZE = 256
 
 
 class DecodeMemo:
     """Least-recently-used map of at most `size` entries, from the input of
     a pure decode step to its result: an activity order to its serial
-    schedule (`sgs.serial_sgs`), or a schedule and pass cap to FBI's result
-    and charges (`sgs.fbi`).  A lock guards every access, so one memo may be
-    shared by solver runs in several threads."""
+    schedule (`sgs.serial_sgs`), or a schedule to the result of one FBI
+    pass from it (`sgs.fbi`).  A lock guards every access, so one memo may
+    be shared by solver runs in several threads."""
 
     def __init__(self, size: int):
         self.size = size
@@ -76,8 +78,8 @@ class ProjectInstance:
     Derived adjacency/demand structures are precomputed once because the
     decoders touch them in tight loops.  `serial_memo` caches the latest
     serial decodes of this instance (see `sgs.serial_sgs`) and `fbi_memo`
-    its latest forward-backward improvements (see `sgs.fbi`).  Both are
-    lock-guarded, so an instance stays safe to share across concurrent
+    its latest forward-backward improvement passes (see `sgs.fbi`).  Both
+    are lock-guarded, so an instance stays safe to share across concurrent
     solver runs; neither is pickled, so an instance sent to a worker
     process arrives with empty memos; and `solve` empties both when it
     ends, so an instance kept after its solve holds no memo entries.
@@ -114,6 +116,8 @@ class ProjectInstance:
                 raise ValueError(f"arc ({i},{j}) references an unknown activity")
             self.preds[j].append(i)
             self.succs[i].append(j)
+        # copied by the decoders that count down unplaced predecessors
+        self.pred_counts = [len(p) for p in self.preds]
 
         # per-activity nonzero (resource, demand) pairs for the hot loops
         self.active_demand = [
@@ -184,7 +188,7 @@ def topological_order(inst: ProjectInstance) -> Optional[list[int]]:
     """The lexicographically smallest topological order (Kahn's algorithm
     with a min-heap); None if the precedence graph has a cycle."""
     n2 = len(inst)
-    indeg = [len(inst.preds[j]) for j in range(n2)]
+    indeg = inst.pred_counts.copy()
     ready = [j for j in range(n2) if indeg[j] == 0]
     out: list[int] = []
     while ready:
@@ -316,20 +320,31 @@ def latest_starts(inst: ProjectInstance, deadline: int) -> list[int]:
 
 def random_feasible_list(inst: ProjectInstance, rng) -> tuple[int, ...]:
     """Random topological order: iteratively pick uniformly among activities
-    whose predecessors are all placed."""
-    n2 = len(inst)
-    indeg = [len(inst.preds[j]) for j in range(n2)]
-    ready = [j for j in range(n2) if indeg[j] == 0]
+    whose predecessors are all placed.
+
+    Each pick is `rng.randrange(len(ready))` drawn as Random.randrange
+    draws it, by rejection on `rng.getrandbits(bit length)`, so the lists
+    and the rng state are the same; without randrange's argument checks
+    and its two calls per draw, a ProGen j30 list takes 0.6 of the time
+    (26 µs against 44, timed alternately in one process)."""
+    getrandbits = rng.getrandbits
+    succs = inst.succs
+    indeg = inst.pred_counts.copy()
+    ready = [j for j, d in enumerate(indeg) if not d]
     out: list[int] = []
     while ready:
-        idx = rng.randrange(len(ready))
+        n = len(ready)
+        k = n.bit_length()
+        idx = getrandbits(k)
+        while idx >= n:
+            idx = getrandbits(k)
         ready[idx], ready[-1] = ready[-1], ready[idx]
         j = ready.pop()
         out.append(j)
-        for s in inst.succs[j]:
+        for s in succs[j]:
             indeg[s] -= 1
-            if indeg[s] == 0:
+            if not indeg[s]:
                 ready.append(s)
-    if len(out) != n2:
+    if len(out) != len(indeg):
         raise ValueError("the precedence graph has a cycle")
     return tuple(out)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import re
+from typing import Iterator
 
 from .model import Activity, ProjectInstance, validate_instance
 
@@ -65,7 +66,7 @@ def parse_sm(text: str, name: str = "") -> ProjectInstance:
     )
     problem = validate_instance(inst)
     if problem is not None:
-        raise PsplibStructureError(f"{name or 'instance'}: {problem}")
+        raise PsplibStructureError(problem)
     return inst
 
 
@@ -220,14 +221,15 @@ def write_sm(inst: ProjectInstance) -> str:
     return "\n".join(out) + "\n"
 
 
-def load_dataset(directory: str) -> list[tuple[str, ProjectInstance]]:
-    """Parse every `.sm` file in a directory, lexicographic by file name."""
+def dataset_files(directory: str) -> Iterator[tuple[str, str, str]]:
+    """(name, path, text) of every `.sm` file in a directory, lexicographic
+    by file name; the name is the file name without its extension.  A file
+    that cannot be read raises OSError when the iteration reaches it."""
     if not os.path.isdir(directory):
         raise FileNotFoundError(f"not a directory: {directory}")
     names = sorted(f for f in os.listdir(directory) if f.lower().endswith(".sm"))
     if not names:
         raise FileNotFoundError(f"no .sm files in {directory}")
-    out = []
     for fname in names:
         path = os.path.join(directory, fname)
         try:
@@ -235,9 +237,15 @@ def load_dataset(directory: str) -> list[tuple[str, ProjectInstance]]:
                 text = fh.read()
         except OSError as exc:
             raise OSError(f"cannot read {path}: {exc}") from exc
-        stem = os.path.splitext(fname)[0]
+        yield os.path.splitext(fname)[0], path, text
+
+
+def load_dataset(directory: str) -> list[tuple[str, ProjectInstance]]:
+    """Parse every `.sm` file in a directory, lexicographic by file name."""
+    out = []
+    for name, path, text in dataset_files(directory):
         try:
-            out.append((stem, parse_sm(text, name=stem)))
+            out.append((name, parse_sm(text, name=name)))
         except ValueError as exc:
             raise type(exc)(f"{path}: {exc}") from exc
     return out

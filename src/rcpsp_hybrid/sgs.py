@@ -9,11 +9,11 @@ method) is debited once per full schedule constructed.
 
 Two of them are memoized per instance (model.DecodeMemo), because the
 search asks for the same work again and again: `serial_sgs` on the
-activity order, and `fbi` on its input schedule and pass cap (model.py
-gives both sizes and the sweep behind them).  A hit charges the budget
-what the miss charged, so λ, every record and every schedule are the same
-as without the memos.  `solve` empties both memos when it ends, returning
-or raising.
+activity order, and each pass of `fbi` on the schedule it starts from
+(model.py gives both sizes and the sweep behind them).  A hit charges the
+budget what the miss charged, so λ, every record and every schedule are
+the same as without the memos.  `solve` empties both memos when it ends,
+returning or raising.
 
 The serial decode and the right justification share one placement loop,
 `profile.serial_place`, which searches a resource profile for each
@@ -98,17 +98,23 @@ def parallel_sgs(
     activity fits over [t, t+p) exactly when it fits at t.  So the decoder
     keeps no profile, only the packed free capacity at t in the layout of
     profile.py, guard bits included; an activity's packed demand leaves it
-    when the activity starts and returns when it finishes."""
+    when the activity starts and returns when it finishes.
+
+    `lst` must hold every activity: one it leaves out is ranked past its
+    end, so the decoder raises IndexError when that activity becomes
+    eligible."""
     durs = inst.durations
     succs = inst.succs
     packed = inst.packed_demand
     guard = inst.guard
     free = inst.packed_capacity
-    rank = {j: i for i, j in enumerate(lst)}
     starts = [0] * len(inst)
+    rank = [len(lst)] * len(starts)  # list position of each activity
+    for i, j in enumerate(lst):
+        rank[j] = i
     # predecessors of each activity not yet finished by t; an activity is
     # eligible once that count is zero
-    waiting = [len(p) for p in inst.preds]
+    waiting = inst.pred_counts.copy()
     # list positions of the eligible activities, ascending
     eligible = sorted(rank[j] for j, w in enumerate(waiting) if not w)
     running: list[tuple[int, int]] = []  # heap of (finish, activity), p > 0
@@ -184,7 +190,7 @@ def _backward_order(inst: ProjectInstance, starts: Sequence[int]) -> list[int]:
     return sorted(range(len(keys)), key=keys.__getitem__)
 
 
-def _right_justify(inst: ProjectInstance, sched: Schedule, budget=None) -> Schedule:
+def _right_justify(inst: ProjectInstance, sched: Schedule) -> Schedule:
     """Schedule backward in decreasing finish-time order: each activity is
     moved to its latest resource-feasible start before its successors.
 
@@ -197,7 +203,6 @@ def _right_justify(inst: ProjectInstance, sched: Schedule, budget=None) -> Sched
     _, finish = profile.serial_place(inst, order, profile.empty(inst, T + 1), inst.succs, T)
     starts = [T - f for f in finish]
     starts[0] = 0
-    _charge(budget)
     return Schedule(tuple(starts), T)
 
 
@@ -218,26 +223,23 @@ def fbi(
     """Forward-backward improvement: alternate right justification and left
     shift until a full pass yields no improvement (capped at max_passes).
 
-    Memoized per instance on (sched, max_passes): in ProGen j30 solves,
-    47 % of the right justifications repeat an input, mostly for duplicate
-    initial members.  A hit returns the recorded result and charges the
-    budget the recorded number of schedules at once; nothing reads the
-    budget during FBI, so λ ends the same as on a miss."""
-    key = (sched, max_passes)
-    hit = inst.fbi_memo.get(key)
-    if hit is not None:
-        best, charges = hit
-        _charge(budget, charges)
-        return best
+    Each pass, a right justification and then a left shift, is memoized
+    per instance on the schedule it starts from.  A memo of whole calls
+    missed inputs that a call reaches after its first pass: in the 60
+    ProGen j30 solves of perfbench's progen-j30-pool (seed 1), 21 % of the
+    right justifications behind it repeated an input of the same solve,
+    and with the pass memo none do (model.py gives the sweep).  A pass
+    charges the budget two schedules, one right justification and one
+    serial decode, whether it hits or misses; nothing reads the budget
+    during FBI, so λ ends the same as without the memo."""
     best = sched
-    charges = 0
     for _ in range(max_passes):
-        back = _right_justify(inst, best, budget=budget)
-        fwd = left_shift(inst, back, budget=budget)
-        charges += 2  # one right justification, one serial decode
-        if fwd.makespan < best.makespan:
-            best = fwd
-        else:
+        fwd = inst.fbi_memo.get(best)
+        if fwd is None:
+            fwd = left_shift(inst, _right_justify(inst, best))
+            inst.fbi_memo.put(best, fwd)
+        _charge(budget, 2)
+        if fwd.makespan >= best.makespan:
             break
-    inst.fbi_memo.put(key, (best, charges))
+        best = fwd
     return best

@@ -331,7 +331,8 @@ def _search(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunS
                 if budget.exhausted:
                     break
                 lst = random_feasible_list(inst, rng)
-                pop.insert(decode_and_improve(inst, lst, budget=budget))
+                sched = decode_and_improve(inst, lst, budget=budget)
+                pop.insert(Individual.of(inst, sched))
 
             seed_ind = select_parents(pop, 1, state.parent_probability, rng)[0]
             # each NS step costs at least one decode; the sub-budget is the

@@ -15,7 +15,9 @@ dense genes recount the running set and its demands at every unit slot,
 where the library walks start and finish events; the reference GRASP
 keeps one remaining capacity per resource and runs every construction,
 where the library packs the resources and draws only, without
-constructing, when every item fits at once.
+constructing, when every item fits at once.  The reference random
+activity list draws each pick with `rng.randrange`, where the library
+draws by rejection on `rng.getrandbits`.
 """
 
 from __future__ import annotations
@@ -49,6 +51,24 @@ def iter_topological_orders(inst: ProjectInstance):
 
     placed: set[int] = set()
     yield from rec()
+
+
+def reference_random_feasible_list(inst: ProjectInstance, rng) -> tuple[int, ...]:
+    """A random topological order, each pick uniform among the activities
+    whose predecessors are all placed, drawn by `rng.randrange`."""
+    indeg = [len(p) for p in inst.preds]
+    ready = [j for j, d in enumerate(indeg) if d == 0]
+    out: list[int] = []
+    while ready:
+        idx = rng.randrange(len(ready))
+        ready[idx], ready[-1] = ready[-1], ready[idx]
+        j = ready.pop()
+        out.append(j)
+        for s in inst.succs[j]:
+            indeg[s] -= 1
+            if indeg[s] == 0:
+                ready.append(s)
+    return tuple(out)
 
 
 def is_precedence_feasible_list(inst: ProjectInstance, order) -> bool:

@@ -1,8 +1,8 @@
+import concurrent.futures
 import random
 
 import pytest
 
-from rcpsp_hybrid import bench
 from rcpsp_hybrid.bench import (
     BenchReport,
     InstanceResult,
@@ -165,7 +165,7 @@ def test_run_benchmark_starts_at_most_one_worker_per_instance(
     tmp_path, monkeypatch, count, threads, workers
 ):
     _write_dataset(tmp_path, count=count)
-    monkeypatch.setattr(bench, "ProcessPoolExecutor", _PoolRecorder)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _PoolRecorder)
     monkeypatch.setattr(_PoolRecorder, "workers", [])
     cfg = SolverConfig(lambda_budget=50, population_capacity=4, seed=3)
     report = run_benchmark(str(tmp_path), cfg, threads=threads)
@@ -176,7 +176,7 @@ def test_run_benchmark_starts_at_most_one_worker_per_instance(
 @pytest.mark.parametrize("threads", [0, -1])
 def test_run_benchmark_rejects_fewer_than_one_thread(tmp_path, monkeypatch, threads):
     _write_dataset(tmp_path)
-    monkeypatch.setattr(bench, "ProcessPoolExecutor", _PoolRecorder)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _PoolRecorder)
     monkeypatch.setattr(_PoolRecorder, "workers", [])
     with pytest.raises(ValueError, match="threads"):
         run_benchmark(str(tmp_path), SolverConfig(lambda_budget=50), threads=threads)

@@ -77,6 +77,28 @@ def test_validate_directory(dataset_dir, capsys):
     assert out.count(": ok") == 2
 
 
+def test_validate_directory_reports_every_file(tmp_path, capsys):
+    """A bad file does not stop the check of the others: every file gets
+    its line, in name order, and the exit code 1 comes with the count."""
+    files = {
+        "a": FIXTURE_A,
+        "b": FIXTURE_A.replace("  R 1\n   4\n", "  R 1\n  -4\n"),
+        "c": FIXTURE_A,
+        "d": "not a psplib file",
+        "e": FIXTURE_A,
+    }
+    for name, text in files.items():
+        (tmp_path / f"{name}.sm").write_text(text)
+    assert main(["validate", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert [line.split(":")[0] for line in lines] == list(files)
+    assert lines[0] == "a: ok" and lines[2] == "c: ok" and lines[4] == "e: ok"
+    assert lines[1] == "b: resource 0: negative capacity -4"
+    assert lines[3].startswith("d: ") and lines[3] != "d: ok"
+    assert captured.err == "error: 2 invalid instance(s)\n"
+
+
 def test_validate_missing_path_exit_1(tmp_path):
     assert main(["validate", str(tmp_path / "nowhere")]) == 1
 

@@ -3,7 +3,8 @@ __init__ imports only to re-export, so it is left out), every function,
 class and method it defines is named somewhere in it, no module but
 profile.py reads a profile's change points, no module makes a check with
 `assert`, every SolverConfig field is read somewhere, and the package
-imports nothing outside the standard library."""
+imports nothing outside the standard library, nor multiprocessing until
+a benchmark pool starts."""
 
 import ast
 import os
@@ -180,3 +181,24 @@ def test_package_needs_only_the_standard_library():
         check=True,
     )
     assert out.stdout.split() == []
+
+
+def test_import_starts_no_process_machinery():
+    """`import rcpsp_hybrid` leaves multiprocessing out: only a benchmark
+    pool of two or more workers needs it, and it costs every command
+    about 20 ms of start-up."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, rcpsp_hybrid; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))",
+        ],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.split() == ["[]"]

@@ -17,7 +17,7 @@ from rcpsp_hybrid.model import (
 from rcpsp_hybrid.random_instances import random_instance
 from rcpsp_hybrid.sgs import serial_sgs
 from conftest import small_instances
-from oracles import is_precedence_feasible_list
+from oracles import is_precedence_feasible_list, reference_random_feasible_list
 
 
 def test_validate_ok(tiny2):
@@ -169,6 +169,26 @@ def test_random_feasible_list_always_valid():
         inst = random_instance(rng, rng.randint(1, 30), rng.randint(1, 4))
         lst = random_feasible_list(inst, rng)
         assert is_precedence_feasible_list(inst, lst)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(1, 60),
+    st.integers(1, 4),
+    st.sampled_from([0.0, 0.05, 0.2, 0.5]),
+    st.integers(0, 2**64),
+)
+def test_random_feasible_list_draws_as_randrange(inst_seed, n, k, edges, seed):
+    """Drawing each pick by rejection on getrandbits gives the lists and
+    the rng state of `rng.randrange`, list after list, also when the ready
+    set is one activity or just past a power of two, where a draw is
+    rejected nearly half the time."""
+    inst = random_instance(random.Random(inst_seed), n, k, edge_probability=edges)
+    got, want = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        assert random_feasible_list(inst, got) == reference_random_feasible_list(inst, want)
+        assert got.getstate() == want.getstate()
 
 
 def test_cp_bound_below_any_feasible_makespan():

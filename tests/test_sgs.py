@@ -333,6 +333,13 @@ def test_serial_stops_at_the_horizon():
         serial_sgs(inst, [0, 1, 2, 3])
 
 
+def test_parallel_stops_on_a_list_missing_an_activity(tiny2):
+    """An activity left out of the list is never started, so the decoder
+    raises instead of returning starts that leave it at 0."""
+    with pytest.raises(IndexError):
+        parallel_sgs(tiny2, [0, 1, 3, 4])
+
+
 def test_parallel_stops_on_a_precedence_cycle():
     inst = ProjectInstance(
         [Activity(0, 0, (0,)), Activity(1, 1, (0,)), Activity(2, 1, (0,)), Activity(3, 0, (0,))],
@@ -367,6 +374,22 @@ def test_serial_memo_is_bounded_and_not_pickled():
     assert serial_sgs(copy, lst) == serial_sgs(inst, lst)
 
 
+def _run_threads(work, count: int = 4) -> None:
+    """Run work(0) ... work(count - 1) in threads that switch as often as
+    the interpreter allows."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(tid,)) for tid in range(count)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+            assert not th.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_serial_memo_shared_across_threads():
     """Threads sharing one instance hammer its memo with more distinct
     lists than it holds; decodes of a 10-activity instance are short, so
@@ -390,42 +413,72 @@ def test_serial_memo_shared_across_threads():
         except Exception as exc:  # reported by the assertion below
             errors.append(repr(exc))
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(tid,)) for tid in range(4)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=120)
-            assert not th.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
+    _run_threads(work)
     assert not errors, errors[:3]
     assert len(inst.serial_memo) == inst.serial_memo.size
 
 
 def test_fbi_memo_hit_equals_the_miss_per_pass_cap():
-    """A hit returns the schedule of the miss and charges the same λ; the
-    pass caps 1 and 4 on one input keep an entry each.  The misses run on
-    pickled copies of the instance, which arrive with empty memos."""
+    """For pass caps 1 to 4, a call answered from the pass memo returns the
+    schedule and charges the λ of the same call on an empty memo, and the
+    memo holds one entry per distinct pass input: a call that starts from
+    where another's first pass ended adds none.  The misses run on pickled
+    copies of the instance, which arrive with empty memos."""
     inst = _criterion_10_instance()
     rng = random.Random(4)
+
+    def on_empty_memo(sched, passes):
+        budget = Budget(None)
+        fresh = pickle.loads(pickle.dumps(inst))
+        return fbi(fresh, sched, max_passes=passes, budget=budget), budget.used
+
     while True:
-        # an input whose first pass improves, so the two caps differ in λ
+        # an input whose first two passes improve, so caps 1-3 differ in λ
         sched = serial_sgs(inst, random_feasible_list(inst, rng))
-        want = {}
-        for passes in (1, 4):
-            budget = Budget(None)
-            fresh = pickle.loads(pickle.dumps(inst))
-            want[passes] = (fbi(fresh, sched, max_passes=passes, budget=budget), budget.used)
-        if want[1][1] != want[4][1]:
+        want = {passes: on_empty_memo(sched, passes) for passes in (1, 2, 3, 4)}
+        if want[4][1] >= 6:
             break
-    for passes in (1, 4, 1, 4):
+    # the cap-4 call starts a pass from sched and from each improvement
+    inputs = {sched} | {want[passes][0] for passes in range(1, want[4][1] // 2)}
+    assert len(inputs) == want[4][1] // 2
+    for passes in (1, 4, 2, 3, 4, 1):
         budget = Budget(None)
         got = fbi(inst, sched, max_passes=passes, budget=budget)
         assert (got, budget.used) == want[passes]
-    assert len(inst.fbi_memo) == 2
+    budget = Budget(None)
+    assert fbi(inst, want[1][0], budget=budget) == want[4][0]
+    assert budget.used == want[4][1] - 2
+    assert len(inst.fbi_memo) == len(inputs)
+
+
+def test_fbi_memo_shared_across_threads():
+    """Threads sharing one instance hammer its FBI pass memo with over
+    twice the distinct inputs it holds, serial and parallel decodes of a
+    20-activity instance, whose passes are short enough that an unguarded
+    evict between a lookup and its reordering would show."""
+    inst = random_instance(random.Random(5), 20, 1, edge_probability=0.2)
+    rng = random.Random(3)
+    inputs = set()
+    while len(inputs) <= 2 * inst.fbi_memo.size:
+        lst = random_feasible_list(inst, rng)
+        inputs |= {serial_sgs(inst, lst), parallel_sgs(inst, lst)}
+    inputs = sorted(inputs, key=lambda sched: sched.starts)
+    fresh = random_instance(random.Random(5), 20, 1, edge_probability=0.2)
+    want = {sched: fbi(fresh, sched) for sched in inputs}
+    errors: list[str] = []
+
+    def work(tid: int) -> None:
+        pick = random.Random(tid)
+        try:
+            for _ in range(20000):
+                sched = inputs[pick.randrange(len(inputs))]
+                assert fbi(inst, sched) == want[sched]
+        except Exception as exc:  # reported by the assertion below
+            errors.append(repr(exc))
+
+    _run_threads(work)
+    assert not errors, errors[:3]
+    assert len(inst.fbi_memo) == inst.fbi_memo.size
 
 
 def test_fbi_memo_is_bounded_and_not_pickled():
