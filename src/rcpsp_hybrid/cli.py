@@ -96,6 +96,11 @@ def cmd_bench(args) -> int:
                 print(f"  {name}: {achieved} < {known}")
         else:
             print("no improvements over best known bounds")
+    if report.failed:
+        raise InputError(
+            f"{len(report.failed)} instance(s) failed: "
+            + "; ".join(f"{r.name}: {r.error}" for r in report.failed)
+        )
     return 0
 
 

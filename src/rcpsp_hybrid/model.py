@@ -178,11 +178,6 @@ class Schedule:
     starts: tuple[int, ...]
     makespan: int
 
-    @classmethod
-    def from_starts(cls, inst: ProjectInstance, starts: Sequence[int]) -> "Schedule":
-        mk = max(s + p for s, p in zip(starts, inst.durations))
-        return cls(tuple(starts), mk)
-
 
 def topological_order(inst: ProjectInstance) -> Optional[list[int]]:
     """The lexicographically smallest topological order (Kahn's algorithm

@@ -21,6 +21,12 @@ guard tests all resources of a segment at once, and value -= demand books
 it.  A demand above its capacity (`validate_instance` rejects one) then
 fits nowhere, so a decoder called on such an instance finds no start.
 
+A profile is built in one sweep over start and finish events (`booked`);
+`release` gives one booking back.  N_A builds the full profile of a
+schedule once (`neighborhood.booked_profile`) and releases its block
+from a copy of it on each move, where it booked all the activities
+outside the block again before.
+
 There are two window searches, of one loop shape: `place` books one
 window, and `serial_place` runs the whole serial placement loop.  Each
 returns the earliest fitting start exactly, as a scan trying every
@@ -66,7 +72,7 @@ resource and try one start at a time (tests/test_sgs.py compares them).
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Iterable, Optional, Sequence
 
 
@@ -234,6 +240,27 @@ class Profile:
             if times[i] >= end:
                 return True
         return False
+
+    def release(self, demand: int, t: int, p: int) -> None:
+        """Give the packed demand back over [t, t+p): undo a booking made
+        there.  N_A releases the block's members from a copy of the
+        incumbent's full profile (`booked`), instead of booking every
+        activity outside the block again on each move."""
+        if not (p and demand):
+            return
+        times, vals = self.times, self.vals
+        end = t + p
+        i = bisect_right(times, t) - 1
+        if times[i] != t:
+            i += 1
+            times.insert(i, t)
+            vals.insert(i, vals[i - 1])
+        k = bisect_left(times, end, i)
+        if times[k] != end:
+            times.insert(k, end)
+            vals.insert(k, vals[k - 1])
+        for q in range(i, k):
+            vals[q] += demand
 
     def place(self, demand: int, lo: int, hi: int, p: int) -> Optional[int]:
         """Book the earliest window [t, t+p) with lo <= t <= hi that fits and

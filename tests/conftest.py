@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 sys.path.insert(0, os.path.dirname(__file__))
 
 from rcpsp_hybrid import profile
-from rcpsp_hybrid.model import Activity, ProjectInstance
+from rcpsp_hybrid.model import Activity, ProjectInstance, Schedule
+
+
+def schedule_from_starts(inst, starts):
+    """The schedule of a start vector, its makespan the latest finish."""
+    return Schedule(tuple(starts), max(s + p for s, p in zip(starts, inst.durations)))
 
 
 def with_zero_durations(inst, rng, share=0.25):

@@ -17,15 +17,32 @@ keeps one remaining capacity per resource and runs every construction,
 where the library packs the resources and draws only, without
 constructing, when every item fits at once.  The reference random
 activity list draws each pick with `rng.randrange`, where the library
-draws by rejection on `rng.getrandbits`.
+draws by rejection on `rng.getrandbits`.  The reference block shuffles
+with `rng.shuffle` and rescans the candidates each time it widens the
+admission interval by one, where the library gives each candidate the
+least widening that admits it in one pass.  The reference N_A books
+every activity outside the block into a new profile on each call, draws
+its picks with `rng.choices` and computes each try's makespan from every
+finish, where the library releases the block from a copy of the
+incumbent's profile, bisects the cumulative rank weights itself and
+keeps the makespan.  The reference N_B rescans
+every unscheduled member's predecessors and every finish at each event
+(it runs the library's prefix decode, knapsack and precedence repair),
+where the library counts unplaced predecessors down and bisects a sorted
+list of finishes.  The reference precedence repair rescans the sequence
+for each activity it emits, where the library keeps a heap of ready
+positions and returns a feasible sequence after one pass.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from rcpsp_hybrid.model import ProjectInstance
-from rcpsp_hybrid.sgs import serial_sgs
+from rcpsp_hybrid import profile
+from rcpsp_hybrid.genetic import repair_precedence
+from rcpsp_hybrid.model import ProjectInstance, Schedule
+from rcpsp_hybrid.neighborhood import Block, activity_value, compute_windows, grasp_knapsack
+from rcpsp_hybrid.sgs import left_shift, serial_sgs
 
 
 def iter_topological_orders(inst: ProjectInstance):
@@ -69,6 +86,20 @@ def reference_random_feasible_list(inst: ProjectInstance, rng) -> tuple[int, ...
             if indeg[s] == 0:
                 ready.append(s)
     return tuple(out)
+
+
+def reference_repair_precedence(inst: ProjectInstance, seq) -> list[int]:
+    """Emit, again and again, the first activity of `seq` not yet emitted
+    whose predecessors all are."""
+    out: list[int] = []
+    done: set[int] = set()
+    left = list(seq)
+    while left:
+        j = next(a for a in left if all(p in done for p in inst.preds[a]))
+        left.remove(j)
+        out.append(j)
+        done.add(j)
+    return out
 
 
 def is_precedence_feasible_list(inst: ProjectInstance, order) -> bool:
@@ -311,3 +342,123 @@ def reference_grasp(demands, remaining, values, rng, constructions: int, rcl_fra
         if best is None or total > best[0] or (total == best[0] and picked < best[1]):
             best = (total, picked)
     return best[1]
+
+
+def reference_create_block(inst: ProjectInstance, j: int, sched, P: int, rng) -> Block:
+    """Up to P activities around core j: scan a shuffled order of the
+    others, admitting i when s_j - p_i - b <= s_i <= s_j + p_j + b, and
+    widen b by one after each scan that leaves fewer than P."""
+    members = {j}
+    candidates = [i for i in range(1, inst.sink) if i != j]
+    rng.shuffle(candidates)
+    s_j = sched.starts[j]
+    p_j = inst.durations[j]
+    b = 0
+    while len(members) < P and len(members) < len(candidates) + 1:
+        for i in candidates:
+            if i in members:
+                continue
+            if s_j - inst.durations[i] - b <= sched.starts[i] <= s_j + p_j + b:
+                members.add(i)
+                if len(members) == P:
+                    break
+        if len(members) < P:
+            b += 1
+    return Block(core=j, members=members)
+
+
+def reference_neighborhood_a_move(inst: ProjectInstance, sched, block: Block, weights, tries: int, rng):
+    """N_A booking every activity outside the block into a new profile,
+    drawing each pick with `rng.choices` and taking each try's makespan
+    from all its finishes."""
+    windows = compute_windows(inst, sched, block)
+    members = block.members
+    packed = inst.packed_demand
+    rem = profile.booked(
+        inst,
+        sched.makespan + 1,
+        [(packed[j], sched.starts[j], inst.durations[j]) for j in range(len(inst)) if j not in members],
+    )
+    ranked = sorted(members, key=lambda a: (-activity_value(inst, a, weights), a))
+    for _ in range(tries):
+        slots = rem.copy()
+        new_start = {}
+        pending = list(ranked)
+        while pending:
+            eligible = [
+                idx
+                for idx, a in enumerate(pending)
+                if all(p in new_start for p in inst.preds[a] if p in members)
+            ]
+            m = len(eligible)
+            a = pending.pop(rng.choices(eligible, weights=[m - i for i in range(m)], k=1)[0])
+            est, lft = windows[a]
+            for p in inst.preds[a]:
+                if p in members:
+                    est = max(est, new_start[p] + inst.durations[p])
+            t = slots.place(packed[a], est, lft - inst.durations[a], inst.durations[a])
+            if t is None:
+                break
+            new_start[a] = t
+        else:
+            starts = [new_start.get(j, s) for j, s in enumerate(sched.starts)]
+            makespan = max(s + p for s, p in zip(starts, inst.durations))
+            shifted = left_shift(inst, Schedule(tuple(starts), makespan))
+            if shifted.makespan < sched.makespan:
+                return shifted
+    return None
+
+
+def reference_neighborhood_b_move(inst: ProjectInstance, lst, sched, block: Block, weights, rng):
+    """N_B with a parallel extension that, at each event, rescans every
+    unscheduled member's predecessors for the ready set and every finish
+    for the next event time."""
+    j = block.core
+    members = block.members - {0, inst.sink}
+    if not members:
+        return lst
+    if any(m != j and (m, j) in inst.arcs for m in members):
+        return None
+    order = list(lst)
+    pos = {a: i for i, a in enumerate(order)}
+    last_pos = max(pos[m] for m in members)
+    prefix = [a for a in order[: last_pos + 1] if a not in members]
+    suffix = order[last_pos + 1 :]
+    packed = inst.packed_demand
+    slots = profile.empty(inst, inst.horizon + 1)
+    starts, prefix_finish = profile.serial_place(inst, prefix, slots, inst.preds, inst.horizon)
+    finish = {a: prefix_finish[a] for a in prefix}
+    unscheduled = set(members)
+    t = 0
+    while unscheduled:
+        ready = [
+            a
+            for a in unscheduled
+            if all(p in finish and finish[p] <= t for p in inst.preds[a])
+        ]
+        if not ready:
+            t = min(
+                max(finish[p] for p in inst.preds[a])
+                for a in unscheduled
+                if all(p in finish for p in inst.preds[a])
+            )
+            continue
+        fits = [a for a in sorted(ready) if slots.fits(packed[a], t, inst.durations[a])]
+        if fits:
+            vals = [activity_value(inst, a, weights) for a in fits]
+            dem = [packed[a] for a in fits]
+            picked = grasp_knapsack(fits, slots.at(t), dem, inst.guard, vals, rng)
+            placed_any = False
+            for idx in sorted(picked, key=lambda i: (-vals[i], fits[i])):
+                a = fits[idx]
+                if slots.place(packed[a], t, t, inst.durations[a]) is None:
+                    continue
+                starts[a] = t
+                finish[a] = t + inst.durations[a]
+                unscheduled.discard(a)
+                placed_any = True
+            if placed_any:
+                continue
+        t = min(f for f in finish.values() if f > t)
+    rebuilt = prefix + sorted(members, key=lambda a: (starts[a], a)) + suffix
+    return tuple(repair_precedence(inst, rebuilt))

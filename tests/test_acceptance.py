@@ -22,6 +22,7 @@ from rcpsp_hybrid.model import (
     random_feasible_list,
 )
 from rcpsp_hybrid.neighborhood import (
+    booked_profile,
     create_block,
     grasp_knapsack,
     neighborhood_a_move,
@@ -92,7 +93,8 @@ def test_criterion_1_feasibility_suite():
             j = rng.randrange(1, inst.sink)
             block = create_block(inst, j, serial, 4, rng)
             moved = neighborhood_a_move(
-                inst, serial, block, (1.0,) * inst.n_resources, 3, rng
+                inst, serial, booked_profile(inst, serial), block,
+                (1.0,) * inst.n_resources, 3, rng,
             )
             if moved is not None:
                 emitted.append(moved)

@@ -1,8 +1,11 @@
 import concurrent.futures
+import csv
 import random
+from dataclasses import replace
 
 import pytest
 
+from rcpsp_hybrid import bench
 from rcpsp_hybrid.bench import (
     BenchReport,
     InstanceResult,
@@ -15,7 +18,7 @@ from rcpsp_hybrid.bench import (
 )
 from rcpsp_hybrid.psplib import write_sm
 from rcpsp_hybrid.random_instances import random_instance
-from rcpsp_hybrid.solver import SolverConfig
+from rcpsp_hybrid.solver import SolverConfig, solve
 
 
 def _row(name, makespan, cp, schedules=100, seconds=0.1):
@@ -197,5 +200,75 @@ def test_run_benchmark_rows_sorted_and_complete(tmp_path):
 def test_run_benchmark_parse_failure_names_file(tmp_path):
     (tmp_path / "broken.sm").write_text("not a psplib file")
     cfg = SolverConfig(lambda_budget=50)
-    with pytest.raises(ValueError, match="broken"):
-        run_benchmark(str(tmp_path), cfg)
+    report = run_benchmark(str(tmp_path), cfg)
+    assert [(r.name, r.makespan) for r in report.rows] == [("broken", None)]
+    assert report.rows[0].error
+    assert report.failed == report.rows and report.solved == []
+
+
+def _write_mixed_dataset(tmp_path):
+    """Three good instances on two resources, a file that does not parse
+    and an instance on five resources, which the fixed weight modes
+    reject when its solve starts."""
+    rng = random.Random(5)
+    good = {}
+    for name in ("a0", "c1", "e2"):
+        good[name] = random_instance(rng, rng.randint(4, 10), 2)
+        (tmp_path / f"{name}.sm").write_text(write_sm(good[name]))
+    (tmp_path / "b_broken.sm").write_text("not a psplib file")
+    (tmp_path / "d_k5.sm").write_text(write_sm(random_instance(rng, 6, 5)))
+    return good
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_benchmark_reports_bad_instances_and_solves_the_rest(tmp_path, monkeypatch, threads):
+    data = tmp_path / "data"
+    data.mkdir()
+    good = _write_mixed_dataset(data)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _PoolRecorder)
+    monkeypatch.setattr(_PoolRecorder, "workers", [])
+    cfg = SolverConfig(lambda_budget=60, population_capacity=4, seed=3, weight_mode="steep")
+    out, csv_out = tmp_path / "makespans.txt", tmp_path / "summary.csv"
+    report = run_benchmark(str(data), cfg, out_path=str(out), csv_path=str(csv_out), threads=threads)
+
+    assert _PoolRecorder.workers == ([2] if threads == 2 else [])
+    assert [r.name for r in report.rows] == ["a0", "b_broken", "c1", "d_k5", "e2"]
+    assert [r.name for r in report.failed] == ["b_broken", "d_k5"]
+    assert "covers 4 resources" in report.failed[1].error
+    # each good file solves with the seed of its place among all files
+    for idx, name in ((0, "a0"), (2, "c1"), (4, "e2")):
+        sched, _ = solve(good[name], replace(cfg, seed=cfg.seed + idx))
+        assert next(r.makespan for r in report.rows if r.name == name) == sched.makespan
+    assert report.apd == sum(r.deviation_pct for r in report.solved) / 3
+
+    lines = out.read_text().splitlines()
+    assert lines[1] == f"b_broken failed: {report.failed[0].error}"
+    assert lines[3].startswith("d_k5 failed: ")
+    rows = list(csv.reader(csv_out.read_text().splitlines()))
+    assert rows[0][-1] == "error" and len({len(row) for row in rows}) == 1
+    assert rows[4][:4] == ["d_k5", "", "", ""] and "covers 4 resources" in rows[4][-1]
+    assert rows[1][-1] == ""
+    table = format_table(report)
+    assert "APD over 3 instances" in table and "failed: 2 instance(s)" in table
+    assert "b_broken         failed: " in table
+
+
+def test_run_benchmark_lets_other_errors_through(tmp_path, monkeypatch):
+    _write_dataset(tmp_path)
+
+    def crash(inst, config):
+        raise RuntimeError("solver bug")
+
+    monkeypatch.setattr(bench, "solve", crash)
+    with pytest.raises(RuntimeError, match="solver bug"):
+        run_benchmark(str(tmp_path), SolverConfig(lambda_budget=50))
+
+
+def test_clean_run_files_have_no_error_column(tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    _write_dataset(data)
+    csv_out = tmp_path / "summary.csv"
+    report = run_benchmark(str(data), SolverConfig(lambda_budget=50), csv_path=str(csv_out))
+    assert csv_out.read_text().splitlines()[0] == "name,makespan,cp_bound,deviation_pct,schedules,seconds"
+    assert "failed" not in format_table(report)

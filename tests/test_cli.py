@@ -126,6 +126,20 @@ def test_bench_command(dataset_dir, tmp_path, capsys):
     assert csv_file.read_text().startswith("name,")
 
 
+def test_bench_reports_a_bad_file_and_exits_1(dataset_dir, tmp_path, capsys):
+    """The good instances are solved and written; the bad file gets a row."""
+    with open(os.path.join(dataset_dir, "broken.sm"), "w") as fh:
+        fh.write("not a psplib file")
+    out_file = tmp_path / "makespans.txt"
+    code = main(["bench", dataset_dir, "--lambda", "80", "--out", str(out_file)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "APD over 2 instances" in captured.out
+    assert "broken           failed: " in captured.out
+    assert captured.err.startswith("error: 1 instance(s) failed: broken: ")
+    assert len(out_file.read_text().splitlines()) == 3
+
+
 def test_bench_bounds_report(dataset_dir, tmp_path, capsys):
     bounds = tmp_path / "bounds.csv"
     bounds.write_text("instance,best\ninst0,99999\n")

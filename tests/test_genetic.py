@@ -29,8 +29,12 @@ from rcpsp_hybrid.model import (
 from rcpsp_hybrid.random_instances import random_instance
 from rcpsp_hybrid.sgs import fbi, serial_sgs
 from rcpsp_hybrid.solver import Budget
-from conftest import small_instances, with_zero_durations
-from oracles import is_precedence_feasible_list, reference_dense_genes
+from conftest import schedule_from_starts, small_instances, with_zero_durations
+from oracles import (
+    is_precedence_feasible_list,
+    reference_dense_genes,
+    reference_repair_precedence,
+)
 
 
 def _individual(inst, order):
@@ -130,7 +134,7 @@ def test_dense_genes_match_the_slot_by_slot_oracle(case, data):
     inst, _ = case
     n_res = inst.n_resources
     starts = [0] + [data.draw(st.integers(0, 6)) for _ in range(1, len(inst))]
-    sched = Schedule.from_starts(inst, starts)
+    sched = schedule_from_starts(inst, starts)
     # weights of all 53 bits, so that summing the terms in another order
     # would change the last bits of some v_t
     draw = random.Random(data.draw(st.integers(0, 2**32))).random
@@ -336,8 +340,21 @@ def test_repair_precedence_fixes_violations(tiny2):
     assert repair_precedence(tiny2, [0, 3, 1, 2, 4]) == [0, 1, 2, 3, 4]
 
 
+@settings(max_examples=300, deadline=None)
+@given(small_instances())
+def test_repair_precedence_keeps_feasible_input_and_repairs_the_rest(case):
+    """Any order of the activities is repaired as the rescanning oracle
+    repairs it, and a feasible one comes back as it is."""
+    inst, order = case
+    repaired = repair_precedence(inst, order)
+    assert repaired == reference_repair_precedence(inst, order)
+    assert repair_precedence(inst, tuple(repaired)) == repaired
+
+
 @pytest.mark.parametrize(
-    "seq", [[0, 1, 3], [0, 1, 1, 2, 3], [0, 1, 2, 7], [0, 1, 2, 3, 3]], ids=str
+    "seq",
+    [[0, 1, 3], [0, 1, 1, 2, 3], [0, 1, 2, 7], [0, 1, 2, 3, 3], [0, 1, 1, 3], [0, 2, 1, -1]],
+    ids=str,
 )
 def test_repair_precedence_rejects_a_non_permutation(tiny1, seq):
     with pytest.raises(ValueError, match="not a permutation"):

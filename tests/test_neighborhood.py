@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rcpsp_hybrid import neighborhood
 from rcpsp_hybrid.genetic import Individual, repair_precedence
 from rcpsp_hybrid.model import (
     Schedule,
@@ -14,7 +15,9 @@ from rcpsp_hybrid.neighborhood import (
     GRASP_CONSTRUCTIONS,
     RCL_FRACTION,
     Block,
+    NsStats,
     TabuList,
+    booked_profile,
     compute_windows,
     create_block,
     grasp_knapsack,
@@ -25,8 +28,15 @@ from rcpsp_hybrid.neighborhood import (
 )
 from rcpsp_hybrid.random_instances import random_instance
 from rcpsp_hybrid.sgs import fbi, parallel_sgs, schedule_to_list, serial_sgs
-from conftest import packed_knapsack, small_instances, with_zero_durations
-from oracles import brute_force_knapsack, is_precedence_feasible_list, reference_grasp
+from conftest import packed_knapsack, schedule_from_starts, small_instances, with_zero_durations
+from oracles import (
+    brute_force_knapsack,
+    is_precedence_feasible_list,
+    reference_create_block,
+    reference_grasp,
+    reference_neighborhood_a_move,
+    reference_neighborhood_b_move,
+)
 
 
 def _individual(inst, order):
@@ -98,6 +108,66 @@ def test_create_block_size_capped():
         assert len(block.members) <= P
 
 
+@st.composite
+def walk_states(draw):
+    """A random instance of 1 to 30 real activities, about a quarter of
+    them taking no time, a random precedence-feasible list with its serial
+    schedule (sometimes delayed after the source, so that N_A can improve
+    it), any activity as the core, a block size from 0 to n + 1, and an
+    rng seed."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    inst = random_instance(
+        rng,
+        draw(st.integers(1, 30)),
+        draw(st.integers(1, 4)),
+        edge_probability=draw(st.sampled_from([0.05, 0.2, 0.5])),
+        max_capacity=draw(st.sampled_from([3, 10, 30])),
+    )
+    inst = with_zero_durations(inst, rng)
+    lst = random_feasible_list(inst, rng)
+    delay = draw(st.sampled_from([0, 0, 2]))
+    sched = schedule_from_starts(inst, [0] + [s + delay for s in serial_sgs(inst, lst).starts[1:]])
+    core = draw(st.integers(0, inst.sink))
+    P = draw(st.integers(0, inst.n_real + 1))
+    return inst, lst, sched, core, P, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_states())
+def test_create_block_matches_the_scanning_reference(case):
+    inst, _, sched, core, P, seed = case
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        block = create_block(inst, core, sched, P, rng)
+        want = reference_create_block(inst, core, sched, P, ref_rng)
+        assert (block.core, block.members) == (want.core, want.members)
+        assert rng.getstate() == ref_rng.getstate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_states(), st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4))
+def test_neighborhood_a_matches_the_rebuilding_reference(case, weights):
+    inst, _, sched, core, P, seed = case
+    weights = weights[: inst.n_resources]
+    block = create_block(inst, core, sched, P, random.Random(seed))
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    moved = neighborhood_a_move(inst, sched, booked_profile(inst, sched), block, weights, 5, rng)
+    assert moved == reference_neighborhood_a_move(inst, sched, block, weights, 5, ref_rng)
+    assert rng.getstate() == ref_rng.getstate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_states(), st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4))
+def test_neighborhood_b_matches_the_rescanning_reference(case, weights):
+    inst, lst, sched, core, P, seed = case
+    weights = weights[: inst.n_resources]
+    block = create_block(inst, core, sched, P, random.Random(seed))
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    rebuilt = neighborhood_b_move(inst, lst, sched, block, weights, rng)
+    assert rebuilt == reference_neighborhood_b_move(inst, lst, sched, block, weights, ref_rng)
+    assert rng.getstate() == ref_rng.getstate()
+
+
 # --------------------------------------------------------------- windows
 
 
@@ -141,20 +211,25 @@ def test_windows_fit_durations_and_respect_outside():
 def test_na_no_improvement_on_optimum(tiny1):
     sched = Schedule((0, 0, 2, 5), 5)  # brute-force optimal
     block = Block(core=1, members={1, 2})
-    out = neighborhood_a_move(tiny1, sched, block, (1.0,), tries=20, rng=random.Random(0))
+    out = neighborhood_a_move(
+        tiny1, sched, booked_profile(tiny1, sched), block, (1.0,), tries=20, rng=random.Random(0)
+    )
     assert out is None
 
 
 def test_na_zero_tries(tiny1):
     sched = Schedule((0, 0, 2, 5), 5)
     block = Block(core=1, members={1, 2})
-    assert neighborhood_a_move(tiny1, sched, block, (1.0,), 0, random.Random(0)) is None
+    booked = booked_profile(tiny1, sched)
+    assert neighborhood_a_move(tiny1, sched, booked, block, (1.0,), 0, random.Random(0)) is None
 
 
 def test_na_closes_gap(tiny2):
     gapped = Schedule((0, 0, 4, 7, 11), 11)
     block = Block(core=2, members={2})
-    out = neighborhood_a_move(tiny2, gapped, block, (1.0,), 5, random.Random(0))
+    out = neighborhood_a_move(
+        tiny2, gapped, booked_profile(tiny2, gapped), block, (1.0,), 5, random.Random(0)
+    )
     assert out is not None
     assert out.makespan == 9
     assert is_feasible(tiny2, out)
@@ -168,7 +243,7 @@ def test_na_outputs_always_feasible_and_better():
         sched = serial_sgs(inst, random_feasible_list(inst, rng))
         j = rng.randrange(1, inst.sink)
         block = create_block(inst, j, sched, 4, rng)
-        out = neighborhood_a_move(inst, sched, block, (1.0, 1.0), 5, rng)
+        out = neighborhood_a_move(inst, sched, booked_profile(inst, sched), block, (1.0, 1.0), 5, rng)
         if out is not None:
             improved += 1
             assert is_feasible(inst, out)
@@ -237,7 +312,7 @@ def _move_digest(cases, polish=True):
             lst = schedule_to_list(inst, sched)
         for P in (2, 4, 8):
             block = create_block(inst, rng.randrange(1, inst.sink), sched, P, rng)
-            out = neighborhood_a_move(inst, sched, block, weights, 5, rng)
+            out = neighborhood_a_move(inst, sched, booked_profile(inst, sched), block, weights, 5, rng)
             h.update(repr((out and out.starts, rng.getstate())).encode())
             block = create_block(inst, rng.randrange(1, inst.sink), sched, P, rng)
             out = neighborhood_b_move(inst, lst, sched, block, weights, rng)
@@ -410,6 +485,37 @@ def test_ns_run_improves_random_starts():
     assert improved > 0
 
 
+def test_ns_run_profile_cache_matches_a_rebuild_per_move(monkeypatch):
+    """Walks that move on, with and without the cached profile of the
+    current schedule: N_A given a profile rebuilt on every move leaves the
+    same best individual, statistics and rng state."""
+    rng = random.Random(20)
+    cases = []
+    for _ in range(12):
+        inst = random_instance(rng, rng.randint(8, 25), 2)
+        start = _individual(inst, random_feasible_list(inst, rng))
+        cases.append((inst, start, rng.randrange(2**32)))
+
+    def walk(inst, start, seed):
+        walk_rng = random.Random(seed)
+        stats = NsStats()
+        best = ns_run(inst, start, (1.0, 1.0), 60, walk_rng, P=4, stats=stats)
+        return best, stats, walk_rng.getstate()
+
+    cached = [walk(*case) for case in cases]
+    moved_from = []
+    cached_move = neighborhood.neighborhood_a_move
+
+    def rebuilt_move(inst, sched, booked, *args, **kwargs):
+        moved_from.append(sched)
+        return cached_move(inst, sched, booked_profile(inst, sched), *args, **kwargs)
+
+    monkeypatch.setattr(neighborhood, "neighborhood_a_move", rebuilt_move)
+    assert [walk(*case) for case in cases] == cached
+    # N_A also ran from schedules the walks moved to, not only from the starts
+    assert len(set(moved_from)) > 3 * len(cases)
+
+
 # ------------------------------------------------- properties on small instances
 
 
@@ -424,7 +530,7 @@ def moves(draw):
     decode = draw(st.sampled_from([serial_sgs, parallel_sgs]))
     delay = draw(st.sampled_from([0, 0, 2]))
     starts = [0] + [s + delay for s in decode(inst, lst).starts[1:]]
-    ind = Individual(lst, Schedule.from_starts(inst, starts))
+    ind = Individual(lst, schedule_from_starts(inst, starts))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     core = draw(st.integers(1, inst.n_real))
     block = create_block(inst, core, ind.schedule, draw(st.integers(1, 6)), rng)
@@ -437,7 +543,8 @@ def moves(draw):
 @given(moves())
 def test_neighborhood_a_gives_none_or_a_feasible_shorter_schedule(case):
     inst, ind, block, weights, rng = case
-    moved = neighborhood_a_move(inst, ind.schedule, block, weights, tries=5, rng=rng)
+    booked = booked_profile(inst, ind.schedule)
+    moved = neighborhood_a_move(inst, ind.schedule, booked, block, weights, tries=5, rng=rng)
     if moved is not None:
         assert is_feasible(inst, moved)
         assert moved.makespan < ind.makespan

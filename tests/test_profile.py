@@ -190,6 +190,34 @@ def test_booked_equals_one_reserve_per_booking(caps, length, data):
     assert _expand(got, bits, len(caps)) == rows
 
 
+@settings(max_examples=200, deadline=None)
+@given(capacities(), st.integers(1, 14), st.data())
+def test_release_gives_back_part_of_a_booking(caps, length, data):
+    """Releasing any sub-window of a booked window, starting and ending
+    inside segments or on their bounds, in any order, leaves the profile
+    the bookings made without those parts."""
+    inst = _instance(caps)
+    bits = inst.slot_bits
+    rows = [[c] * length for c in caps]
+    bookings = []
+    for _ in range(data.draw(st.integers(0, 8))):
+        demand = [data.draw(_edge_value(c)) for c in caps]
+        p = data.draw(st.integers(0, length))
+        t = data.draw(st.integers(0, length - p))
+        if _fits(rows, demand, t, p):
+            rows = _booked(rows, demand, t, p)
+            bookings.append((demand, t, p))
+    prof = profile.booked(inst, length, [(profile.pack(d, bits), t, p) for d, t, p in bookings])
+    for demand, t, p in data.draw(st.permutations(bookings)):
+        if data.draw(st.booleans()):
+            continue
+        lo = data.draw(st.integers(t, t + p))
+        hi = data.draw(st.integers(lo, t + p))
+        prof.release(profile.pack(demand, bits), lo, hi - lo)
+        rows = _booked(rows, [-d for d in demand], lo, hi - lo)
+        assert _expand(prof, bits, len(caps)) == rows
+
+
 def _no_sentinel(prof, length):
     """The profile still ends at `length`, one value per segment."""
     assert prof.times[-1] == length

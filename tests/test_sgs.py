@@ -23,7 +23,7 @@ from rcpsp_hybrid.sgs import (
     serial_sgs,
 )
 from rcpsp_hybrid.solver import Budget
-from conftest import small_instances, with_zero_durations
+from conftest import schedule_from_starts, small_instances, with_zero_durations
 from oracles import (
     brute_force_optimum,
     is_precedence_feasible_list,
@@ -111,7 +111,7 @@ def test_serial_output_is_active():
                 continue
             starts = list(sched.starts)
             starts[j] = s - 1
-            assert not is_feasible(inst, Schedule.from_starts(inst, starts))
+            assert not is_feasible(inst, schedule_from_starts(inst, starts))
 
 
 def test_fbi_closes_gap(tiny2):
