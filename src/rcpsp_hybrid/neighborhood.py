@@ -5,7 +5,7 @@ memory on summed start times, and the GRASP knapsack solver."""
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional, Sequence
@@ -36,23 +36,13 @@ class TabuList:
     """Bounded FIFO of visited-solution fingerprints with exact membership."""
 
     def __init__(self, capacity: int = TABU_CAPACITY):
-        self.capacity = capacity
-        self._queue: deque[int] = deque()
-        self._counts: Counter[int] = Counter()
+        self._queue: deque[int] = deque(maxlen=max(capacity, 0))
 
     def push(self, value: int) -> None:
-        if self.capacity <= 0:
-            return
-        if len(self._queue) == self.capacity:
-            old = self._queue.popleft()
-            self._counts[old] -= 1
-            if not self._counts[old]:
-                del self._counts[old]
         self._queue.append(value)
-        self._counts[value] += 1
 
     def __contains__(self, value: int) -> bool:
-        return value in self._counts
+        return value in self._queue
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -416,11 +406,12 @@ def ns_run(
     tabu: Optional[TabuList] = None,
     stats: Optional[NsStats] = None,
 ) -> Individual:
-    """Tabu-guided walk alternating N_A and N_B with equal probability;
-    strictly better neighbors update the incumbent best, and the walk
-    always moves to the generated neighbor.  The current schedule's
-    `booked_profile` is built at its first N_A move and kept until the
-    walk moves on."""
+    """Tabu-guided walk of `steps` steps that each toss a fair coin
+    between N_A and N_B; strictly better neighbors update the incumbent
+    best.  The walk moves to each generated neighbor whose fingerprint
+    (`tabu_status`) is not tabu, and stays put on a tabu or empty one.
+    The current schedule's `booked_profile` is built at its first N_A move
+    and kept until the walk moves on."""
     if stats is None:
         stats = NsStats()
     if tabu is None:

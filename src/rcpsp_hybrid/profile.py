@@ -21,45 +21,48 @@ guard tests all resources of a segment at once, and value -= demand books
 it.  A demand above its capacity (`validate_instance` rejects one) then
 fits nowhere, so a decoder called on such an instance finds no start.
 
-A profile is built in one sweep over start and finish events (`booked`);
-`release` gives one booking back.  N_A builds the full profile of a
-schedule once (`neighborhood.booked_profile`) and releases its block
-from a copy of it on each move, where it booked all the activities
-outside the block again before.
-
-There are two window searches, of one loop shape: `place` books one
-window, and `serial_place` runs the whole serial placement loop.  Each
-returns the earliest fitting start exactly, as a scan trying every
-candidate would: it tests a window one segment at a time, and on a
-conflict it skips the whole run of segments short of some resource,
-since no window covering such a segment fits.  The segment that ends the
-run fits, so the next window test starts one segment after it.  For the
-length of a search, a sentinel segment is appended: the value with every
-bit set, which fits every demand of the layout, from the profile's end to
-a far end past every window that starts inside the profile.  So a skip
-stops at the sentinel at the latest and needs no bound test; a window
-that reaches the sentinel ends past the profile, and one test of the
-window's end after the search catches it.  A `finally` removes the
-sentinel again, also when the search raises, so it is never stored.
+A profile is built in one sweep over start and finish events (`booked`).
+The `Profile` methods share one scan, `_earliest`, and one booking,
+`_add`: `fits` scans one start, `place` books the earliest fit in a
+range of starts, and `release` gives a booking back.  `_earliest` tests
+a window one segment at a time, and after a short segment the next
+window starts where that segment ends; every window its callers pass
+lies inside the profile, so it needs no bound test.  N_A builds the full
+profile of a schedule once (`neighborhood.booked_profile`) and releases
+its block from a copy of it on each move.
 
 `serial_place` is the serial decode (sgs.serial_sgs), the right
 justification (sgs._right_justify) and N_B's prefix decode, so it makes
 nearly every placement of a solve: in a λ = 8 000 solve of perfbench's
 scarce120 instance, 645 182 placements came from it against 22 602 from
-N_A and 3 461 from N_B, which call `place`.  So it is one flat loop that
-computes each activity's earliest start, tests the windows and books the
-fit inline, with no method call per activity.  Against one `place` call
-per activity, serial decodes with their right justifications took about
-1.2x less CPU on ProGen j120, j30 and scarce120 instances (timed
-alternately in one process, equal starts), and perfbench's progen-j120
-schedules_per_s rose 1.14x (BENCH_14.json).  The sentinel then took
-another 1.11-1.13x off each call: against the loop that tested `k < n`
-in each skip and the horizon before each window, on about 5 000-7 000
-placement loops captured from ProGen j120, j30 and scarce120 solves
-(timed alternately in one process; equal starts, finishes and
+N_A and 3 461 from N_B, which call `Profile.place`.  So it is one flat
+loop that computes each activity's earliest start, tests the windows
+and books the fit inline, with no method call per activity.  Against one
+`place` call per activity, serial decodes with their right
+justifications took about 1.2x less CPU on ProGen j120, j30 and
+scarce120 instances (timed alternately in one process, equal starts),
+and perfbench's progen-j120 schedules_per_s rose 1.14x (BENCH_14.json).
+
+On a conflict the loop skips the whole run of segments short of some
+resource, since no window covering such a segment fits; the segment
+that ends the run fits, so the next window test starts one segment
+after it.  For the length of the loop, a sentinel segment is appended:
+the value with every bit set, which fits every demand of the layout,
+from the profile's end to a far end past every window that starts
+inside the profile.  So a skip stops at the sentinel at the latest and
+needs no bound test; a window that reaches the sentinel ends past the
+profile, and one test of the window's end after the search catches it.
+A `finally` removes the sentinel again, also when the search raises.
+The sentinel took 1.11-1.13x off each call against the loop that tested
+`k < n` in each skip and the horizon before each window, on about
+5 000-7 000 placement loops captured from ProGen j120, j30 and scarce120
+solves (timed alternately in one process; equal starts, finishes and
 profiles), and perfbench's progen-j120 schedules_per_s rose 1.11x with
-the int-keyed right justification order (BENCH_15.json).  It also keeps
-the change-point format private to this module.
+the int-keyed right justification order (BENCH_15.json).  The `Profile`
+methods run too rarely for it to pay: on a sample of the 52 400 `place`
+and `fits` calls of the solve above, the shared scan took about 12 %
+longer per call than a copy of the sentinel loop, about 0.3 % of the
+solve's CPU.
 
 The right justification needs the latest fitting start instead, and
 gets it from `serial_place` on a mirrored time axis: over [0, T] the
@@ -230,26 +233,53 @@ class Profile:
     def fits(self, demand: int, t: int, p: int) -> bool:
         """Whether the window [t, t+p) has room for the packed demand (a zero
         demand or duration fits anywhere, even past the end of the profile)."""
-        if not (p and demand):
-            return True
-        times, vals, guard = self.times, self.vals, self.guard
-        end = t + p
-        i = bisect_right(times, t) - 1
-        while (vals[i] - demand) & guard == guard:
-            i += 1
-            if times[i] >= end:
-                return True
-        return False
+        return self._earliest(demand, t, t, p) is not None
+
+    def place(self, demand: int, lo: int, hi: int, p: int) -> Optional[int]:
+        """Book the earliest window [t, t+p) with lo <= t <= hi that fits and
+        return t; return None, booking nothing, when none fits.  N_B asks
+        with lo == hi."""
+        t = self._earliest(demand, lo, hi, p)
+        if t is not None:
+            self._add(-demand, t, t + p)
+        return t
 
     def release(self, demand: int, t: int, p: int) -> None:
         """Give the packed demand back over [t, t+p): undo a booking made
         there.  N_A releases the block's members from a copy of the
         incumbent's full profile (`booked`), instead of booking every
         activity outside the block again on each move."""
+        self._add(demand, t, t + p)
+
+    def _earliest(self, demand: int, lo: int, hi: int, p: int) -> Optional[int]:
+        """The earliest t in [lo, hi] whose window [t, t+p) fits the packed
+        demand, or None; lo itself for a zero demand or duration."""
+        if lo > hi:
+            return None
         if not (p and demand):
+            return lo
+        times, vals, guard = self.times, self.vals, self.guard
+        t = lo
+        k = bisect_right(times, t) - 1
+        while True:
+            end = t + p
+            while (vals[k] - demand) & guard == guard:
+                k += 1
+                if times[k] >= end:
+                    return t
+            # no window covering segment k fits: the next starts at its end
+            k += 1
+            t = times[k]
+            if t > hi:
+                return None
+
+    def _add(self, delta: int, t: int, end: int) -> None:
+        """Add the packed `delta` over [t, end), splitting the segments that
+        t and end fall inside; a zero delta or an empty window changes
+        nothing."""
+        if not (delta and end > t):
             return
         times, vals = self.times, self.vals
-        end = t + p
         i = bisect_right(times, t) - 1
         if times[i] != t:
             i += 1
@@ -260,56 +290,4 @@ class Profile:
             times.insert(k, end)
             vals.insert(k, vals[k - 1])
         for q in range(i, k):
-            vals[q] += demand
-
-    def place(self, demand: int, lo: int, hi: int, p: int) -> Optional[int]:
-        """Book the earliest window [t, t+p) with lo <= t <= hi that fits and
-        return t; return None, booking nothing, when none fits.  The loop
-        is `serial_place`'s for one activity, except that it gives up after
-        the skip that passes `hi`: N_B asks with lo == hi."""
-        if lo > hi:
-            return None
-        if not (p and demand):
-            return lo
-        times, vals, guard = self.times, self.vals, self.guard
-        vals.append(_all_fit(guard))
-        times.append(times[-1] + p)
-        try:
-            t = lo
-            end = t + p
-            i = k = bisect_right(times, t) - 1
-            while True:
-                while (vals[k] - demand) & guard == guard:
-                    k += 1
-                    if times[k] >= end:
-                        break
-                else:
-                    k += 1
-                    while (vals[k] - demand) & guard != guard:
-                        k += 1
-                    i = k
-                    t = times[k]
-                    if t > hi:
-                        return None
-                    end = t + p
-                    k += 1
-                    if times[k] < end:
-                        continue
-                break
-            if times[k] != end:
-                times.insert(k, end)
-                vals.insert(k, vals[k - 1])
-            if times[i] != t:
-                i += 1
-                times.insert(i, t)
-                vals.insert(i, vals[i - 1])
-                k += 1
-            if k == i + 1:
-                vals[i] -= demand
-            else:
-                for q in range(i, k):
-                    vals[q] -= demand
-            return t
-        finally:
-            vals.pop()
-            times.pop()
+            vals[q] += delta

@@ -335,8 +335,8 @@ def _search(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunS
                 pop.insert(Individual.of(inst, sched))
 
             seed_ind = select_parents(pop, 1, state.parent_probability, rng)[0]
-            # each NS step costs at least one decode; the sub-budget is the
-            # real cap
+            # either cap can end a burst: an empty step charges nothing and
+            # an N_A step up to NA_TRIES schedules
             ns_stats = NsStats()
             ns_best = ns_run(
                 inst, seed_ind, weights, steps=max(1, burst), rng=rng,

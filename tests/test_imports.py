@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports (the package
 __init__ imports only to re-export, so it is left out), every function,
 class and method it defines is named somewhere in it, no module but
-profile.py reads a profile's change points, no module makes a check with
+profile.py reads a profile's change points, only `serial_place` uses the
+sentinel segment, no module makes a check with
 `assert`, every SolverConfig field is read somewhere, and the package
 imports nothing outside the standard library, nor multiprocessing until
 a benchmark pool starts."""
@@ -109,6 +110,38 @@ def test_guard_sees_profile_field_reads():
 )
 def test_only_profile_reads_the_change_points(path):
     assert profile_field_reads(path.read_text()) == []
+
+
+def sentinel_users(sources: dict[str, str]) -> list[str]:
+    """The functions and methods of `sources` (module name to source text)
+    that name `_all_fit`, the sentinel segment of the flat serial loop."""
+    return sorted(
+        f"{module}.{node.name}"
+        for module, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(n, ast.Name) and n.id == "_all_fit"
+            or isinstance(n, ast.Attribute) and n.attr == "_all_fit"
+            for n in ast.walk(node)
+        )
+    )
+
+
+def test_guard_sees_sentinel_users():
+    sources = {
+        "a": "def _all_fit(g):\n    return g\ndef f(g):\n    return _all_fit(g)\n"
+        "class C:\n    def m(self):\n        return _all_fit(1)\n",
+        "b": "from . import a\ndef g():\n    return a._all_fit(2)\n",
+    }
+    assert sentinel_users(sources) == ["a.f", "a.m", "b.g"]
+
+
+def test_only_serial_place_uses_the_sentinel():
+    """The sentinel pays only in the loop that makes nearly every placement;
+    the Profile methods share one scan without it."""
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert sentinel_users(sources) == ["profile.serial_place"]
 
 
 def assert_lines(source: str) -> list[int]:

@@ -72,6 +72,14 @@ def test_tabu_list_duplicate_values():
     assert 7 in tl and 9 in tl
 
 
+@pytest.mark.parametrize("capacity", [0, -3])
+def test_tabu_list_of_no_capacity_holds_nothing(capacity):
+    tl = TabuList(capacity)
+    tl.push(7)
+    assert 7 not in tl
+    assert len(tl) == 0
+
+
 # ------------------------------------------------------------ create_block
 
 

@@ -5,10 +5,11 @@ from dataclasses import fields
 
 import pytest
 
-from rcpsp_hybrid.genetic import Population
-from rcpsp_hybrid.model import is_feasible
+from rcpsp_hybrid.genetic import Individual, Population
+from rcpsp_hybrid.model import is_feasible, random_feasible_list
+from rcpsp_hybrid.neighborhood import ns_run
 from rcpsp_hybrid.random_instances import random_instance
-from rcpsp_hybrid.sgs import fbi
+from rcpsp_hybrid.sgs import fbi, serial_sgs
 from rcpsp_hybrid.solver import (
     SIGMA1,
     SIGMA2,
@@ -16,6 +17,7 @@ from rcpsp_hybrid.solver import (
     Budget,
     RunStats,
     SolverConfig,
+    _SubBudget,
     adapt_parameters,
     classify_subset,
     solve,
@@ -186,6 +188,25 @@ def test_budget_unlimited_without_caps():
     b = Budget(None, None)
     b.charge(10**6)
     assert not b.exhausted
+
+
+@pytest.mark.parametrize("k", [1, 3, 10, 40])
+def test_ns_burst_charges_at_most_its_allowance(k):
+    """A burst of k steps under a sub-budget of k schedules never charges
+    more than k, though an N_A step may charge up to NA_TRIES; an empty
+    step charges nothing, so a burst can also end with allowance left."""
+    used = []
+    for seed in range(30):
+        rng = random.Random(seed)
+        inst = random_instance(rng, rng.randint(3, 25), rng.randint(1, 3))
+        lst = random_feasible_list(inst, rng)
+        start = Individual(lst, serial_sgs(inst, lst))
+        budget = Budget(None)
+        ns_run(inst, start, (1.0,) * len(inst.capacities), k, rng,
+               P=rng.randint(1, 6), budget=_SubBudget(budget, k))
+        used.append(budget.used)
+    assert max(used) <= k
+    assert min(used) < k
 
 
 # ----------------------------------------------------------- classification
