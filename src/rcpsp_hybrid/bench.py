@@ -154,18 +154,18 @@ def write_csv(report: BenchReport, path: str) -> None:
 
 
 def read_bounds_csv(path: str) -> dict[str, int]:
-    """CSV of (instance, best-known); a non-numeric second column on the
-    first row is treated as a header."""
+    """CSV of (instance, best-known) in UTF-8; a row whose second column
+    is not a finite number, such as a header, is skipped."""
     bounds: dict[str, int] = {}
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         for row in csv.reader(fh):
             if len(row) < 2:
                 continue
             name, value = row[0].strip(), row[1].strip()
             try:
                 bounds[name] = int(float(value))
-            except ValueError:
-                continue  # header or stray line
+            except (ValueError, OverflowError):
+                continue  # header, stray line, nan or inf
     return bounds
 
 

@@ -75,6 +75,14 @@ def cmd_bench(args) -> int:
     if not os.path.isdir(args.directory):
         raise InputError(f"no such directory: {args.directory}")
     config = _build_config(args)
+    bounds = None
+    if args.bounds:
+        if not os.path.isfile(args.bounds):
+            raise InputError(f"no such bounds file: {args.bounds}")
+        try:
+            bounds = read_bounds_csv(args.bounds)
+        except (OSError, ValueError) as exc:  # a decode error is a ValueError
+            raise InputError(f"bad bounds file {args.bounds}: {exc}") from exc
     try:
         report = run_benchmark(
             args.directory,
@@ -86,10 +94,8 @@ def cmd_bench(args) -> int:
     except (OSError, ValueError) as exc:
         raise InputError(str(exc)) from exc
     print(format_table(report))
-    if args.bounds:
-        if not os.path.isfile(args.bounds):
-            raise InputError(f"no such bounds file: {args.bounds}")
-        improvements = compare_bounds(report, read_bounds_csv(args.bounds))
+    if bounds is not None:
+        improvements = compare_bounds(report, bounds)
         if improvements:
             print("improved over best known:")
             for name, achieved, known in improvements:

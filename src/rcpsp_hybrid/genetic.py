@@ -122,25 +122,19 @@ def select_parents(
     pop: Population, parents_size: int, probability: float, rng
 ) -> list[Individual]:
     """Scan the sorted population, admitting each member with the given
-    probability; top-up with the best not-yet-admitted if the scan ends
-    short."""
+    probability; top-up with the best members the scan passed over if it
+    ends short."""
     parents_size = min(parents_size, len(pop))
     chosen: list[Individual] = []
-    taken = [False] * len(pop)
-    for idx, member in enumerate(pop):
+    passed: list[Individual] = []
+    for member in pop:
         if len(chosen) == parents_size:
-            break
+            return chosen
         if rng.random() < probability:
             chosen.append(member)
-            taken[idx] = True
-    if len(chosen) < parents_size:
-        for idx, member in enumerate(pop):
-            if not taken[idx]:
-                chosen.append(member)
-                taken[idx] = True
-                if len(chosen) == parents_size:
-                    break
-    return chosen
+        else:
+            passed.append(member)
+    return chosen + passed[: parents_size - len(chosen)]
 
 
 def dense_activities(

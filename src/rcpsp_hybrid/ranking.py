@@ -5,8 +5,12 @@ prefix-sum constraint: consumption over [1..t] may not exceed t*R_k.
 Delaying an activity only lowers every prefix sum, so the latest-start
 CPM schedule for a trial makespan T minimizes all prefix sums
 simultaneously; a feasible relaxed schedule of makespan <= T exists iff
-that latest-start schedule is prefix-feasible.  Feasibility is monotone
-in T, so the minimal T is found by bisection.  Every resource-feasible
+that latest-start schedule is prefix-feasible.  For T = cp + d, with cp
+the critical path, that schedule is the one for cp shifted right by d, so
+T is feasible exactly when d*R_k >= C_k(t) - t*R_k for every resource k
+and time t, C_k(t) being the cp schedule's consumption over [0, t).  That
+excess is linear in t between two start or finish events, so one sweep
+over each resource's events gives the least d.  Every resource-feasible
 schedule is prefix-feasible, hence the result never exceeds the optimal
 RCPSP makespan.
 """
@@ -45,66 +49,45 @@ class RankingResult:
     mode: str
 
 
-def _prefix_feasible(inst: ProjectInstance, starts: Sequence[int], T: int) -> bool:
-    caps = inst.capacities
-    n_res = inst.n_resources
-    delta = [[0] * (T + 2) for _ in range(n_res)]
-    for j in range(1, inst.sink):
-        s, p = starts[j], inst.durations[j]
-        if p == 0:
-            continue
-        for k, d in inst.active_demand[j]:
-            row = delta[k]
-            row[s] += d
-            row[s + p] -= d
-    for k in range(n_res):
-        cap = caps[k]
-        running = 0
-        prefix = 0
-        row = delta[k]
-        for t in range(T):
-            running += row[t]
-            prefix += running  # consumption during interval [t, t+1)
-            if prefix > (t + 1) * cap:
-                return False
-    return True
-
-
 def solve_cumulative_relaxation(
     inst: ProjectInstance,
 ) -> tuple[Schedule, tuple[int, ...]]:
     """Minimal-makespan schedule for the cumulative relaxation plus the
     per-resource unused cumulative balances at that makespan."""
     cp = critical_path_lower_bound(inst)
-    work = [0] * inst.n_resources
+    starts = latest_starts(inst, cp)
+    n_res = inst.n_resources
+    work = [0] * n_res
+    events: list[dict[int, int]] = [{} for _ in range(n_res)]  # time -> rate change
     for j in range(1, inst.sink):
-        p = inst.durations[j]
+        s, p = starts[j], inst.durations[j]
+        if p == 0:
+            continue
         for k, d in inst.active_demand[j]:
             work[k] += d * p
-    lo = cp
-    for k, w in enumerate(work):
-        if not w:
+            row = events[k]
+            row[s] = row.get(s, 0) + d
+            row[s + p] = row.get(s + p, 0) - d
+    shift = 0
+    for k, row in enumerate(events):
+        if not work[k]:
             continue  # a resource nothing demands, of any capacity, binds nothing
         cap = inst.capacities[k]
         if cap <= 0:
             raise ValueError(f"resource {k}: demanded, but its capacity is {cap}")
-        need = -(-w // cap)  # ceil
-        if need > lo:
-            lo = need
-    hi = max(lo, sum(inst.durations))
-    while not _prefix_feasible(inst, latest_starts(inst, hi), hi):
-        hi *= 2  # not expected for a validated instance; defensive
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _prefix_feasible(inst, latest_starts(inst, mid), mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    T = lo
-    starts = latest_starts(inst, T)
+        used = rate = last = 0
+        for t in sorted(row):
+            used += rate * (t - last)  # consumed over [0, t)
+            rate += row[t]
+            last = t
+            need = -((t * cap - used) // cap)  # ceil((used - t*cap) / cap)
+            if need > shift:
+                shift = need
+    T = cp + shift
+    starts = [s + shift for s in starts]
     starts[0] = 0
     sched = Schedule(tuple(starts), T)
-    residues = tuple(T * inst.capacities[k] - work[k] for k in range(inst.n_resources))
+    residues = tuple(T * inst.capacities[k] - work[k] for k in range(n_res))
     return sched, residues
 
 

@@ -25,6 +25,12 @@ def with_zero_durations(inst, rng, share=0.25):
     return ProjectInstance(acts, inst.arcs, inst.capacities, name=inst.name)
 
 
+def scaled_durations(inst, factor):
+    """A copy of `inst` with every duration multiplied by `factor`."""
+    acts = [Activity(a.id, a.duration * factor, a.demand) for a in inst.activities]
+    return ProjectInstance(acts, inst.arcs, inst.capacities, name=inst.name)
+
+
 @st.composite
 def small_instances(draw):
     """Up to 8 real activities on 1 to 3 resources, with zero durations,

@@ -2,7 +2,9 @@
 
 These deliberately share no code with the solver paths they check:
 optimal makespans come from exhaustive enumeration of topological orders,
-relaxation optima from exhaustive start-vector search, knapsack optima
+relaxation optima from exhaustive start-vector search or from a scan of
+every trial makespan that rebuilds its latest-start usage slot by slot,
+where the library sweeps the events of one schedule; knapsack optima
 from full subset enumeration, a list's precedence feasibility from a
 check of every arc, and the reference serial decode and right
 justification keep one list row per resource and try one start at a
@@ -224,6 +226,17 @@ def _cumulative_feasible(inst: ProjectInstance, starts: list[int], T: int) -> bo
             if prefix > (t + 1) * cap:
                 return False
     return True
+
+
+def least_prefix_feasible_makespan(inst: ProjectInstance) -> int:
+    """Least T >= the critical path whose latest-start schedule meets the
+    cumulative (prefix-sum) constraints, trying one T after another."""
+    from rcpsp_hybrid.model import critical_path_lower_bound, latest_starts
+
+    T = critical_path_lower_bound(inst)
+    while not _cumulative_feasible(inst, latest_starts(inst, T), T):
+        T += 1
+    return T
 
 
 def brute_force_relaxation_optimum(inst: ProjectInstance) -> int:

@@ -148,6 +148,32 @@ def test_bench_bounds_report(dataset_dir, tmp_path, capsys):
     assert "improved over best known" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("make_bounds", ["missing", "not utf-8"])
+def test_bench_checks_its_bounds_file_before_solving(dataset_dir, tmp_path, capsys, make_bounds):
+    bounds = tmp_path / "bounds.csv"
+    if make_bounds == "not utf-8":
+        bounds.write_bytes(b"instance,best\ninst0,99999\n\xff\xfe\n")
+    out_file = tmp_path / "makespans.txt"
+    argv = ["bench", dataset_dir, "--lambda", "60", "--out", str(out_file), "--bounds", str(bounds)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "internal error" not in captured.err
+    assert "bounds file" in captured.err
+    assert captured.out == ""
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "1e400", "nan"])
+def test_bench_skips_a_bound_that_is_not_finite(dataset_dir, tmp_path, capsys, value):
+    bounds = tmp_path / "bounds.csv"
+    bounds.write_text(f"instance,best\ninst0,{value}\ninst1,99999\n")
+    code = main(["bench", dataset_dir, "--lambda", "60", "--bounds", str(bounds)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "improved over best known:\n  inst1: " in captured.out
+    assert "inst0:" not in captured.out.split("improved over best known:")[1]
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_bench_fewer_than_one_thread_exit_1(dataset_dir, capsys, threads):
     assert main(["bench", dataset_dir, "--lambda", "50", "--threads", threads]) == 1

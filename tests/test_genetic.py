@@ -90,6 +90,33 @@ def test_select_parents_probability_zero(tiny1):
     assert chosen == pop.members[:2]
 
 
+class _Draws:
+    """An rng whose random() returns the given values in turn."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
+def test_select_parents_admitted_first_then_the_best_passed_over(tiny1):
+    pop = init_population(tiny1, 6, random.Random(3))
+    members = pop.members
+    draws = _Draws([0.9, 0.1, 0.9, 0.9, 0.1, 0.9])
+    chosen = select_parents(pop, 4, 0.5, draws)
+    # admitted in scan order, then the top-up in population order
+    assert chosen == [members[1], members[4], members[0], members[2]]
+    assert next(draws.values, None) is None
+
+
+def test_select_parents_stops_drawing_once_full(tiny1):
+    pop = init_population(tiny1, 6, random.Random(3))
+    draws = _Draws([0.1, 0.9, 0.1, 0.5])
+    assert select_parents(pop, 2, 0.5, draws) == [pop.members[0], pop.members[2]]
+    assert next(draws.values) == 0.5
+
+
 def test_select_parents_exact_size_and_bias():
     rng = random.Random(4)
     inst = random_instance(rng, 15, 2)

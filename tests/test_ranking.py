@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -6,6 +7,7 @@ from rcpsp_hybrid.model import (
     Activity,
     ProjectInstance,
     critical_path_lower_bound,
+    latest_starts,
     random_feasible_list,
 )
 from rcpsp_hybrid.random_instances import random_instance
@@ -17,7 +19,12 @@ from rcpsp_hybrid.ranking import (
     solve_cumulative_relaxation,
 )
 from rcpsp_hybrid.sgs import serial_sgs
-from oracles import brute_force_optimum, brute_force_relaxation_optimum
+from conftest import scaled_durations, with_zero_durations
+from oracles import (
+    brute_force_optimum,
+    brute_force_relaxation_optimum,
+    least_prefix_feasible_makespan,
+)
 
 
 def test_relaxation_inactive_on_zero_demands(tiny2):
@@ -28,8 +35,7 @@ def test_relaxation_inactive_on_zero_demands(tiny2):
 
 def test_relaxation_stops_on_a_demanded_zero_capacity():
     """validate_instance rejects a demand above a capacity of 0; called
-    directly, the relaxation raises instead of dividing by it, or doubling
-    its trial makespan forever."""
+    directly, the relaxation raises instead of dividing by it."""
     inst = ProjectInstance(
         [Activity(0, 0, (0, 0)), Activity(1, 2, (1, 1)), Activity(2, 0, (0, 0))],
         {(0, 1), (1, 2)},
@@ -53,6 +59,40 @@ def test_relaxation_matches_brute_force():
         inst = random_instance(rng, rng.randint(1, 5), rng.randint(1, 2), max_duration=3)
         sched, _ = solve_cumulative_relaxation(inst)
         assert sched.makespan == brute_force_relaxation_optimum(inst)
+
+
+def test_relaxation_matches_a_scan_of_every_trial_makespan():
+    rng = random.Random(19)
+    zero = random.Random(23)
+    for _ in range(300):
+        inst = random_instance(
+            rng,
+            rng.randint(1, 25),
+            rng.randint(1, 4),
+            max_duration=rng.randint(1, 20),
+            edge_probability=rng.uniform(0.05, 0.6),
+        )
+        for case in (inst, with_zero_durations(inst, zero, share=zero.random())):
+            sched, _ = solve_cumulative_relaxation(case)
+            T = least_prefix_feasible_makespan(case)
+            assert sched.makespan == T
+            assert list(sched.starts[1:]) == latest_starts(case, T)[1:]
+            assert sched.starts[0] == 0
+
+
+def test_relaxation_memory_does_not_grow_with_the_time_unit():
+    """The sweep touches start and finish events only, so durations a
+    thousand times longer cost no more memory."""
+    inst = scaled_durations(random_instance(random.Random(5), 10, 2), 1000)
+    tracemalloc.start()
+    try:
+        sched, residues = solve_cumulative_relaxation(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sched.makespan == 27_000
+    assert residues == (35_000, 96_000)
+    assert peak < 64_000
 
 
 def test_relaxation_bounds():

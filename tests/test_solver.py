@@ -22,7 +22,7 @@ from rcpsp_hybrid.solver import (
     classify_subset,
     solve,
 )
-from conftest import with_zero_durations
+from conftest import scaled_durations, with_zero_durations
 from oracles import brute_force_optimum
 
 
@@ -334,6 +334,24 @@ def test_solve_criterion_10_instance_pinned():
     assert (stats.generations, stats.ns_bursts) == (5, 1)
     digest = hashlib.sha256(repr(sched.starts).encode()).hexdigest()[:16]
     assert digest == "ef43631f8703d3f8"
+
+
+def test_solve_is_invariant_to_the_time_unit():
+    """Durations a thousand times longer scale every start by a thousand
+    and leave the search path as it was: the relaxation, the regime and
+    the bursts see only ratios of times."""
+    bursts = 0
+    for seed in range(12):
+        rng = random.Random(seed)
+        inst = random_instance(rng, rng.randint(8, 20), rng.randint(1, 4), edge_probability=0.15)
+        cfg = SolverConfig(lambda_budget=1500, weight_mode="uniform", seed=seed)
+        sched, stats = solve(inst, cfg)
+        long_sched, long_stats = solve(scaled_durations(inst, 1000), cfg)
+        assert long_sched.starts == tuple(1000 * s for s in sched.starts)
+        assert long_stats.schedules_generated == stats.schedules_generated
+        assert long_stats.ns_bursts == stats.ns_bursts
+        bursts += stats.ns_bursts
+    assert bursts >= 5
 
 
 def test_solve_trace_monotone_and_bounded():
