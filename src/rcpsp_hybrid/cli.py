@@ -25,8 +25,11 @@ class InputError(Exception):
 def _load_instance(path: str):
     if not os.path.isfile(path):
         raise InputError(f"no such file: {path}")
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8", errors="replace") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
     try:
         return parse_sm(text, name=os.path.splitext(os.path.basename(path))[0])
     except ValueError as exc:
@@ -49,6 +52,8 @@ def _build_config(args) -> SolverConfig:
     try:
         config = SolverConfig.from_file(config_path) if config_path else SolverConfig()
         return replace(config, **overrides)
+    except OSError as exc:
+        raise InputError(f"cannot read config file {config_path}: {exc}") from exc
     except ValueError as exc:
         raise InputError(f"bad configuration: {exc}") from exc
 

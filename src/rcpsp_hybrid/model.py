@@ -9,10 +9,8 @@ construction and safe to share across concurrent solver runs.
 from __future__ import annotations
 
 import heapq
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import profile
 
@@ -24,65 +22,14 @@ class Activity:
     demand: tuple[int, ...]
 
 
-# Entries of each per-instance memo, from sweeps over perfbench's
-# generators, schedules unchanged.  Serial memo, 20 ProGen j30 solves at
-# λ = 1 000: hit ratio 23 % at 16 entries, 31 % at 64, 37 % at 256 and
-# 1 024; CPU seconds, median of 5: 0.68 at 16, 0.64 at 256, 0.67 at 1 024.
-# FBI pass memo (`sgs.fbi`), placement loops (profile.serial_place) over
-# progen-j30-pool's 60 solves, seed 1: 36 171 at 1 entry, 30 140 at 16,
-# 27 206 at 64, 26 150 at 256, 26 149 at 1 024 (29 108 with the 64-entry
-# whole-call memo before it); progen-j120's 8 solves: 28 549 at 256,
-# 28 994 at 64 (28 938 before).  `solve` empties both memos when it ends,
-# so their size costs memory only while a solve runs.
-SERIAL_MEMO_SIZE = 256
-FBI_MEMO_SIZE = 256
-
-
-class DecodeMemo:
-    """Least-recently-used map of at most `size` entries, from the input of
-    a pure decode step to its result: an activity order to its serial
-    schedule (`sgs.serial_sgs`), or a schedule to the result of one FBI
-    pass from it (`sgs.fbi`).  A lock guards every access, so one memo may
-    be shared by solver runs in several threads."""
-
-    def __init__(self, size: int):
-        self.size = size
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: Hashable) -> Any:
-        """The entry for `key`, or None."""
-        with self._lock:
-            value = self._entries.get(key)
-            if value is not None:
-                self._entries.move_to_end(key)
-            return value
-
-    def put(self, key: Hashable, value: Any) -> None:
-        with self._lock:
-            self._entries[key] = value
-            if len(self._entries) > self.size:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-
 class ProjectInstance:
     """A project: activities, precedence arcs and renewable capacities.
 
     Derived adjacency/demand structures are precomputed once because the
-    decoders touch them in tight loops.  `serial_memo` caches the latest
-    serial decodes of this instance (see `sgs.serial_sgs`) and `fbi_memo`
-    its latest forward-backward improvement passes (see `sgs.fbi`).  Both
-    are lock-guarded, so an instance stays safe to share across concurrent
-    solver runs; neither is pickled, so an instance sent to a worker
-    process arrives with empty memos; and `solve` empties both when it
-    ends, so an instance kept after its solve holds no memo entries.
+    decoders touch them in tight loops.  Nothing else is kept: an instance
+    is plain data, never changed after construction, so it pickles whole
+    and may be shared by solver runs in several threads.  It compares and
+    hashes by identity, which is how the decode memos of sgs.py key it.
     """
 
     def __init__(
@@ -142,24 +89,6 @@ class ProjectInstance:
         self.backward_base = [
             n2 + t + p * (width - self.backward_radix) for p, t in zip(self.durations, tie)
         ]
-        self._new_memos()
-
-    def _new_memos(self) -> None:
-        self.serial_memo = DecodeMemo(SERIAL_MEMO_SIZE)
-        self.fbi_memo = DecodeMemo(FBI_MEMO_SIZE)
-
-    def clear_memos(self) -> None:
-        self.serial_memo.clear()
-        self.fbi_memo.clear()
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["serial_memo"], state["fbi_memo"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._new_memos()
 
     def __len__(self) -> int:
         return len(self.activities)

@@ -7,13 +7,14 @@ makespan-nonincreasing improvement operators.  All functions are pure
 given (instance, list); an optional `budget` (anything with a charge()
 method) is debited once per full schedule constructed.
 
-Two of them are memoized per instance (model.DecodeMemo), because the
+Two of them are memoized, in a `functools.lru_cache` each, because the
 search asks for the same work again and again: `serial_sgs` on the
-activity order, and each pass of `fbi` on the schedule it starts from
-(model.py gives both sizes and the sweep behind them).  A hit charges the
-budget what the miss charged, so λ, every record and every schedule are
-the same as without the memos.  `solve` empties both memos when it ends,
-returning or raising.
+instance and activity order, and each pass of `fbi` on the instance and
+the schedule it starts from (the sizes and the sweep behind them are
+beside the constants below).  A hit charges the budget what the miss
+charged, so λ, every record and every schedule are the same as without
+the memos.  `solve` empties both (`clear_memos`) when it ends, returning
+or raising, so no solved instance stays in them.
 
 The serial decode and the right justification share one placement loop,
 `profile.serial_place`, which searches a resource profile for each
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
+from functools import lru_cache
 from typing import Sequence
 
 from .model import ProjectInstance, Schedule
@@ -54,10 +56,39 @@ from . import profile
 # this flag to record the backend of each run, so it stays as a constant.
 USE_KERNELS = False
 
+# Entries of each decode memo, from sweeps over perfbench's generators,
+# schedules unchanged.  Serial memo, 20 ProGen j30 solves at λ = 1 000:
+# hit ratio 23 % at 16 entries, 31 % at 64, 37 % at 256 and 1 024; CPU
+# seconds, median of 5: 0.68 at 16, 0.64 at 256, 0.67 at 1 024.  FBI pass
+# memo, placement loops (profile.serial_place) over progen-j30-pool's 60
+# solves, seed 1: 36 171 at 1 entry, 30 140 at 16, 27 206 at 64, 26 150
+# at 256, 26 149 at 1 024 (29 108 with the 64-entry whole-call memo before
+# it); progen-j120's 8 solves: 28 549 at 256, 28 994 at 64 (28 938
+# before).  The sweeps ran with one memo per instance; every key holds its
+# instance and the solves in one process run one after another, so these
+# caches evict in the same order.  `solve` empties both when it ends, so
+# their size costs memory only while a solve runs.
+SERIAL_MEMO_SIZE = 256
+FBI_MEMO_SIZE = 256
+
 
 def _charge(budget, k: int = 1) -> None:
     if budget is not None:
         budget.charge(k)
+
+
+def clear_memos() -> None:
+    """Empty the serial and FBI pass memos."""
+    _serial_decode.cache_clear()
+    _fbi_pass.cache_clear()
+
+
+@lru_cache(maxsize=SERIAL_MEMO_SIZE)
+def _serial_decode(inst: ProjectInstance, order: tuple[int, ...]) -> Schedule:
+    starts, finish = profile.serial_place(
+        inst, order, profile.empty(inst, inst.horizon + 1), inst.preds, inst.horizon
+    )
+    return Schedule(tuple(starts), finish[inst.sink])
 
 
 def serial_sgs(
@@ -69,17 +100,10 @@ def serial_sgs(
     time after its predecessors at which its full duration fits the
     remaining resource profile.
 
-    Decodes are memoized per instance on the activity order (the search
-    revisits the same lists often); the budget is charged once per call,
-    hit or miss, so λ counts calls exactly as without the memo."""
-    order = tuple(lst)
-    sched = inst.serial_memo.get(order)
-    if sched is None:
-        starts, finish = profile.serial_place(
-            inst, order, profile.empty(inst, inst.horizon + 1), inst.preds, inst.horizon
-        )
-        sched = Schedule(tuple(starts), finish[inst.sink])
-        inst.serial_memo.put(order, sched)
+    Decodes are memoized on the instance and the activity order (the
+    search revisits the same lists often); the budget is charged once per
+    call, hit or miss, so λ counts calls exactly as without the memo."""
+    sched = _serial_decode(inst, tuple(lst))
     _charge(budget)
     return sched
 
@@ -214,6 +238,13 @@ def left_shift(inst: ProjectInstance, sched: Schedule, budget=None) -> Schedule:
     return serial_sgs(inst, schedule_to_list(inst, sched), budget=budget)
 
 
+@lru_cache(maxsize=FBI_MEMO_SIZE)
+def _fbi_pass(inst: ProjectInstance, sched: Schedule) -> Schedule:
+    # left_shift is looked up as a module global on each miss, so a
+    # wrapper bound in its place (perfbench's tracer) sees every call
+    return left_shift(inst, _right_justify(inst, sched))
+
+
 def fbi(
     inst: ProjectInstance,
     sched: Schedule,
@@ -224,20 +255,18 @@ def fbi(
     shift until a full pass yields no improvement (capped at max_passes).
 
     Each pass, a right justification and then a left shift, is memoized
-    per instance on the schedule it starts from.  A memo of whole calls
-    missed inputs that a call reaches after its first pass: in the 60
-    ProGen j30 solves of perfbench's progen-j30-pool (seed 1), 21 % of the
-    right justifications behind it repeated an input of the same solve,
-    and with the pass memo none do (model.py gives the sweep).  A pass
-    charges the budget two schedules, one right justification and one
-    serial decode, whether it hits or misses; nothing reads the budget
-    during FBI, so λ ends the same as without the memo."""
+    on the instance and the schedule it starts from.  A memo of whole
+    calls missed inputs that a call reaches after its first pass: in the
+    60 ProGen j30 solves of perfbench's progen-j30-pool (seed 1), 21 % of
+    the right justifications behind it repeated an input of the same
+    solve, and with the pass memo none do (the sweep is beside
+    FBI_MEMO_SIZE).  A pass charges the budget two schedules, one right
+    justification and one serial decode, whether it hits or misses;
+    nothing reads the budget during FBI, so λ ends the same as without the
+    memo."""
     best = sched
     for _ in range(max_passes):
-        fwd = inst.fbi_memo.get(best)
-        if fwd is None:
-            fwd = left_shift(inst, _right_justify(inst, best))
-            inst.fbi_memo.put(best, fwd)
+        fwd = _fbi_pass(inst, best)
         _charge(budget, 2)
         if fwd.makespan >= best.makespan:
             break

@@ -27,6 +27,7 @@ from .genetic import (
 )
 from .neighborhood import NsStats, TabuList, ns_run
 from .ranking import WEIGHT_MODES, rank_and_weigh
+from .sgs import clear_memos
 
 
 class Budget:
@@ -249,13 +250,13 @@ def adapt_parameters(state: AdaptiveState, log: Optional[list[str]] = None) -> A
 def solve(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunStats]:
     """Run the full hybrid loop and return the best schedule found.
 
-    The instance's decode memos are emptied when the run ends, returning or
-    raising: a caller that keeps many solved instances, as `run_benchmark`
-    at one worker does, would otherwise keep a full memo for each."""
+    The decode memos of sgs.py are emptied when the run ends, returning or
+    raising, so they keep no solved instance alive and hold entries only
+    while a solve runs."""
     try:
         return _search(inst, config)
     finally:
-        inst.clear_memos()
+        clear_memos()
 
 
 def _search(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunStats]:

@@ -195,6 +195,40 @@ def test_unreadable_dataset_entry_exit_1(dataset_dir, argv, capsys):
     assert err.startswith("error: cannot read") and "b.sm" in err
 
 
+def _deny_reading(monkeypatch, denied: str) -> None:
+    """Make `open` raise PermissionError on `denied`: the tests may run as
+    root, for whom a file's mode denies no read."""
+    real_open = open
+
+    def fake_open(file, *args, **kwargs):
+        if os.fspath(file) == denied:
+            raise PermissionError(13, "Permission denied", denied)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", fake_open)
+
+
+@pytest.mark.parametrize("command", ["solve", "rank", "validate"])
+def test_unreadable_instance_exit_1(instance_file, monkeypatch, capsys, command):
+    _deny_reading(monkeypatch, instance_file)
+    assert main([command, instance_file]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and "internal error" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_unreadable_config_file_exit_1(
+    instance_file, dataset_dir, tmp_path, monkeypatch, capsys, command
+):
+    conf = tmp_path / "solver.conf"
+    conf.write_text("lambda_budget = 40\n")
+    _deny_reading(monkeypatch, str(conf))
+    target = instance_file if command == "solve" else dataset_dir
+    assert main([command, target, "--config", str(conf)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config file") and "internal error" not in err
+
+
 def test_seed_changes_nothing_on_reruns(instance_file, capsys):
     """Every output line but the wall-clock `seconds` line, which a busy
     host can move by a hundredth, is the same on a rerun."""

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from rcpsp_hybrid.model import (
 )
 from rcpsp_hybrid.random_instances import random_instance
 from rcpsp_hybrid.sgs import serial_sgs
+from rcpsp_hybrid.solver import SolverConfig, solve
 from conftest import small_instances
 from oracles import is_precedence_feasible_list, reference_random_feasible_list
 
@@ -105,6 +107,15 @@ def test_arc_to_unknown_activity_rejected(arc):
             {(0, 1), (1, 2), arc},
             (2,),
         )
+
+
+def test_pickled_instance_equals_the_original():
+    """An instance is plain data: after a solve, a pickled copy has every
+    attribute equal to the original's, so no per-solve state rides on it."""
+    inst = random_instance(random.Random(3), 12, 2)
+    solve(inst, SolverConfig(lambda_budget=200, population_capacity=6, seed=1))
+    copy = pickle.loads(pickle.dumps(inst))
+    assert vars(copy) == vars(inst)
 
 
 def test_is_feasible_tiny1(tiny1):

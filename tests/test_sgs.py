@@ -350,7 +350,15 @@ def test_parallel_stops_on_a_precedence_cycle():
         parallel_sgs(inst, [0, 1, 2, 3])
 
 
-def test_serial_memo_charges_every_call():
+@pytest.fixture
+def empty_memos():
+    """Both decode memos empty before and after the test."""
+    sgs.clear_memos()
+    yield
+    sgs.clear_memos()
+
+
+def test_serial_memo_charges_every_call(empty_memos):
     inst = _criterion_10_instance()
     lst = random_feasible_list(inst, random.Random(1))
     budget = Budget(None)
@@ -359,19 +367,19 @@ def test_serial_memo_charges_every_call():
     as_list = serial_sgs(inst, list(lst), budget=budget)
     assert budget.used == 3
     assert again == first and as_list == first
+    info = sgs._serial_decode.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
     assert is_feasible(inst, first)
 
 
-def test_serial_memo_is_bounded_and_not_pickled():
+def test_serial_memo_is_bounded(empty_memos):
     inst = _criterion_10_instance()
     rng = random.Random(2)
-    for _ in range(inst.serial_memo.size + 10):
+    for _ in range(sgs.SERIAL_MEMO_SIZE + 10):
         serial_sgs(inst, random_feasible_list(inst, rng))
-    assert len(inst.serial_memo) == inst.serial_memo.size
-    copy = pickle.loads(pickle.dumps(inst))
-    assert len(copy.serial_memo) == 0
-    lst = random_feasible_list(inst, rng)
-    assert serial_sgs(copy, lst) == serial_sgs(inst, lst)
+    info = sgs._serial_decode.cache_info()
+    assert info.misses == sgs.SERIAL_MEMO_SIZE + 10
+    assert info.currsize == info.maxsize == sgs.SERIAL_MEMO_SIZE
 
 
 def _run_threads(work, count: int = 4) -> None:
@@ -390,8 +398,8 @@ def _run_threads(work, count: int = 4) -> None:
         sys.setswitchinterval(interval)
 
 
-def test_serial_memo_shared_across_threads():
-    """Threads sharing one instance hammer its memo with more distinct
+def test_serial_memo_shared_across_threads(empty_memos):
+    """Threads sharing one instance hammer the memo with more distinct
     lists than it holds; decodes of a 10-activity instance are short, so
     an unguarded evict between a lookup and its reordering would show."""
     inst = random_instance(random.Random(5), 10, 1, edge_probability=0.2)
@@ -399,9 +407,8 @@ def test_serial_memo_shared_across_threads():
     lists = sorted(
         {random_feasible_list(inst, rng) for _ in range(2000)}
     )
-    assert len(lists) > 2 * inst.serial_memo.size
-    fresh = random_instance(random.Random(5), 10, 1, edge_probability=0.2)
-    want = {lst: serial_sgs(fresh, lst) for lst in lists}
+    assert len(lists) > 2 * sgs.SERIAL_MEMO_SIZE
+    want = {lst: serial_sgs(inst, lst) for lst in lists}
     errors: list[str] = []
 
     def work(tid: int) -> None:
@@ -413,24 +420,26 @@ def test_serial_memo_shared_across_threads():
         except Exception as exc:  # reported by the assertion below
             errors.append(repr(exc))
 
+    sgs.clear_memos()
     _run_threads(work)
     assert not errors, errors[:3]
-    assert len(inst.serial_memo) == inst.serial_memo.size
+    info = sgs._serial_decode.cache_info()
+    assert info.hits and info.misses > len(lists)
+    assert info.currsize == sgs.SERIAL_MEMO_SIZE
 
 
-def test_fbi_memo_hit_equals_the_miss_per_pass_cap():
+def test_fbi_memo_hit_equals_the_miss_per_pass_cap(empty_memos):
     """For pass caps 1 to 4, a call answered from the pass memo returns the
     schedule and charges the λ of the same call on an empty memo, and the
     memo holds one entry per distinct pass input: a call that starts from
-    where another's first pass ended adds none.  The misses run on pickled
-    copies of the instance, which arrive with empty memos."""
+    where another's first pass ended adds none."""
     inst = _criterion_10_instance()
     rng = random.Random(4)
 
     def on_empty_memo(sched, passes):
         budget = Budget(None)
-        fresh = pickle.loads(pickle.dumps(inst))
-        return fbi(fresh, sched, max_passes=passes, budget=budget), budget.used
+        sgs.clear_memos()
+        return fbi(inst, sched, max_passes=passes, budget=budget), budget.used
 
     while True:
         # an input whose first two passes improve, so caps 1-3 differ in λ
@@ -441,6 +450,7 @@ def test_fbi_memo_hit_equals_the_miss_per_pass_cap():
     # the cap-4 call starts a pass from sched and from each improvement
     inputs = {sched} | {want[passes][0] for passes in range(1, want[4][1] // 2)}
     assert len(inputs) == want[4][1] // 2
+    sgs.clear_memos()
     for passes in (1, 4, 2, 3, 4, 1):
         budget = Budget(None)
         got = fbi(inst, sched, max_passes=passes, budget=budget)
@@ -448,23 +458,23 @@ def test_fbi_memo_hit_equals_the_miss_per_pass_cap():
     budget = Budget(None)
     assert fbi(inst, want[1][0], budget=budget) == want[4][0]
     assert budget.used == want[4][1] - 2
-    assert len(inst.fbi_memo) == len(inputs)
+    info = sgs._fbi_pass.cache_info()
+    assert (info.misses, info.currsize) == (len(inputs), len(inputs))
 
 
-def test_fbi_memo_shared_across_threads():
-    """Threads sharing one instance hammer its FBI pass memo with over
+def test_fbi_memo_shared_across_threads(empty_memos):
+    """Threads sharing one instance hammer the FBI pass memo with over
     twice the distinct inputs it holds, serial and parallel decodes of a
     20-activity instance, whose passes are short enough that an unguarded
     evict between a lookup and its reordering would show."""
     inst = random_instance(random.Random(5), 20, 1, edge_probability=0.2)
     rng = random.Random(3)
     inputs = set()
-    while len(inputs) <= 2 * inst.fbi_memo.size:
+    while len(inputs) <= 2 * sgs.FBI_MEMO_SIZE:
         lst = random_feasible_list(inst, rng)
         inputs |= {serial_sgs(inst, lst), parallel_sgs(inst, lst)}
     inputs = sorted(inputs, key=lambda sched: sched.starts)
-    fresh = random_instance(random.Random(5), 20, 1, edge_probability=0.2)
-    want = {sched: fbi(fresh, sched) for sched in inputs}
+    want = {sched: fbi(inst, sched) for sched in inputs}
     errors: list[str] = []
 
     def work(tid: int) -> None:
@@ -476,33 +486,35 @@ def test_fbi_memo_shared_across_threads():
         except Exception as exc:  # reported by the assertion below
             errors.append(repr(exc))
 
+    sgs.clear_memos()
     _run_threads(work)
     assert not errors, errors[:3]
-    assert len(inst.fbi_memo) == inst.fbi_memo.size
+    info = sgs._fbi_pass.cache_info()
+    assert info.hits and info.misses > len(inputs)
+    assert info.currsize == sgs.FBI_MEMO_SIZE
 
 
-def test_fbi_memo_is_bounded_and_not_pickled():
+def test_fbi_memo_is_bounded(empty_memos):
     inst = _criterion_10_instance()
     rng = random.Random(6)
     inputs = [
         serial_sgs(inst, random_feasible_list(inst, rng))
-        for _ in range(inst.fbi_memo.size + 10)
+        for _ in range(sgs.FBI_MEMO_SIZE + 10)
     ]
     for sched in inputs:
         fbi(inst, sched)
-    assert len(inst.fbi_memo) == inst.fbi_memo.size
-    copy = pickle.loads(pickle.dumps(inst))
-    assert len(copy.fbi_memo) == 0 and len(copy.serial_memo) == 0
-    assert fbi(copy, inputs[-1]) == fbi(inst, inputs[-1])
+    info = sgs._fbi_pass.cache_info()
+    assert info.misses >= len(set(inputs)) > sgs.FBI_MEMO_SIZE
+    assert info.currsize == info.maxsize == sgs.FBI_MEMO_SIZE
 
 
-def test_fbi_stops_when_an_activity_fits_nowhere(tiny1):
+def test_fbi_stops_when_an_activity_fits_nowhere(tiny1, empty_memos):
     """Both activities of tiny1 start at 0, over the capacity, and the
     makespan 3 leaves no room to move activity 1 before activity 2: the
     right justification raises instead of returning a schedule."""
     with pytest.raises(ValueError, match="activity 1 fits nowhere"):
         fbi(tiny1, Schedule((0, 0, 0, 3), 3))
-    assert len(tiny1.fbi_memo) == 0
+    assert sgs._fbi_pass.cache_info().currsize == 0
 
 
 def test_fbi_leaves_no_sentinel_when_an_activity_fits_nowhere(tiny1, monkeypatch):

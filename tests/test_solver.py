@@ -1,10 +1,13 @@
+import gc
 import hashlib
 import inspect
 import random
+import weakref
 from dataclasses import fields
 
 import pytest
 
+from rcpsp_hybrid import sgs
 from rcpsp_hybrid.genetic import Individual, Population
 from rcpsp_hybrid.model import is_feasible, random_feasible_list
 from rcpsp_hybrid.neighborhood import ns_run
@@ -444,26 +447,61 @@ def test_solve_rejects_invalid_instance():
         solve(bad, SolverConfig(lambda_budget=10))
 
 
+def _memo_sizes():
+    return sgs._serial_decode.cache_info().currsize, sgs._fbi_pass.cache_info().currsize
+
+
 def test_solve_releases_its_memos(monkeypatch):
-    """After solve returns, and after it raises, the instance's serial and
-    FBI memos are empty; the run had filled both."""
+    """After solve returns, and after it raises, the serial and FBI memos
+    are empty; the run had filled both."""
     from rcpsp_hybrid import solver
 
     inst = random_instance(random.Random(13), 12, 2)
     solve(inst, SolverConfig(lambda_budget=200, population_capacity=6, seed=1))
-    assert len(inst.serial_memo) == 0 and len(inst.fbi_memo) == 0
+    assert _memo_sizes() == (0, 0)
 
     filled = []
 
     def fail(*args):
-        filled.append((len(inst.serial_memo), len(inst.fbi_memo)))
+        filled.append(_memo_sizes())
         raise RuntimeError("stop after the initial population")
 
     monkeypatch.setattr(solver, "select_parents", fail)
     with pytest.raises(RuntimeError, match="stop after"):
         solve(inst, SolverConfig(lambda_budget=200, population_capacity=6, seed=1))
     assert filled and min(filled[0]) > 0
-    assert len(inst.serial_memo) == 0 and len(inst.fbi_memo) == 0
+    assert _memo_sizes() == (0, 0)
+
+
+def test_solve_keeps_no_instance_alive(monkeypatch):
+    """The memos are module-level, keyed on the instance: once solve has
+    returned, or raised, and the caller drops the instance, nothing in the
+    package holds it."""
+    from rcpsp_hybrid import solver
+
+    config = SolverConfig(lambda_budget=200, population_capacity=6, seed=1)
+    inst = random_instance(random.Random(13), 12, 2)
+    solve(inst, config)
+    ref = weakref.ref(inst)
+    del inst
+    gc.collect()
+    assert ref() is None
+
+    def fail(*args):
+        raise RuntimeError("stop after the initial population")
+
+    monkeypatch.setattr(solver, "select_parents", fail)
+    inst = random_instance(random.Random(13), 12, 2)
+    ref = weakref.ref(inst)
+    try:
+        solve(inst, config)
+    except RuntimeError:
+        pass
+    else:
+        pytest.fail("solve did not raise")
+    del inst
+    gc.collect()
+    assert ref() is None
 
 
 def test_solve_time_limit_only():
