@@ -18,7 +18,7 @@ from .sgs import fbi, parallel_sgs, schedule_to_list, serial_sgs
 class Individual:
     list: tuple[int, ...]
     schedule: Schedule
-    # ((threshold, weights), dense genes) of the latest dense_genes call
+    # (weights, dense genes) of the latest dense_genes call
     _genes: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
@@ -34,14 +34,15 @@ class Individual:
         return self.schedule.makespan
 
     def dense_genes(
-        self, inst: ProjectInstance, threshold: float, weights: Sequence[float]
+        self, inst: ProjectInstance, weights: Sequence[float]
     ) -> tuple[DenseGene, ...]:
-        """The dense genes of this schedule (`dense_activities`), computed
-        once per (threshold, weights): an individual is a parent in many
-        generations, and both change only at stagnation checkpoints."""
-        key = (threshold, tuple(weights))
+        """The dense genes of this schedule at `DENSE_THRESHOLD`
+        (`dense_activities`), computed once per weights: an individual is
+        a parent in many generations, and a run draws its weights once."""
+        key = tuple(weights)
         if self._genes is None or self._genes[0] != key:
-            self._genes = (key, tuple(dense_activities(inst, self.schedule, threshold, weights)))
+            genes = dense_activities(inst, self.schedule, DENSE_THRESHOLD, weights)
+            self._genes = (key, tuple(genes))
         return self._genes[1]
 
 
@@ -118,6 +119,10 @@ def init_population(
     return pop
 
 
+# the chance that the parent scan admits each member it passes
+PARENT_PROBABILITY = 0.25
+
+
 def select_parents(
     pop: Population, parents_size: int, probability: float, rng
 ) -> list[Individual]:
@@ -135,6 +140,10 @@ def select_parents(
         else:
             passed.append(member)
     return chosen + passed[: parents_size - len(chosen)]
+
+
+# a time whose weighted unused capacity v_t falls below this is dense
+DENSE_THRESHOLD = 0.75
 
 
 def dense_activities(

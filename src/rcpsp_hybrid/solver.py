@@ -1,6 +1,6 @@
-"""Hybrid control loop: relaxation-based ranking, population init,
-gap-based regime classification, GA generations with NS bursts on
-stagnation, and parameter self-tuning."""
+"""Hybrid control loop: relaxation-based ranking and resource weights
+drawn once per run, population init, gap-based regime classification,
+and GA generations with NS bursts on stagnation."""
 
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from .model import (
     validate_instance,
 )
 from .genetic import (
+    PARENT_PROBABILITY,
     Individual,
     decode_and_improve,
     init_population,
@@ -56,7 +57,8 @@ class Budget:
 class SolverConfig:
     """Run settings only; the operator parameters are constants beside
     their operators (`fbi`, `mutate`, `grasp_knapsack`, `ns_run`,
-    `TabuList`, `AdaptiveState` and the regime thresholds below)."""
+    `TabuList`, `DENSE_THRESHOLD`, `PARENT_PROBABILITY` and the regime
+    thresholds below)."""
 
     lambda_budget: Optional[int] = 50000
     time_limit: Optional[float] = None
@@ -77,7 +79,7 @@ class SolverConfig:
             raise bad("population_capacity", "an integer >= 2")
         for name, least in (
             ("lambda_budget", 1),
-            ("ns_burst", 0),  # 0: bursts that generate nothing (pure GA)
+            ("ns_burst", 0),  # 0: no bursts (pure GA)
             ("stagnation_trigger", 0),
         ):
             if getattr(self, name) is not None and not _is_int(getattr(self, name), least):
@@ -150,7 +152,6 @@ class RunStats:
     weights: tuple[float, ...] = ()
     generations: int = 0
     ns_bursts: int = 0
-    parameter_changes: list[str] = field(default_factory=list)
     seconds: float = 0.0
 
     def record(self, used: int, makespan: int) -> None:
@@ -178,75 +179,6 @@ def classify_subset(ub: int, cp_bound: int) -> int:
     return 3
 
 
-@dataclass
-class AdaptiveState:
-    """The self-tuned parameters, starting from the paper's values."""
-
-    dense_threshold: float = 0.75
-    parent_probability: float = 0.25
-    block_size: int = 4
-    p_changes_without_record: int = 0
-
-    # observation windows, reset after each adaptation
-    dense_gene_counts: list[int] = field(default_factory=list)
-    ns_empty: int = 0
-    ns_nonempty: int = 0
-    record_improved: bool = False
-
-
-def adapt_parameters(state: AdaptiveState, log: Optional[list[str]] = None) -> AdaptiveState:
-    """Self-tuning at stagnation checkpoints: nudge the dense-gene
-    threshold toward a useful gene supply, keep the parent probability in
-    [0.1, 0.5], grow/shrink the block size by the empty-neighbor ratio,
-    and after five block-size changes without a record, reset the block
-    size to 1 (the caller re-draws the resource weights)."""
-
-    def note(msg: str) -> None:
-        if log is not None:
-            log.append(msg)
-
-    if state.dense_gene_counts:
-        avg = sum(state.dense_gene_counts) / len(state.dense_gene_counts)
-        if avg >= 4 and state.dense_threshold > 0.15:
-            state.dense_threshold = round(state.dense_threshold - 0.05, 6)
-            note(f"dense_threshold -> {state.dense_threshold} (genes abundant)")
-        elif avg < 1 and state.dense_threshold < 1.5:
-            state.dense_threshold = round(state.dense_threshold + 0.05, 6)
-            note(f"dense_threshold -> {state.dense_threshold} (genes scarce)")
-
-    if state.record_improved:
-        if state.parent_probability > 0.25:
-            state.parent_probability = max(0.25, state.parent_probability - 0.05)
-    else:
-        if state.parent_probability < 0.5:
-            state.parent_probability = min(0.5, state.parent_probability + 0.05)
-            note(f"parent_probability -> {state.parent_probability:.2f}")
-
-    total = state.ns_empty + state.ns_nonempty
-    if total:
-        nonempty_ratio = state.ns_nonempty / total
-        changed = False
-        if nonempty_ratio >= 0.5:
-            state.block_size += 1
-            changed = True
-            note(f"block_size -> {state.block_size} (neighbors mostly non-empty)")
-        elif state.block_size > 1:
-            state.block_size -= 1
-            changed = True
-            note(f"block_size -> {state.block_size} (neighbors mostly empty)")
-        if changed:
-            if state.record_improved:
-                state.p_changes_without_record = 0
-            else:
-                state.p_changes_without_record += 1
-
-    state.dense_gene_counts = []
-    state.ns_empty = 0
-    state.ns_nonempty = 0
-    state.record_improved = False
-    return state
-
-
 def solve(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunStats]:
     """Run the full hybrid loop and return the best schedule found.
 
@@ -270,7 +202,7 @@ def _search(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunS
     stats = RunStats()
     stats.cp_bound = critical_path_lower_bound(inst)
 
-    # step 1: relaxation, ranking, weights
+    # step 1: relaxation, ranking, and the resource weights of the run
     ranking = rank_and_weigh(inst, mode=config.weight_mode, rng=rng)
     weights = ranking.weights
     stats.relaxed_makespan = ranking.relaxed_makespan
@@ -294,15 +226,12 @@ def _search(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunS
     elite_count = max(1, capacity // 4)
     parents_size = max(2, capacity // 2)
 
-    state = AdaptiveState()
     tabu = TabuList()
 
     since_improvement = 0
     while not budget.exhausted:
-        parents = select_parents(pop, parents_size, state.parent_probability, rng)
-        genes = {id(p): p.dense_genes(inst, state.dense_threshold, weights) for p in parents}
-        for p in parents:
-            state.dense_gene_counts.append(len(genes[id(p)]))
+        parents = select_parents(pop, parents_size, PARENT_PROBABILITY, rng)
+        genes = {id(p): p.dense_genes(inst, weights) for p in parents}
 
         offspring: list[Individual] = []
         improved = False
@@ -318,11 +247,7 @@ def _search(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunS
 
         next_generation(pop, offspring, elite_count)
         stats.generations += 1
-        if improved:
-            since_improvement = 0
-            state.record_improved = True
-        else:
-            since_improvement += 1
+        since_improvement = 0 if improved else since_improvement + 1
 
         if since_improvement >= trigger and not budget.exhausted:
             # refresh the tail of the population
@@ -335,36 +260,23 @@ def _search(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunS
                 sched = decode_and_improve(inst, lst, budget=budget)
                 pop.insert(Individual.of(inst, sched))
 
-            seed_ind = select_parents(pop, 1, state.parent_probability, rng)[0]
-            # either cap can end a burst: an empty step charges nothing and
-            # an N_A step up to NA_TRIES schedules
-            ns_stats = NsStats()
-            ns_best = ns_run(
-                inst, seed_ind, weights, steps=max(1, burst), rng=rng,
-                P=state.block_size, budget=_SubBudget(budget, burst), tabu=tabu,
-                stats=ns_stats,
-            )
-            stats.ns_bursts += 1
-            state.ns_empty += ns_stats.empty
-            state.ns_nonempty += ns_stats.nonempty
-            if ns_best.makespan < best.makespan:
-                best = ns_best
-                state.record_improved = True
-                stats.record(budget.used, best.makespan)
-            if len(pop) > 0 and ns_best.makespan < pop.worst.makespan:
-                pop.remove_worst(1)
-                pop.insert(ns_best)
-
-            adapt_parameters(state, log=stats.parameter_changes)
-            if state.p_changes_without_record >= 5:
-                state.block_size = 1
-                state.p_changes_without_record = 0
-                ranking = rank_and_weigh(inst, mode=config.weight_mode, rng=rng)
-                weights = ranking.weights
-                stats.weights = weights
-                stats.parameter_changes.append(
-                    "block_size reset to 1, resource weights re-drawn"
+            if burst > 0:
+                seed_ind = select_parents(pop, 1, PARENT_PROBABILITY, rng)[0]
+                # either cap can end a burst: an empty step charges nothing
+                # and an N_A step up to NA_TRIES schedules; the counts in
+                # `stats` are read by perfbench/layertrace.py
+                ns_best = ns_run(
+                    inst, seed_ind, weights, steps=burst, rng=rng,
+                    budget=_SubBudget(budget, burst), tabu=tabu, stats=NsStats(),
                 )
+                stats.ns_bursts += 1
+                if ns_best.makespan < best.makespan:
+                    best = ns_best
+                    stats.record(budget.used, best.makespan)
+                # an unimproved burst returns its seed, already a member
+                if ns_best is not seed_ind and ns_best.makespan < pop.worst.makespan:
+                    pop.remove_worst(1)
+                    pop.insert(ns_best)
             since_improvement = 0
 
     stats.schedules_generated = budget.used

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from rcpsp_hybrid import genetic
 from rcpsp_hybrid.genetic import (
+    DENSE_THRESHOLD,
     DenseGene,
     Individual,
     Population,
@@ -207,9 +208,9 @@ def test_dense_genes_overlap_keeps_lighter(tiny1):
 
 
 def test_cached_dense_genes_equal_a_fresh_call(monkeypatch):
-    """An individual computes its dense genes once per (threshold,
-    weights): the cached genes equal a fresh call, also after the
-    threshold moves and after the weights are re-drawn."""
+    """An individual computes its dense genes once per weights, at
+    DENSE_THRESHOLD: the cached genes equal a fresh call, also after the
+    weights change."""
     rng = random.Random(31)
     inst = random_instance(rng, 30, 3)
     ind = _individual(inst, random_feasible_list(inst, rng))
@@ -217,21 +218,19 @@ def test_cached_dense_genes_equal_a_fresh_call(monkeypatch):
     real = genetic.dense_activities
     monkeypatch.setattr(genetic, "dense_activities", lambda *a: calls.append(a) or real(*a))
     drawn = (1.0, 1.5, 2.0)
-    redrawn = (2.0, 1.0, 1.25)
+    other = (2.0, 1.0, 1.25)
     steps = [
-        (0.75, drawn),
-        (0.75, list(drawn)),  # equal weights hit, whatever their type
-        (1.2, drawn),  # the threshold moves
-        (1.2, drawn),
-        (1.2, redrawn),  # the weights are re-drawn
-        (1.2, redrawn),
-        (0.75, drawn),
+        drawn,
+        list(drawn),  # equal weights hit, whatever their type
+        other,
+        other,
+        drawn,
     ]
-    for threshold, weights in steps:
-        got = ind.dense_genes(inst, threshold, weights)
-        assert list(got) == dense_activities(inst, ind.schedule, threshold, weights)
-    assert len(calls) == 4
-    assert len({ind.dense_genes(inst, t, w) for t, w in steps}) > 1
+    for weights in steps:
+        got = ind.dense_genes(inst, weights)
+        assert list(got) == dense_activities(inst, ind.schedule, DENSE_THRESHOLD, weights)
+    assert len(calls) == 3
+    assert len({ind.dense_genes(inst, w) for w in steps}) > 1
     assert ind == Individual(ind.list, ind.schedule)
     assert "genes" not in repr(ind)
 
@@ -429,7 +428,7 @@ def parent_pairs(draw):
     k = inst.n_resources
     weights = draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
     threshold = draw(st.floats(0.0, 1.0)) * sum(weights)
-    genes = [p.dense_genes(inst, threshold, weights) for p in parents]
+    genes = [dense_activities(inst, p.schedule, threshold, weights) for p in parents]
     return inst, parents, genes, random.Random(draw(st.integers(0, 2**32 - 1)))
 
 

@@ -8,20 +8,19 @@ from dataclasses import fields
 import pytest
 
 from rcpsp_hybrid import sgs
-from rcpsp_hybrid.genetic import Individual, Population
+from rcpsp_hybrid.genetic import DENSE_THRESHOLD, PARENT_PROBABILITY, Individual, Population
 from rcpsp_hybrid.model import is_feasible, random_feasible_list
 from rcpsp_hybrid.neighborhood import ns_run
 from rcpsp_hybrid.random_instances import random_instance
+from rcpsp_hybrid.ranking import rank_and_weigh
 from rcpsp_hybrid.sgs import fbi, serial_sgs
 from rcpsp_hybrid.solver import (
     SIGMA1,
     SIGMA2,
-    AdaptiveState,
     Budget,
     RunStats,
     SolverConfig,
     _SubBudget,
-    adapt_parameters,
     classify_subset,
     solve,
 )
@@ -35,12 +34,11 @@ from oracles import brute_force_optimum
 def test_config_defaults_valid():
     cfg = SolverConfig()
     assert cfg.lambda_budget == 50000
-    # the operator parameters start at the paper's values
+    # the operator parameters are the paper's values
     assert SIGMA1 == 0.2 and SIGMA2 == 0.6
-    state = AdaptiveState()
-    assert state.parent_probability == 0.25
-    assert state.dense_threshold == 0.75
-    assert state.block_size == 4
+    assert PARENT_PROBABILITY == 0.25
+    assert DENSE_THRESHOLD == 0.75
+    assert inspect.signature(ns_run).parameters["P"].default == 4
 
 
 def test_config_fields_are_run_settings():
@@ -226,71 +224,6 @@ def test_classify_subset_scale_invariant():
         assert classify_subset(13 * scale, 10 * scale) == 2
 
 
-# -------------------------------------------------------------- adaptation
-
-
-def test_adapt_blocks_grow_on_nonempty_neighbors():
-    state = AdaptiveState()
-    state.ns_nonempty, state.ns_empty = 9, 1
-    adapt_parameters(state)
-    assert state.block_size == 5
-
-
-def test_adapt_blocks_shrink_on_empty_neighbors():
-    state = AdaptiveState()
-    state.ns_nonempty, state.ns_empty = 1, 9
-    adapt_parameters(state)
-    assert state.block_size == 3
-
-
-def test_adapt_block_floor_is_one():
-    state = AdaptiveState(block_size=1)
-    state.ns_nonempty, state.ns_empty = 0, 10
-    adapt_parameters(state)
-    assert state.block_size == 1
-
-
-def test_adapt_counts_changes_without_record():
-    state = AdaptiveState()
-    for expected in (1, 2, 3, 4, 5):
-        state.ns_nonempty, state.ns_empty = 10, 0
-        state.record_improved = False
-        adapt_parameters(state)
-        assert state.p_changes_without_record == expected
-
-
-def test_adapt_record_resets_change_count():
-    state = AdaptiveState(p_changes_without_record=4)
-    state.ns_nonempty, state.ns_empty = 10, 0
-    state.record_improved = True
-    adapt_parameters(state)
-    assert state.p_changes_without_record == 0
-
-
-def test_adapt_dense_threshold_moves_toward_supply():
-    state = AdaptiveState()
-    state.dense_gene_counts = [6, 7, 8]
-    adapt_parameters(state)
-    assert state.dense_threshold == 0.70
-
-    state.dense_gene_counts = [0, 0]
-    adapt_parameters(state)
-    assert state.dense_threshold == 0.75
-
-
-def test_adapt_parent_probability_bounds():
-    state = AdaptiveState(parent_probability=0.5)
-    state.record_improved = False
-    adapt_parameters(state)
-    assert state.parent_probability == 0.5  # capped
-
-    state = AdaptiveState(parent_probability=0.25)
-    for _ in range(10):
-        state.record_improved = False
-        adapt_parameters(state)
-    assert state.parent_probability == 0.5
-
-
 # ------------------------------------------------------------------- solve
 
 
@@ -390,12 +323,71 @@ def test_solve_budget_respected():
     assert stats.schedules_generated <= 400 + 2 * fbi_passes + 2
 
 
-def test_solve_pure_ga_ablation():
+def test_solve_pure_ga_ablation(monkeypatch):
+    """ns_burst = 0 runs no burst: the checkpoints still refresh the
+    population, but none draws a seed or calls ns_run."""
+    from rcpsp_hybrid import solver
+
+    def no_burst(*args, **kwargs):
+        raise AssertionError("ns_run called with ns_burst = 0")
+
+    monkeypatch.setattr(solver, "ns_run", no_burst)
+    refreshed = []
+    monkeypatch.setattr(
+        solver, "random_feasible_list", lambda *a: refreshed.append(a) or random_feasible_list(*a)
+    )
     rng = random.Random(8)
     inst = random_instance(rng, 15, 2)
-    cfg = SolverConfig(lambda_budget=400, population_capacity=8, ns_burst=0, seed=3)
+    cfg = SolverConfig(
+        lambda_budget=400, population_capacity=8, ns_burst=0, stagnation_trigger=0, seed=3
+    )
     sched, stats = solve(inst, cfg)
     assert is_feasible(inst, sched)
+    assert stats.ns_bursts == 0
+    assert refreshed
+
+
+def test_solve_inserts_no_member_twice(monkeypatch):
+    """A burst that finds nothing better returns its seed, which the
+    population already holds; only an improved burst result goes in."""
+    held = []
+    insert = Population.insert
+
+    def checked(pop, ind):
+        held.append(any(m is ind for m in pop))
+        insert(pop, ind)
+
+    monkeypatch.setattr(Population, "insert", checked)
+    inst = random_instance(random.Random(9), 15, 2)
+    cfg = SolverConfig(
+        lambda_budget=3000, population_capacity=6, ns_burst=20, stagnation_trigger=0, seed=4
+    )
+    sched, stats = solve(inst, cfg)
+    assert is_feasible(inst, sched)
+    assert stats.ns_bursts >= 10
+    assert held and not any(held)
+
+
+def test_solve_draws_the_weights_once(monkeypatch):
+    """The resource weights are drawn once per run, before the initial
+    population, and every burst and dense-gene call uses that draw."""
+    from rcpsp_hybrid import solver
+
+    draws = []
+
+    def drawing(*args, **kwargs):
+        draws.append(rank_and_weigh(*args, **kwargs))
+        return draws[-1]
+
+    monkeypatch.setattr(solver, "rank_and_weigh", drawing)
+    inst = random_instance(random.Random(9), 15, 2)
+    cfg = SolverConfig(
+        lambda_budget=3000, population_capacity=6, ns_burst=20, stagnation_trigger=0, seed=4
+    )
+    _, stats = solve(inst, cfg)
+    assert stats.ns_bursts >= 10
+    assert len(draws) == 1
+    assert stats.weights == draws[0].weights
 
 
 def test_solve_smallest_population(monkeypatch):
