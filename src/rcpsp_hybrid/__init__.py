@@ -33,7 +33,6 @@ from .genetic import (
 )
 from .neighborhood import (
     Block,
-    TabuList,
     create_block,
     compute_windows,
     grasp_knapsack,

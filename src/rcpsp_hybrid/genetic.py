@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from operator import mul
 from typing import Optional, Sequence
 
@@ -18,8 +19,6 @@ from .sgs import fbi, parallel_sgs, schedule_to_list, serial_sgs
 class Individual:
     list: tuple[int, ...]
     schedule: Schedule
-    # (weights, dense genes) of the latest dense_genes call
-    _genes: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def of(cls, inst: ProjectInstance, sched: Schedule) -> Individual:
@@ -33,18 +32,6 @@ class Individual:
     def makespan(self) -> int:
         return self.schedule.makespan
 
-    def dense_genes(
-        self, inst: ProjectInstance, weights: Sequence[float]
-    ) -> tuple[DenseGene, ...]:
-        """The dense genes of this schedule at `DENSE_THRESHOLD`
-        (`dense_activities`), computed once per weights: an individual is
-        a parent in many generations, and a run draws its weights once."""
-        key = tuple(weights)
-        if self._genes is None or self._genes[0] != key:
-            genes = dense_activities(inst, self.schedule, DENSE_THRESHOLD, weights)
-            self._genes = (key, tuple(genes))
-        return self._genes[1]
-
 
 class Population:
     """Members kept sorted nondecreasing by makespan."""
@@ -56,7 +43,7 @@ class Population:
         insort(self.members, ind, key=lambda m: m.makespan)
 
     def remove_worst(self, count: int = 1) -> None:
-        del self.members[len(self.members) - count :]
+        del self.members[max(len(self.members) - count, 0) :]
 
     @property
     def best(self) -> Individual:
@@ -204,6 +191,26 @@ def dense_activities(
         covered |= gene.activities
     accepted.sort(key=lambda g: g.time)
     return accepted
+
+
+# Entries of the dense-gene memo, from the dense_activities calls that
+# perfbench/run.py --trace 1 counts at seed 1, schedules unchanged:
+# progen-j30-pool 2 015 at 32 entries, 1 887 at 64, 128, 256 and 1 024;
+# progen-j120 1 591 at 32, 1 223 at 64, 1 220 at 128, 256 and 1 024.
+# 64 is the smallest size within 1 % of 1 024.
+DENSE_MEMO_SIZE = 64
+
+
+@lru_cache(maxsize=DENSE_MEMO_SIZE)
+def dense_genes(
+    inst: ProjectInstance, sched: Schedule, weights: tuple[float, ...]
+) -> tuple[DenseGene, ...]:
+    """The dense genes of a schedule at `DENSE_THRESHOLD`, memoized: a
+    member is a parent in many generations, and a run draws its weights
+    once.  `dense_activities` is looked up as a module global on each
+    miss, so a wrapper bound in its place (perfbench's tracer) sees every
+    call.  `solve` empties the memo when it ends, returning or raising."""
+    return tuple(dense_activities(inst, sched, DENSE_THRESHOLD, weights))
 
 
 def _copy_prefix(
@@ -438,18 +445,20 @@ def mutate(
 def make_child(
     inst: ProjectInstance,
     parents: Sequence[Individual],
-    genes: dict[int, Sequence[DenseGene]],
+    weights: tuple[float, ...],
     rng,
     budget=None,
 ) -> Individual:
     """One GA offspring: crossover A or B (fair coin) of two parents drawn
     with replacement, serial decode, mutation canceled when it worsens,
-    FBI.  `genes` maps id(parent) to that parent's dense genes."""
+    FBI.  Only the two drawn parents' dense genes are looked up."""
     p1, p2 = rng.choice(parents), rng.choice(parents)
+    genes1 = dense_genes(inst, p1.schedule, weights)
+    genes2 = dense_genes(inst, p2.schedule, weights)
     if rng.random() < 0.5:
-        lst = crossover_a(inst, p1, p2, genes[id(p1)], genes[id(p2)])
+        lst = crossover_a(inst, p1, p2, genes1, genes2)
     else:
-        lst = crossover_b(inst, p1, p2, genes[id(p1)], genes[id(p2)], rng)
+        lst = crossover_b(inst, p1, p2, genes1, genes2, rng)
     sched = serial_sgs(inst, lst, budget=budget)
     mutated = mutate(inst, lst, MUTATION_ITERATIONS, rng)
     if mutated != lst:

@@ -22,7 +22,7 @@ RCL_FRACTION = 0.5
 GRASP_CONSTRUCTIONS = 16
 # λ_NS: placement attempts of one N_A move before it returns None
 NA_TRIES = 5
-# visited-solution fingerprints the tabu list remembers
+# visited-solution fingerprints the tabu list, a FIFO deque, remembers
 TABU_CAPACITY = 50
 
 
@@ -30,22 +30,6 @@ TABU_CAPACITY = 50
 class Block:
     core: int
     members: set[int]
-
-
-class TabuList:
-    """Bounded FIFO of visited-solution fingerprints with exact membership."""
-
-    def __init__(self, capacity: int = TABU_CAPACITY):
-        self._queue: deque[int] = deque(maxlen=max(capacity, 0))
-
-    def push(self, value: int) -> None:
-        self._queue.append(value)
-
-    def __contains__(self, value: int) -> bool:
-        return value in self._queue
-
-    def __len__(self) -> int:
-        return len(self._queue)
 
 
 def tabu_status(inst: ProjectInstance, sched: Schedule) -> int:
@@ -403,7 +387,7 @@ def ns_run(
     rng,
     P: int = 4,
     budget=None,
-    tabu: Optional[TabuList] = None,
+    tabu: Optional[deque[int]] = None,
     stats: Optional[NsStats] = None,
 ) -> Individual:
     """Tabu-guided walk of `steps` steps that each toss a fair coin
@@ -415,7 +399,7 @@ def ns_run(
     if stats is None:
         stats = NsStats()
     if tabu is None:
-        tabu = TabuList()
+        tabu = deque(maxlen=TABU_CAPACITY)
     best = start
     current = start
     current_booked = None
@@ -459,7 +443,7 @@ def ns_run(
         if neighbor.makespan < best.makespan:
             best = neighbor
             stats.improved += 1
-        tabu.push(ts)
+        tabu.append(ts)
         current = neighbor
         current_booked = None
     return best

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import deque
 from dataclasses import dataclass, field, fields
 from typing import Optional, get_args, get_type_hints
 
@@ -21,12 +22,13 @@ from .genetic import (
     PARENT_PROBABILITY,
     Individual,
     decode_and_improve,
+    dense_genes,
     init_population,
     make_child,
     next_generation,
     select_parents,
 )
-from .neighborhood import NsStats, TabuList, ns_run
+from .neighborhood import TABU_CAPACITY, NsStats, ns_run
 from .ranking import WEIGHT_MODES, rank_and_weigh
 from .sgs import clear_memos
 
@@ -57,7 +59,7 @@ class Budget:
 class SolverConfig:
     """Run settings only; the operator parameters are constants beside
     their operators (`fbi`, `mutate`, `grasp_knapsack`, `ns_run`,
-    `TabuList`, `DENSE_THRESHOLD`, `PARENT_PROBABILITY` and the regime
+    `TABU_CAPACITY`, `DENSE_THRESHOLD`, `PARENT_PROBABILITY` and the regime
     thresholds below)."""
 
     lambda_budget: Optional[int] = 50000
@@ -182,13 +184,14 @@ def classify_subset(ub: int, cp_bound: int) -> int:
 def solve(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunStats]:
     """Run the full hybrid loop and return the best schedule found.
 
-    The decode memos of sgs.py are emptied when the run ends, returning or
-    raising, so they keep no solved instance alive and hold entries only
-    while a solve runs."""
+    The decode memos of sgs.py and the dense-gene memo are emptied when
+    the run ends, returning or raising, so they keep no solved instance
+    alive and hold entries only while a solve runs."""
     try:
         return _search(inst, config)
     finally:
         clear_memos()
+        dense_genes.cache_clear()
 
 
 def _search(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunStats]:
@@ -226,19 +229,18 @@ def _search(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunS
     elite_count = max(1, capacity // 4)
     parents_size = max(2, capacity // 2)
 
-    tabu = TabuList()
+    tabu = deque(maxlen=TABU_CAPACITY)
 
     since_improvement = 0
     while not budget.exhausted:
         parents = select_parents(pop, parents_size, PARENT_PROBABILITY, rng)
-        genes = {id(p): p.dense_genes(inst, weights) for p in parents}
 
         offspring: list[Individual] = []
         improved = False
         for _ in range(parents_size):
             if budget.exhausted:
                 break
-            child = make_child(inst, parents, genes, rng, budget=budget)
+            child = make_child(inst, parents, weights, rng, budget=budget)
             offspring.append(child)
             if child.makespan < best.makespan:
                 best = child
@@ -260,7 +262,8 @@ def _search(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunS
                 sched = decode_and_improve(inst, lst, budget=budget)
                 pop.insert(Individual.of(inst, sched))
 
-            if burst > 0:
+            # the refresh may have spent the budget: a burst would take no step
+            if burst > 0 and not budget.exhausted:
                 seed_ind = select_parents(pop, 1, PARENT_PROBABILITY, rng)[0]
                 # either cap can end a burst: an empty step charges nothing
                 # and an N_A step up to NA_TRIES schedules; the counts in

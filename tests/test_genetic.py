@@ -13,6 +13,7 @@ from rcpsp_hybrid.genetic import (
     crossover_a,
     crossover_b,
     dense_activities,
+    dense_genes,
     init_population,
     make_child,
     mutate,
@@ -53,6 +54,16 @@ def test_population_sorted_inserts(tiny1):
     spans = [m.makespan for m in pop]
     assert spans == sorted(spans)
     assert pop.best.makespan <= pop.worst.makespan
+
+
+@pytest.mark.parametrize("count, left", [(0, 3), (1, 2), (3, 0), (5, 0)])
+def test_remove_worst_keeps_the_best_and_never_goes_below_empty(tiny1, count, left):
+    pop = Population()
+    for order in ([0, 2, 1, 3], [0, 1, 2, 3], [0, 2, 1, 3]):
+        pop.insert(_individual(tiny1, order))
+    best = pop.members[:left]
+    pop.remove_worst(count)
+    assert pop.members == best
 
 
 def test_init_population_tiny1_waiver_fills(tiny1):
@@ -208,31 +219,36 @@ def test_dense_genes_overlap_keeps_lighter(tiny1):
 
 
 def test_cached_dense_genes_equal_a_fresh_call(monkeypatch):
-    """An individual computes its dense genes once per weights, at
-    DENSE_THRESHOLD: the cached genes equal a fresh call, also after the
-    weights change."""
+    """dense_genes computes the genes of a schedule once per weights, at
+    DENSE_THRESHOLD: a hit equals a fresh call, also after the weights
+    change, and an equal schedule hits."""
     rng = random.Random(31)
     inst = random_instance(rng, 30, 3)
     ind = _individual(inst, random_feasible_list(inst, rng))
     calls = []
     real = genetic.dense_activities
     monkeypatch.setattr(genetic, "dense_activities", lambda *a: calls.append(a) or real(*a))
+    dense_genes.cache_clear()
     drawn = (1.0, 1.5, 2.0)
     other = (2.0, 1.0, 1.25)
+    equal = Schedule(tuple(ind.schedule.starts), ind.schedule.makespan)
     steps = [
-        drawn,
-        list(drawn),  # equal weights hit, whatever their type
-        other,
-        other,
-        drawn,
+        (ind.schedule, drawn),
+        (equal, drawn),
+        (ind.schedule, other),
+        (equal, other),
+        (ind.schedule, drawn),
     ]
-    for weights in steps:
-        got = ind.dense_genes(inst, weights)
-        assert list(got) == dense_activities(inst, ind.schedule, DENSE_THRESHOLD, weights)
-    assert len(calls) == 3
-    assert len({ind.dense_genes(inst, w) for w in steps}) > 1
-    assert ind == Individual(ind.list, ind.schedule)
-    assert "genes" not in repr(ind)
+    try:
+        for sched, weights in steps:
+            got = dense_genes(inst, sched, weights)
+            assert list(got) == dense_activities(inst, ind.schedule, DENSE_THRESHOLD, weights)
+        assert len(calls) == 2
+        assert dense_genes(inst, ind.schedule, drawn) != dense_genes(inst, ind.schedule, other)
+    finally:
+        dense_genes.cache_clear()
+    # an individual is its list and schedule, nothing more
+    assert vars(ind).keys() == {"list", "schedule"}
 
 
 # --------------------------------------------------------------- crossovers
@@ -342,17 +358,14 @@ def test_make_child_valid_and_charged_per_decode():
             parents = [
                 _individual(inst, random_feasible_list(inst, rng)) for _ in range(4)
             ]
-            genes = {
-                id(p): dense_activities(inst, p.schedule, 0.75, weights)
-                for p in parents
-            }
             for _ in range(5):
                 budget = Budget(None)
-                child = make_child(inst, parents, genes, rng, budget=budget)
+                child = make_child(inst, parents, weights, rng, budget=budget)
                 assert is_precedence_feasible_list(inst, child.list)
                 assert is_feasible(inst, child.schedule)
                 assert serial_sgs(inst, child.list).makespan <= child.makespan
                 assert 3 <= budget.used <= 2 + 2 * fbi_passes
+    dense_genes.cache_clear()
 
 
 # --------------------------------------------------------------- succession

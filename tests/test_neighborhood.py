@@ -1,7 +1,6 @@
 import hashlib
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from rcpsp_hybrid import neighborhood
@@ -16,7 +15,6 @@ from rcpsp_hybrid.neighborhood import (
     RCL_FRACTION,
     Block,
     NsStats,
-    TabuList,
     booked_profile,
     compute_windows,
     create_block,
@@ -44,40 +42,13 @@ def _individual(inst, order):
     return Individual(lst, serial_sgs(inst, lst))
 
 
-# --------------------------------------------------------------- tabu list
+# --------------------------------------------------------- tabu fingerprint
 
 
 def test_tabu_status(tiny1, tiny2):
     assert tabu_status(tiny1, Schedule((0, 0, 2, 5), 5)) == 2
     assert tabu_status(tiny2, Schedule((0, 0, 2, 5, 9), 9)) == 7
     assert tabu_status(tiny1, Schedule((0, 0, 0, 0), 0)) == 0
-
-
-def test_tabu_list_fifo_eviction():
-    tl = TabuList(2)
-    tl.push(10)
-    tl.push(20)
-    assert 10 in tl and 20 in tl
-    tl.push(30)
-    assert 10 not in tl
-    assert 20 in tl and 30 in tl
-    assert len(tl) == 2
-
-
-def test_tabu_list_duplicate_values():
-    tl = TabuList(2)
-    tl.push(7)
-    tl.push(7)
-    tl.push(9)  # evicts one copy of 7
-    assert 7 in tl and 9 in tl
-
-
-@pytest.mark.parametrize("capacity", [0, -3])
-def test_tabu_list_of_no_capacity_holds_nothing(capacity):
-    tl = TabuList(capacity)
-    tl.push(7)
-    assert 7 not in tl
-    assert len(tl) == 0
 
 
 # ------------------------------------------------------------ create_block

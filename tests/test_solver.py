@@ -7,8 +7,14 @@ from dataclasses import fields
 
 import pytest
 
-from rcpsp_hybrid import sgs
-from rcpsp_hybrid.genetic import DENSE_THRESHOLD, PARENT_PROBABILITY, Individual, Population
+from rcpsp_hybrid import genetic, sgs
+from rcpsp_hybrid.genetic import (
+    DENSE_THRESHOLD,
+    PARENT_PROBABILITY,
+    Individual,
+    Population,
+    decode_and_improve,
+)
 from rcpsp_hybrid.model import is_feasible, random_feasible_list
 from rcpsp_hybrid.neighborhood import ns_run
 from rcpsp_hybrid.random_instances import random_instance
@@ -390,6 +396,70 @@ def test_solve_draws_the_weights_once(monkeypatch):
     assert stats.weights == draws[0].weights
 
 
+def test_solve_starts_no_burst_on_a_spent_budget(monkeypatch):
+    """A checkpoint's refresh can spend the last of λ; then no burst
+    follows, so ns_run never gets a spent budget and ns_bursts counts
+    only bursts that took a step."""
+    from rcpsp_hybrid import solver
+
+    bursts, refresh_spent = [], []
+
+    def burst(*args, **kwargs):
+        spent = kwargs["budget"].exhausted
+        best = ns_run(*args, **kwargs)
+        bursts.append((spent, kwargs["stats"].empty + kwargs["stats"].nonempty))
+        return best
+
+    def refresh(*args, **kwargs):
+        sched = decode_and_improve(*args, **kwargs)
+        refresh_spent.append(kwargs["budget"].exhausted)
+        return sched
+
+    monkeypatch.setattr(solver, "ns_run", burst)
+    monkeypatch.setattr(solver, "decode_and_improve", refresh)
+    inst = random_instance(random.Random(9), 15, 2)
+    spent_runs = 0
+    for lam in range(320, 336):
+        bursts.clear()
+        refresh_spent.clear()
+        cfg = SolverConfig(
+            lambda_budget=lam, population_capacity=10, ns_burst=20, stagnation_trigger=0, seed=4
+        )
+        _, stats = solve(inst, cfg)
+        spent_runs += any(refresh_spent)
+        assert not any(spent for spent, _ in bursts)
+        assert all(steps > 0 for _, steps in bursts)
+        assert stats.ns_bursts == len(bursts)
+    # some of these runs end in a refresh that spends the budget
+    assert spent_runs > 0
+
+
+def test_solve_computes_dense_genes_once_per_drawn_schedule(monkeypatch):
+    """dense_activities runs at most once per schedule in a solve (the run
+    draws its weights once), and only for parents that a child drew."""
+    drawn, computed = set(), []
+    for name in ("crossover_a", "crossover_b"):
+
+        def crossing(inst, p1, p2, *rest, real=getattr(genetic, name)):
+            drawn.update((p1.schedule, p2.schedule))
+            return real(inst, p1, p2, *rest)
+
+        monkeypatch.setattr(genetic, name, crossing)
+    dense = genetic.dense_activities
+
+    def extracting(inst, sched, *rest):
+        computed.append(sched)
+        return dense(inst, sched, *rest)
+
+    monkeypatch.setattr(genetic, "dense_activities", extracting)
+    inst = random_instance(random.Random(9), 20, 2)
+    cfg = SolverConfig(lambda_budget=1500, population_capacity=20, seed=4)
+    _, stats = solve(inst, cfg)
+    assert stats.generations >= 5
+    assert computed and len(computed) == len(set(computed))
+    assert set(computed) <= drawn
+
+
 def test_solve_smallest_population(monkeypatch):
     # two members: every stagnation refresh removes one, so one is left to
     # seed the NS burst
@@ -440,29 +510,33 @@ def test_solve_rejects_invalid_instance():
 
 
 def _memo_sizes():
-    return sgs._serial_decode.cache_info().currsize, sgs._fbi_pass.cache_info().currsize
+    return (
+        sgs._serial_decode.cache_info().currsize,
+        sgs._fbi_pass.cache_info().currsize,
+        genetic.dense_genes.cache_info().currsize,
+    )
 
 
 def test_solve_releases_its_memos(monkeypatch):
-    """After solve returns, and after it raises, the serial and FBI memos
-    are empty; the run had filled both."""
+    """After solve returns, and after it raises, the serial, FBI and
+    dense-gene memos are empty; the run had filled all three."""
     from rcpsp_hybrid import solver
 
     inst = random_instance(random.Random(13), 12, 2)
     solve(inst, SolverConfig(lambda_budget=200, population_capacity=6, seed=1))
-    assert _memo_sizes() == (0, 0)
+    assert _memo_sizes() == (0, 0, 0)
 
     filled = []
 
     def fail(*args):
         filled.append(_memo_sizes())
-        raise RuntimeError("stop after the initial population")
+        raise RuntimeError("stop after the first generation")
 
-    monkeypatch.setattr(solver, "select_parents", fail)
+    monkeypatch.setattr(solver, "next_generation", fail)
     with pytest.raises(RuntimeError, match="stop after"):
         solve(inst, SolverConfig(lambda_budget=200, population_capacity=6, seed=1))
     assert filled and min(filled[0]) > 0
-    assert _memo_sizes() == (0, 0)
+    assert _memo_sizes() == (0, 0, 0)
 
 
 def test_solve_keeps_no_instance_alive(monkeypatch):
@@ -480,9 +554,9 @@ def test_solve_keeps_no_instance_alive(monkeypatch):
     assert ref() is None
 
     def fail(*args):
-        raise RuntimeError("stop after the initial population")
+        raise RuntimeError("stop after the first generation")
 
-    monkeypatch.setattr(solver, "select_parents", fail)
+    monkeypatch.setattr(solver, "next_generation", fail)
     inst = random_instance(random.Random(13), 12, 2)
     ref = weakref.ref(inst)
     try:
