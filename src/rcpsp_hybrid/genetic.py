@@ -79,28 +79,22 @@ def init_population(
     inst: ProjectInstance, capacity: int, rng, budget=None
 ) -> Population:
     """Random feasible list -> parallel decoder -> FBI, repeated until the
-    population is full.  Duplicate (makespan, start-vector) members are
-    rejected until 5 * capacity attempts have failed or the budget runs
-    out; then the uniqueness requirement is waived.  A rejected attempt
+    population is full or the budget is spent.  Duplicate (makespan,
+    start-vector) members are rejected until 5 * capacity attempts have
+    failed; then the uniqueness requirement is waived.  A rejected attempt
     builds no Individual: at λ = 1 000 on ProGen j30, over half of them
-    are rejected."""
+    are rejected.  The first attempt is never a duplicate, so the
+    population is never empty."""
     pop = Population()
-    unique = True
     seen: set[Schedule] = set()
     failures = 0
-    max_failures = 5 * capacity
     while len(pop) < capacity:
         sched = decode_and_improve(inst, random_feasible_list(inst, rng), budget=budget)
-        if unique and sched in seen:
+        if failures < 5 * capacity and sched in seen:
             failures += 1
-            if failures >= max_failures:
-                unique = False
-            else:
-                if budget is not None and budget.exhausted:
-                    unique = False
-                continue
-        seen.add(sched)
-        pop.insert(Individual.of(inst, sched))
+        else:
+            seen.add(sched)
+            pop.insert(Individual.of(inst, sched))
         if budget is not None and budget.exhausted:
             break
     return pop

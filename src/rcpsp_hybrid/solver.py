@@ -1,6 +1,8 @@
-"""Hybrid control loop: relaxation-based ranking and resource weights
-drawn once per run, population init, gap-based regime classification,
-and GA generations with NS bursts on stagnation."""
+"""Hybrid control loop: resource weights drawn once per run, population
+init and regime classification; then `_search` loops over three steps on
+one `_Run`: `_generation`, and at a stagnation checkpoint `_refresh` and
+`_burst`.  A step is looked up as a module global when it is called, so a
+script can rebind one.  `_Run.offer` makes every record after init's."""
 
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ import math
 import random
 import time
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, get_args, get_type_hints
 
 from .model import (
@@ -21,6 +23,7 @@ from .model import (
 from .genetic import (
     PARENT_PROBABILITY,
     Individual,
+    Population,
     decode_and_improve,
     dense_genes,
     init_population,
@@ -156,10 +159,6 @@ class RunStats:
     ns_bursts: int = 0
     seconds: float = 0.0
 
-    def record(self, used: int, makespan: int) -> None:
-        if not self.trace or makespan < self.trace[-1][1]:
-            self.trace.append((used, makespan))
-
 
 # regime thresholds on the relative gap of the initial record to the
 # critical path
@@ -198,105 +197,110 @@ def _search(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunS
     problem = validate_instance(inst)
     if problem is not None:
         raise ValueError(f"invalid instance: {problem}")
-
-    t0 = time.monotonic()
     rng = random.Random(config.seed)
     budget = Budget(config.lambda_budget, config.time_limit)
-    stats = RunStats()
-    stats.cp_bound = critical_path_lower_bound(inst)
-
-    # step 1: relaxation, ranking, and the resource weights of the run
+    # relaxation, ranking, and the resource weights of the run
     ranking = rank_and_weigh(inst, mode=config.weight_mode, rng=rng)
-    weights = ranking.weights
-    stats.relaxed_makespan = ranking.relaxed_makespan
-    stats.weight_mode = ranking.mode
-    stats.weights = weights
+    stats = RunStats(cp_bound=critical_path_lower_bound(inst), weights=ranking.weights,
+                     relaxed_makespan=ranking.relaxed_makespan, weight_mode=ranking.mode)
 
-    # step 2: initial population
-    capacity = config.population_capacity
-    pop = init_population(inst, capacity, rng, budget=budget)
-    best = pop.best
-    stats.record(budget.used, best.makespan)
+    pop = init_population(inst, config.population_capacity, rng, budget=budget)
+    stats.trace.append((budget.used, pop.best.makespan))
 
-    # step 3: regime classification
-    stats.subset = classify_subset(best.makespan, stats.cp_bound)
-    trigger, burst = _REGIME_PARAMS[stats.subset]
-    if config.stagnation_trigger is not None:
-        trigger = config.stagnation_trigger
-    if config.ns_burst is not None:
-        burst = config.ns_burst
+    # the regime fills in the checkpoint settings the config leaves as none
+    stats.subset = classify_subset(pop.best.makespan, stats.cp_bound)
+    regime = dict(zip(("stagnation_trigger", "ns_burst"), _REGIME_PARAMS[stats.subset]))
+    config = replace(config, **{k: v for k, v in regime.items() if getattr(config, k) is None})
 
-    elite_count = max(1, capacity // 4)
-    parents_size = max(2, capacity // 2)
-
-    tabu = deque(maxlen=TABU_CAPACITY)
-
-    since_improvement = 0
+    run = _Run(inst, config, rng, budget, stats, ranking.weights, pop, pop.best)
+    stale = 0
     while not budget.exhausted:
-        parents = select_parents(pop, parents_size, PARENT_PROBABILITY, rng)
-
-        offspring: list[Individual] = []
-        improved = False
-        for _ in range(parents_size):
-            if budget.exhausted:
-                break
-            child = make_child(inst, parents, weights, rng, budget=budget)
-            offspring.append(child)
-            if child.makespan < best.makespan:
-                best = child
-                improved = True
-                stats.record(budget.used, best.makespan)
-
-        next_generation(pop, offspring, elite_count)
-        stats.generations += 1
-        since_improvement = 0 if improved else since_improvement + 1
-
-        if since_improvement >= trigger and not budget.exhausted:
-            # refresh the tail of the population
-            refresh = max(1, capacity // 5)
-            pop.remove_worst(refresh)
-            for _ in range(refresh):
-                if budget.exhausted:
-                    break
-                lst = random_feasible_list(inst, rng)
-                sched = decode_and_improve(inst, lst, budget=budget)
-                pop.insert(Individual.of(inst, sched))
-
-            # the refresh may have spent the budget: a burst would take no step
-            if burst > 0 and not budget.exhausted:
-                seed_ind = select_parents(pop, 1, PARENT_PROBABILITY, rng)[0]
-                # either cap can end a burst: an empty step charges nothing
-                # and an N_A step up to NA_TRIES schedules; the counts in
-                # `stats` are read by perfbench/layertrace.py
-                ns_best = ns_run(
-                    inst, seed_ind, weights, steps=burst, rng=rng,
-                    budget=_SubBudget(budget, burst), tabu=tabu, stats=NsStats(),
-                )
-                stats.ns_bursts += 1
-                if ns_best.makespan < best.makespan:
-                    best = ns_best
-                    stats.record(budget.used, best.makespan)
-                # an unimproved burst returns its seed, already a member
-                if ns_best is not seed_ind and ns_best.makespan < pop.worst.makespan:
-                    pop.remove_worst(1)
-                    pop.insert(ns_best)
-            since_improvement = 0
+        stale = 0 if _generation(run) else stale + 1
+        if stale >= config.stagnation_trigger and not budget.exhausted:
+            _refresh(run)
+            _burst(run)
+            stale = 0
 
     stats.schedules_generated = budget.used
-    stats.seconds = time.monotonic() - t0
-    return best.schedule, stats
+    stats.seconds = time.monotonic() - budget._t0
+    return run.best.schedule, stats
 
 
-class _SubBudget:
-    """View of the main budget limited to an additional allowance."""
+@dataclass
+class _Run:
+    """The state a solve's steps share; `config` has the regime's settings."""
 
-    def __init__(self, parent: Budget, allowance: int):
-        self.parent = parent
-        self.cap = parent.used + allowance
+    inst: ProjectInstance
+    config: SolverConfig
+    rng: random.Random
+    budget: Budget
+    stats: RunStats
+    weights: tuple[float, ...]
+    pop: Population
+    best: Individual
+    tabu: deque = field(default_factory=lambda: deque(maxlen=TABU_CAPACITY))
 
-    def charge(self, k: int = 1) -> None:
-        self.parent.charge(k)
+    def offer(self, ind: Individual) -> None:
+        """Make `ind` the record if it beats it."""
+        if ind.makespan < self.best.makespan:
+            self.best = ind
+            self.stats.trace.append((self.budget.used, ind.makespan))
 
-    @property
-    def exhausted(self) -> bool:
-        return self.parent.exhausted or self.parent.used >= self.cap
+
+def _generation(run: _Run) -> bool:
+    """One GA generation: as many children as parents, of which the best
+    `capacity // 4` (at least one) replace the worst members.  True when a
+    child set a record."""
+    capacity = run.config.population_capacity
+    parents_size = max(2, capacity // 2)
+    parents = select_parents(run.pop, parents_size, PARENT_PROBABILITY, run.rng)
+    offspring: list[Individual] = []
+    record = run.best
+    for _ in range(parents_size):
+        if run.budget.exhausted:
+            break
+        child = make_child(run.inst, parents, run.weights, run.rng, budget=run.budget)
+        offspring.append(child)
+        run.offer(child)
+    next_generation(run.pop, offspring, max(1, capacity // 4))
+    run.stats.generations += 1
+    return run.best is not record
+
+
+def _refresh(run: _Run) -> None:
+    """Replace the worst fifth of the population with random members."""
+    count = max(1, run.config.population_capacity // 5)
+    run.pop.remove_worst(count)
+    for _ in range(count):
+        if run.budget.exhausted:
+            break
+        lst = random_feasible_list(run.inst, run.rng)
+        member = Individual.of(run.inst, decode_and_improve(run.inst, lst, budget=run.budget))
+        run.pop.insert(member)
+        run.offer(member)
+
+
+def _burst(run: _Run) -> None:
+    """An NS burst of `ns_burst` steps from a parent-scan seed; a result
+    that improved on its seed replaces the worst member if it beats it."""
+    budget, config = run.budget, run.config
+    # a spent budget, say by the refresh, would let the walk take no step
+    if config.ns_burst == 0 or budget.exhausted:
+        return
+    seed = select_parents(run.pop, 1, PARENT_PROBABILITY, run.rng)[0]
+    # the walk charges the run's budget, capped at `ns_burst` more schedules;
+    # an empty step charges nothing and an N_A step up to NA_TRIES.  The
+    # counts in `stats` are read by perfbench/layertrace.py
+    limit = budget.limit
+    budget.limit = min(budget.used + config.ns_burst, math.inf if limit is None else limit)
+    found = ns_run(
+        run.inst, seed, run.weights, steps=config.ns_burst, rng=run.rng,
+        budget=budget, tabu=run.tabu, stats=NsStats(),
+    )
+    budget.limit = limit
+    run.stats.ns_bursts += 1
+    run.offer(found)
+    # an unimproved burst returns its seed, already a member
+    if found is not seed and found.makespan < run.pop.worst.makespan:
+        run.pop.remove_worst(1)
+        run.pop.insert(found)

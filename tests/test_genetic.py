@@ -90,6 +90,28 @@ def test_init_population_sorted_and_consistent():
         assert m.schedule.makespan == m.makespan
 
 
+def test_init_population_starts_no_attempt_on_a_spent_budget(monkeypatch):
+    """Once the budget is spent, init starts no further decode, not even
+    after a rejected duplicate; the population it has is kept, and it is
+    never empty."""
+    decode = genetic.decode_and_improve
+    spent_at_start = []
+
+    def checked(inst, lst, budget):
+        spent_at_start.append(budget.exhausted)
+        return decode(inst, lst, budget)
+
+    monkeypatch.setattr(genetic, "decode_and_improve", checked)
+    for seed in range(40):
+        rng = random.Random(seed)
+        inst = random_instance(rng, rng.randint(2, 8), rng.randint(1, 3))
+        for lam in range(5, 45):
+            spent_at_start.clear()
+            pop = init_population(inst, 10, random.Random(lam), budget=Budget(lam))
+            assert not any(spent_at_start)
+            assert 1 <= len(pop) <= 10
+
+
 def test_select_parents_probability_one(tiny1):
     pop = init_population(tiny1, 4, random.Random(3))
     chosen = select_parents(pop, 2, 1.0, random.Random(0))

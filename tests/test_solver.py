@@ -3,11 +3,11 @@ import hashlib
 import inspect
 import random
 import weakref
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
-from rcpsp_hybrid import genetic, sgs
+from rcpsp_hybrid import genetic, sgs, solver
 from rcpsp_hybrid.genetic import (
     DENSE_THRESHOLD,
     PARENT_PROBABILITY,
@@ -26,7 +26,7 @@ from rcpsp_hybrid.solver import (
     Budget,
     RunStats,
     SolverConfig,
-    _SubBudget,
+    _Run,
     classify_subset,
     solve,
 )
@@ -199,21 +199,47 @@ def test_budget_unlimited_without_caps():
 
 @pytest.mark.parametrize("k", [1, 3, 10, 40])
 def test_ns_burst_charges_at_most_its_allowance(k):
-    """A burst of k steps under a sub-budget of k schedules never charges
-    more than k, though an N_A step may charge up to NA_TRIES; an empty
-    step charges nothing, so a burst can also end with allowance left."""
+    """A burst of k steps under the cap `_burst` sets, k schedules more
+    than the budget has used, never charges more than k, though an N_A
+    step may charge up to NA_TRIES; an empty step charges nothing, so a
+    burst can also end with allowance left."""
     used = []
     for seed in range(30):
         rng = random.Random(seed)
         inst = random_instance(rng, rng.randint(3, 25), rng.randint(1, 3))
         lst = random_feasible_list(inst, rng)
         start = Individual(lst, serial_sgs(inst, lst))
-        budget = Budget(None)
+        budget = Budget(k)
         ns_run(inst, start, (1.0,) * len(inst.capacities), k, rng,
-               P=rng.randint(1, 6), budget=_SubBudget(budget, k))
+               P=rng.randint(1, 6), budget=budget)
         used.append(budget.used)
     assert max(used) <= k
     assert min(used) < k
+
+
+@pytest.mark.parametrize("steps", [1, 3, 20])
+@pytest.mark.parametrize("limit", [None, 10, 10**6])
+def test_ns_burst_restores_the_budget_limit(limit, steps):
+    """`_burst` caps its walk at `steps` more schedules by lowering the
+    run budget's limit, and puts the limit back afterwards: under a λ
+    cap, which can also end the walk, and under a time-limit-only
+    budget, whose limit is none."""
+    for seed in range(10):
+        rng = random.Random(seed)
+        inst = random_instance(rng, rng.randint(3, 25), rng.randint(1, 3))
+        lst = random_feasible_list(inst, rng)
+        start = Individual(lst, serial_sgs(inst, lst))
+        pop = Population()
+        pop.insert(start)
+        budget = Budget(limit, time_limit=None if limit else 60.0)
+        budget.charge(5)
+        run = _Run(inst, SolverConfig(ns_burst=steps), rng, budget, RunStats(),
+                   (1.0,) * len(inst.capacities), pop, start)
+        solver._burst(run)
+        assert budget.limit == limit
+        assert run.stats.ns_bursts == 1
+        assert budget.used <= 5 + steps
+        assert limit is None or budget.used <= limit
 
 
 # ----------------------------------------------------------- classification
@@ -332,8 +358,6 @@ def test_solve_budget_respected():
 def test_solve_pure_ga_ablation(monkeypatch):
     """ns_burst = 0 runs no burst: the checkpoints still refresh the
     population, but none draws a seed or calls ns_run."""
-    from rcpsp_hybrid import solver
-
     def no_burst(*args, **kwargs):
         raise AssertionError("ns_run called with ns_burst = 0")
 
@@ -377,8 +401,6 @@ def test_solve_inserts_no_member_twice(monkeypatch):
 def test_solve_draws_the_weights_once(monkeypatch):
     """The resource weights are drawn once per run, before the initial
     population, and every burst and dense-gene call uses that draw."""
-    from rcpsp_hybrid import solver
-
     draws = []
 
     def drawing(*args, **kwargs):
@@ -400,8 +422,6 @@ def test_solve_starts_no_burst_on_a_spent_budget(monkeypatch):
     """A checkpoint's refresh can spend the last of λ; then no burst
     follows, so ns_run never gets a spent budget and ns_bursts counts
     only bursts that took a step."""
-    from rcpsp_hybrid import solver
-
     bursts, refresh_spent = [], []
 
     def burst(*args, **kwargs):
@@ -432,6 +452,58 @@ def test_solve_starts_no_burst_on_a_spent_budget(monkeypatch):
         assert stats.ns_bursts == len(bursts)
     # some of these runs end in a refresh that spends the budget
     assert spent_runs > 0
+
+
+def test_solve_records_a_refresh_member_that_beats_the_record(monkeypatch):
+    """A refresh member better than the record becomes the record: the
+    refresh here always decodes to a schedule from a long run, which a
+    short run ending soon after its first refresh has not found."""
+    inst = random_instance(random.Random(9), 30, 3)
+    good, _ = solve(inst, SolverConfig(lambda_budget=5000, seed=0))
+    refreshes = []
+
+    def planted(inst, lst, budget):
+        budget.charge()
+        refreshes.append(lst)
+        return good
+
+    monkeypatch.setattr(solver, "decode_and_improve", planted)
+    refreshed = 0
+    for seed in range(2):
+        for lam in range(40, 200, 4):
+            refreshes.clear()
+            cfg = SolverConfig(
+                lambda_budget=lam, population_capacity=10, ns_burst=0,
+                stagnation_trigger=0, seed=seed,
+            )
+            sched, stats = solve(inst, cfg)
+            if refreshes:
+                refreshed += 1
+                assert sched.makespan <= good.makespan
+                assert stats.trace[-1][1] == sched.makespan
+    assert refreshed >= 20
+
+
+def test_burst_step_rebound_to_a_no_op_is_pure_ga(monkeypatch):
+    """`_burst` is looked up as a module global at each checkpoint, so a
+    script can rebind it; a no-op in its place runs the same search as
+    ns_burst = 0."""
+    inst = random_instance(random.Random(9), 15, 2)
+    pure, bursts = [], 0
+    for seed in range(4):
+        cfg = SolverConfig(
+            lambda_budget=1500, population_capacity=8, stagnation_trigger=0, seed=seed
+        )
+        pure.append(solve(inst, replace(cfg, ns_burst=0)) + (cfg,))
+        bursts += solve(inst, cfg)[1].ns_bursts
+    assert bursts > 0
+    monkeypatch.setattr(solver, "_burst", lambda run: None)
+    for sched, stats, cfg in pure:
+        again, again_stats = solve(inst, cfg)
+        assert again == sched
+        assert again_stats.trace == stats.trace
+        assert again_stats.schedules_generated == stats.schedules_generated
+        assert again_stats.ns_bursts == stats.ns_bursts == 0
 
 
 def test_solve_computes_dense_genes_once_per_drawn_schedule(monkeypatch):
@@ -520,8 +592,6 @@ def _memo_sizes():
 def test_solve_releases_its_memos(monkeypatch):
     """After solve returns, and after it raises, the serial, FBI and
     dense-gene memos are empty; the run had filled all three."""
-    from rcpsp_hybrid import solver
-
     inst = random_instance(random.Random(13), 12, 2)
     solve(inst, SolverConfig(lambda_budget=200, population_capacity=6, seed=1))
     assert _memo_sizes() == (0, 0, 0)
@@ -543,8 +613,6 @@ def test_solve_keeps_no_instance_alive(monkeypatch):
     """The memos are module-level, keyed on the instance: once solve has
     returned, or raised, and the caller drops the instance, nothing in the
     package holds it."""
-    from rcpsp_hybrid import solver
-
     config = SolverConfig(lambda_budget=200, population_capacity=6, seed=1)
     inst = random_instance(random.Random(13), 12, 2)
     solve(inst, config)
