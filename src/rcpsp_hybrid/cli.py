@@ -14,7 +14,7 @@ from .bench import (
     run_benchmark,
 )
 from .psplib import dataset_files, parse_sm
-from .ranking import WeightConfigError, rank_and_weigh
+from .ranking import rank_and_weigh
 from .solver import SolverConfig, solve
 
 
@@ -60,11 +60,7 @@ def _build_config(args) -> SolverConfig:
 
 def cmd_solve(args) -> int:
     inst = _load_instance(args.file)
-    config = _build_config(args)
-    try:
-        sched, stats = solve(inst, config)
-    except WeightConfigError as exc:
-        raise InputError(str(exc)) from exc
+    sched, stats = solve(inst, _build_config(args))
     print(f"instance      : {inst.name or args.file}")
     print(f"makespan      : {sched.makespan}")
     print(f"cp lower bound: {stats.cp_bound}")

@@ -312,8 +312,6 @@ def repair_precedence(inst: ProjectInstance, seq: Sequence[int]) -> list[int]:
             remaining[s] -= 1
             if remaining[s] == 0:
                 heapq.heappush(heap, pos[s])
-    if len(out) != n2:
-        raise ValueError("the precedence graph has a cycle")
     return out
 
 

@@ -30,6 +30,9 @@ class ProjectInstance:
     is plain data, never changed after construction, so it pickles whole
     and may be shared by solver runs in several threads.  It compares and
     hashes by identity, which is how the decode memos of sgs.py key it.
+
+    The constructor raises ValueError, with the text of `validate_instance`,
+    on an invalid instance, so no other code checks one again.
     """
 
     def __init__(
@@ -65,6 +68,12 @@ class ProjectInstance:
             self.succs[i].append(j)
         # copied by the decoders that count down unplaced predecessors
         self.pred_counts = [len(p) for p in self.preds]
+        self.topo_order = topological_order(self)
+        # what follows walks topo_order and packs the demands, so it needs a
+        # valid instance
+        problem = validate_instance(self)
+        if problem is not None:
+            raise ValueError(problem)
 
         # per-activity nonzero (resource, demand) pairs for the hot loops
         self.active_demand = [
@@ -76,11 +85,10 @@ class ProjectInstance:
         self.packed_demand = [profile.pack(dem, self.slot_bits) for dem in self.demands]
         # the full capacities, guard bits included: an empty profile's value
         self.packed_capacity = self.guard + profile.pack(self.capacities, self.slot_bits)
-        self.topo_order = topological_order(self)
         # right justification's order (sgs._backward_order) sorts activity j
         # on the int backward_base[j] - start_j * backward_radix
         tie = list(range(n2))
-        if 0 in self.durations[1 : self.sink] and self.topo_order is not None:
+        if 0 in self.durations[1 : self.sink]:
             for pos, j in enumerate(self.topo_order):
                 if not self.durations[j]:
                     tie[j] = -pos
@@ -137,7 +145,9 @@ def validate_instance(inst: ProjectInstance) -> Optional[str]:
         a = inst.activities[dummy]
         if a.duration != 0 or any(a.demand):
             return f"dummy activity {dummy} must have zero duration and demand"
-    for a in inst.activities:
+    for j, a in enumerate(inst.activities):
+        if a.id != j:
+            return f"activity at position {j} has id {a.id}"
         if len(a.demand) != inst.n_resources:
             return f"activity {a.id}: demand vector length != resource count"
         if a.duration < 0:
@@ -216,8 +226,6 @@ def _longest_paths(inst: ProjectInstance, backward: bool) -> list[int]:
     it (the CPM tail).  The backward pass is the forward one over the
     reversed topological order with the arcs turned round."""
     order = inst.topo_order
-    if order is None:
-        raise ValueError("the precedence graph has a cycle")
     nexts = inst.succs
     if backward:
         order, nexts = reversed(order), inst.preds
@@ -269,6 +277,4 @@ def random_feasible_list(inst: ProjectInstance, rng) -> tuple[int, ...]:
             indeg[s] -= 1
             if not indeg[s]:
                 ready.append(s)
-    if len(out) != len(indeg):
-        raise ValueError("the precedence graph has a cycle")
     return tuple(out)

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 from .model import ProjectInstance, Schedule
 from .genetic import Individual, repair_precedence
-from .sgs import left_shift, schedule_to_list, serial_sgs
+from .sgs import left_shift, serial_sgs
 from . import profile
 
 # share of the value-ranked feasible items a randomized GRASP construction
@@ -277,7 +277,6 @@ def grasp_knapsack(
 def neighborhood_b_move(
     inst: ProjectInstance,
     lst: Sequence[int],
-    sched: Schedule,
     block: Block,
     weights: Sequence[float],
     rng,
@@ -425,11 +424,9 @@ def ns_run(
                 budget=budget,
             )
             if moved is not None:
-                neighbor = Individual(schedule_to_list(inst, moved), moved)
+                neighbor = Individual.of(inst, moved)
         else:
-            rebuilt = neighborhood_b_move(
-                inst, current.list, current.schedule, block, weights, rng
-            )
+            rebuilt = neighborhood_b_move(inst, current.list, block, weights, rng)
             if rebuilt is not None:
                 sched = serial_sgs(inst, rebuilt, budget=budget)
                 neighbor = Individual(rebuilt, sched)

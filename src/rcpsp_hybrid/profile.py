@@ -14,12 +14,11 @@ remaining_k.  The top bit of a field is a guard bit, set in every stored
 value; `guard` masks all of them.  A demand is packed the same way without
 guard bits (`ProjectInstance.packed_demand`).
 
-Capacities and demands must be >= 0, so 0 <= d_k < 2**(B-1): subtracting
+Capacities and demands are >= 0, so 0 <= d_k < 2**(B-1): subtracting
 a packed demand never borrows across fields, and resource k's guard bit
 survives exactly when remaining_k >= d_k.  So (value - demand) & guard ==
 guard tests all resources of a segment at once, and value -= demand books
-it.  A demand above its capacity (`validate_instance` rejects one) then
-fits nowhere, so a decoder called on such an instance finds no start.
+it.
 
 A profile is built in one sweep over start and finish events (`booked`).
 The `Profile` methods share one scan, `_earliest`, and one booking,

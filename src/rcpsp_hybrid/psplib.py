@@ -12,7 +12,7 @@ import os
 import re
 from typing import Iterator
 
-from .model import Activity, ProjectInstance, validate_instance
+from .model import Activity, ProjectInstance
 
 
 class PsplibParseError(ValueError):
@@ -20,7 +20,7 @@ class PsplibParseError(ValueError):
 
 
 class PsplibStructureError(ValueError):
-    """Internally inconsistent file (counts, modes)."""
+    """Internally inconsistent file (counts, modes) or invalid instance."""
 
 
 _PRECEDENCE = "PRECEDENCE RELATIONS"
@@ -57,17 +57,16 @@ def parse_sm(text: str, name: str = "") -> ProjectInstance:
         for s in succ:
             arcs.add((jobnr - 1, s - 1))
 
-    inst = ProjectInstance(
-        activities,
-        arcs,
-        capacities,
-        horizon=max(horizon, sum(durations.values())),
-        name=name,
-    )
-    problem = validate_instance(inst)
-    if problem is not None:
-        raise PsplibStructureError(problem)
-    return inst
+    try:
+        return ProjectInstance(
+            activities,
+            arcs,
+            capacities,
+            horizon=max(horizon, sum(durations.values())),
+            name=name,
+        )
+    except ValueError as exc:
+        raise PsplibStructureError(str(exc)) from exc
 
 
 def _header_int(lines: list[str], pattern: str, label: str) -> int:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .model import Activity, ProjectInstance, validate_instance
+from .model import Activity, ProjectInstance
 
 
 def random_instance(
@@ -39,8 +39,4 @@ def random_instance(
         if j not in has_succ:
             arcs.add((j, sink))
 
-    inst = ProjectInstance(activities, arcs, capacities, name=name)
-    problem = validate_instance(inst)
-    if problem is not None:
-        raise ValueError(f"generated an invalid instance: {problem}")
-    return inst
+    return ProjectInstance(activities, arcs, capacities, name=name)

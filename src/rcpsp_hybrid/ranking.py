@@ -36,10 +36,6 @@ _FIXED_VECTORS = {
 }
 
 
-class WeightConfigError(ValueError):
-    """Fixed weight vectors only cover up to four resources."""
-
-
 @dataclass(frozen=True)
 class RankingResult:
     relaxed_makespan: int
@@ -72,9 +68,7 @@ def solve_cumulative_relaxation(
     for k, row in enumerate(events):
         if not work[k]:
             continue  # a resource nothing demands, of any capacity, binds nothing
-        cap = inst.capacities[k]
-        if cap <= 0:
-            raise ValueError(f"resource {k}: demanded, but its capacity is {cap}")
+        cap = inst.capacities[k]  # > 0: it is demanded, and no demand exceeds it
         used = rate = last = 0
         for t in sorted(row):
             used += rate * (t - last)  # consumed over [0, t)
@@ -133,7 +127,7 @@ def assign_weights(
     n_res = len(rank)
     if mode in _FIXED_VECTORS:
         if n_res > 4:
-            raise WeightConfigError(
+            raise ValueError(
                 f"fixed weight vector '{mode}' covers 4 resources, "
                 f"instance has {n_res}"
             )
@@ -142,7 +136,7 @@ def assign_weights(
         vector = (1.0,) * n_res
     elif mode == "ratio":
         # divide by the largest residue so weights stay in [1, 2]
-        top = max(residues)
+        top = max(residues, default=0)
         if top <= 0:
             vector = (1.0,) * n_res
         else:

@@ -36,10 +36,8 @@ process).  The parallel decode needs no profile:
 it starts activities only at the decision time t, and every activity it
 has started started at or before t, so the remaining capacity from t on
 never falls below the capacity at t.  One packed int of free capacity, in
-profile.py's guard-bit layout, decides each fit.  A decoder called on an
-instance with a demand above its capacity (`validate_instance` rejects
-one) raises ValueError, and so does FBI on an input schedule that does not
-fit the resources within its makespan.
+profile.py's guard-bit layout, decides each fit.  FBI raises ValueError on
+an input schedule that does not fit the resources within its makespan.
 """
 
 from __future__ import annotations
@@ -181,11 +179,6 @@ def parallel_sgs(
                 waiting[s] -= 1
                 if not waiting[s]:
                     insort(eligible, rank[s])
-    # nothing runs, so the capacity is full
-    if eligible:
-        raise ValueError(f"activity {lst[eligible[0]]} demands more than a capacity")
-    if any(waiting):
-        raise ValueError("the precedence graph has a cycle")
     _charge(budget)
     return Schedule(tuple(starts), starts[inst.sink] + durs[inst.sink])
 

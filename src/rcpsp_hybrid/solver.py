@@ -18,7 +18,6 @@ from .model import (
     Schedule,
     critical_path_lower_bound,
     random_feasible_list,
-    validate_instance,
 )
 from .genetic import (
     PARENT_PROBABILITY,
@@ -32,7 +31,7 @@ from .genetic import (
     select_parents,
 )
 from .neighborhood import TABU_CAPACITY, NsStats, ns_run
-from .ranking import WEIGHT_MODES, rank_and_weigh
+from .ranking import rank_and_weigh
 from .sgs import clear_memos
 
 
@@ -70,7 +69,6 @@ class SolverConfig:
     population_capacity: int = 60
     ns_burst: Optional[int] = None  # None: set by regime classification
     stagnation_trigger: Optional[int] = None  # None: set by classification
-    weight_mode: str = "random"
     seed: int = 0
 
     def __post_init__(self):
@@ -96,8 +94,6 @@ class SolverConfig:
             raise bad("time_limit", "none or a finite positive number")
         if self.lambda_budget is None and self.time_limit is None:
             raise ValueError("lambda_budget and time_limit are both none: no cap")
-        if self.weight_mode != "random" and self.weight_mode not in WEIGHT_MODES:
-            raise bad("weight_mode", "'random' or one of " + ", ".join(WEIGHT_MODES))
 
     @classmethod
     def from_file(cls, path: str) -> "SolverConfig":
@@ -137,8 +133,8 @@ def _is_finite_positive(value) -> bool:
 
 
 def _coerce(text: str, kind):
-    """`text` as a value of the field type `kind`: int, float, str or
-    Optional of one of them."""
+    """`text` as a value of the field type `kind`: int, float or Optional
+    of one of them."""
     if type(None) in get_args(kind):
         if text.lower() in ("none", ""):
             return None
@@ -194,13 +190,10 @@ def solve(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunSta
 
 
 def _search(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunStats]:
-    problem = validate_instance(inst)
-    if problem is not None:
-        raise ValueError(f"invalid instance: {problem}")
     rng = random.Random(config.seed)
     budget = Budget(config.lambda_budget, config.time_limit)
     # relaxation, ranking, and the resource weights of the run
-    ranking = rank_and_weigh(inst, mode=config.weight_mode, rng=rng)
+    ranking = rank_and_weigh(inst, mode="random", rng=rng)
     stats = RunStats(cp_bound=critical_path_lower_bound(inst), weights=ranking.weights,
                      relaxed_makespan=ranking.relaxed_makespan, weight_mode=ranking.mode)
 

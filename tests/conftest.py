@@ -84,6 +84,16 @@ def tiny1():
 
 
 @pytest.fixture
+def no_resources():
+    """Two parallel activities and no resource; makespan 3."""
+    return ProjectInstance(
+        [Activity(0, 0, ()), Activity(1, 2, ()), Activity(2, 3, ()), Activity(3, 0, ())],
+        {(0, 1), (0, 2), (1, 3), (2, 3)},
+        (),
+    )
+
+
+@pytest.fixture
 def tiny2():
     """Chain of three activities with zero demands; makespan 9 forced."""
     return ProjectInstance(

@@ -422,7 +422,7 @@ def reference_neighborhood_a_move(inst: ProjectInstance, sched, block: Block, we
     return None
 
 
-def reference_neighborhood_b_move(inst: ProjectInstance, lst, sched, block: Block, weights, rng):
+def reference_neighborhood_b_move(inst: ProjectInstance, lst, block: Block, weights, rng):
     """N_B with a parallel extension that, at each event, rescans every
     unscheduled member's predecessors for the ready set and every finish
     for the next event time."""

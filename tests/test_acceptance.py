@@ -98,9 +98,7 @@ def test_criterion_1_feasibility_suite():
             )
             if moved is not None:
                 emitted.append(moved)
-            rebuilt = neighborhood_b_move(
-                inst, lst, serial, block, (1.0,) * inst.n_resources, rng
-            )
+            rebuilt = neighborhood_b_move(inst, lst, block, (1.0,) * inst.n_resources, rng)
             if rebuilt is not None:
                 emitted.append(serial_sgs(inst, rebuilt))
 

@@ -1,5 +1,6 @@
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,8 @@ from rcpsp_hybrid.model import (
     random_feasible_list,
     validate_instance,
 )
+from rcpsp_hybrid.cli import main
+from rcpsp_hybrid.psplib import PsplibStructureError, parse_sm
 from rcpsp_hybrid.random_instances import random_instance
 from rcpsp_hybrid.sgs import serial_sgs
 from rcpsp_hybrid.solver import SolverConfig, solve
@@ -24,6 +27,101 @@ from oracles import is_precedence_feasible_list, reference_random_feasible_list
 
 def test_validate_ok(tiny2):
     assert validate_instance(tiny2) is None
+
+
+def _instance(changes=None, arcs=None, caps=(2,), horizon=None):
+    """The arguments of ProjectInstance for two real activities in parallel
+    on one resource of capacity 2, with the activities at the positions in
+    `changes` replaced."""
+    acts = [Activity(0, 0, (0,)), Activity(1, 2, (1,)), Activity(2, 3, (2,)), Activity(3, 0, (0,))]
+    for pos, act in (changes or {}).items():
+        acts[pos] = act
+    if arcs is None:
+        arcs = {(0, 1), (0, 2), (1, 3), (2, 3)}
+    return acts, arcs, caps, horizon
+
+
+def _sm_text(acts, arcs, caps, horizon):
+    """The `.sm` file of these parts in write_sm's layout, which, unlike
+    write_sm, needs no valid instance."""
+    rule = "*" * 72
+    lines = [f"jobs (incl. supersource/sink ):  {len(acts)}", f"horizon : {horizon or 0}", rule]
+    lines += ["PRECEDENCE RELATIONS:", "jobnr. #modes #successors successors"]
+    for a in acts:
+        succ = sorted(j + 1 for i, j in arcs if i == a.id)
+        lines.append(" ".join(map(str, [a.id + 1, 1, len(succ), *succ])))
+    lines += [rule, "REQUESTS/DURATIONS:", "jobnr. mode duration R 1", "-" * 72]
+    lines += [" ".join(map(str, [a.id + 1, 1, a.duration, *a.demand])) for a in acts]
+    lines += [rule, "RESOURCEAVAILABILITIES:", "  R 1", " ".join(map(str, caps)), rule]
+    return "\n".join(lines) + "\n"
+
+
+# (parts, problem text, whether a `.sm` file can hold the problem: parse_sm
+# refuses a job count below 2 and a demand row of the wrong length first,
+# numbers activities by position and raises the horizon to the sum of the
+# durations)
+INVALID = {
+    "no-dummies": (
+        ([Activity(0, 0, (0,))], set(), (2,), None),
+        "instance must contain at least the two dummy activities", False,
+    ),
+    "negative-capacity": (
+        _instance(caps=(-1,)), "resource 0: negative capacity -1", True,
+    ),
+    "busy-dummy": (
+        _instance({0: Activity(0, 1, (0,))}),
+        "dummy activity 0 must have zero duration and demand", True,
+    ),
+    "id-not-position": (
+        _instance({1: Activity(7, 2, (1,))}), "activity at position 1 has id 7", False,
+    ),
+    "demand-length": (
+        _instance({1: Activity(1, 2, (1, 1))}),
+        "activity 1: demand vector length != resource count", False,
+    ),
+    "negative-duration": (
+        _instance({1: Activity(1, -2, (1,))}), "activity 1: negative duration", True,
+    ),
+    "negative-demand": (
+        _instance({1: Activity(1, 2, (-1,))}),
+        "activity 1: negative demand for resource 0", True,
+    ),
+    "demand-above-capacity": (
+        _instance({2: Activity(2, 3, (3,))}),
+        "activity 2: demand 3 exceeds capacity 2 of resource 0", True,
+    ),
+    "cycle": (
+        _instance(arcs={(0, 1), (1, 2), (2, 1), (2, 3)}), "precedence graph contains a cycle", True,
+    ),
+    "no-path-from-source": (
+        _instance(arcs={(0, 1), (1, 3), (2, 3)}),
+        "activity 2 has no path from the dummy source", True,
+    ),
+    "no-path-to-sink": (
+        _instance(arcs={(0, 1), (0, 2), (1, 3)}),
+        "activity 2 has no path to the dummy sink", True,
+    ),
+    "short-horizon": (
+        _instance(horizon=4), "horizon is smaller than the sum of all durations", False,
+    ),
+}
+
+
+@pytest.mark.parametrize("parts, text, in_file", INVALID.values(), ids=INVALID.keys())
+def test_invalid_instance_is_refused_where_it_enters(tmp_path, capsys, parts, text, in_file):
+    """Each problem `validate_instance` names: the constructor raises it as
+    ValueError, parse_sm as PsplibStructureError, and the CLI exits 1."""
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        ProjectInstance(*parts)
+    if not in_file:
+        return
+    sm = _sm_text(*parts)
+    with pytest.raises(PsplibStructureError, match=f"^{re.escape(text)}$"):
+        parse_sm(sm)
+    path = tmp_path / "bad.sm"
+    path.write_text(sm)
+    assert main(["solve", str(path), "--lambda", "20"]) == 1
+    assert capsys.readouterr().err == f"error: {text}\n"
 
 
 def _cyclic():
@@ -40,24 +138,36 @@ def _cyclic():
 
 
 def test_validate_cycle():
-    assert "cycle" in validate_instance(_cyclic())
+    """A cycle that nothing reaches from the source is named as a cycle, not
+    as a missing path."""
+    acts = [Activity(j, 1 if 0 < j < 5 else 0, (0,)) for j in range(6)]
+    arcs = {(0, 1), (1, 5), (2, 3), (3, 4), (4, 2), (4, 5)}
+    with pytest.raises(ValueError, match="^precedence graph contains a cycle$"):
+        ProjectInstance(acts, arcs, (1,))
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, want",
     [
-        earliest_starts,
-        critical_path_lower_bound,
-        lambda inst: latest_starts(inst, 10),
-        lambda inst: random_feasible_list(inst, random.Random(0)),
+        (earliest_starts, [0, 0, 1, 2]),
+        (critical_path_lower_bound, 2),
+        (lambda inst: latest_starts(inst, 10), [8, 8, 9, 10]),
+        (lambda inst: random_feasible_list(inst, random.Random(0)), (0, 1, 2, 3)),
     ],
     ids=["earliest_starts", "critical_path", "latest_starts", "random_feasible_list"],
 )
-def test_cycle_raises_value_error(call):
-    """validate_instance rejects a cyclic instance; these helpers, called on
-    one directly, raise ValueError, which `python -O` keeps."""
+def test_cycle_raises_value_error(call, want):
+    """A cycle raises ValueError where the instance is built, which `python
+    -O` keeps, so these helpers walk `topo_order` with no check of their
+    own; without the arc that closes the cycle they follow the chain."""
     with pytest.raises(ValueError, match="cycle"):
-        call(_cyclic())
+        _cyclic()
+    chain = ProjectInstance(
+        [Activity(0, 0, (0,)), Activity(1, 1, (0,)), Activity(2, 1, (0,)), Activity(3, 0, (0,))],
+        {(0, 1), (1, 2), (2, 3), (1, 3)},
+        (1,),
+    )
+    assert call(chain) == want
 
 
 class _BrokenRng(random.Random):
@@ -68,35 +178,33 @@ class _BrokenRng(random.Random):
 
 
 def test_random_instance_rejects_what_it_generated_wrong():
-    with pytest.raises(ValueError, match="generated an invalid instance"):
+    with pytest.raises(ValueError, match="activity 1: demand 12 exceeds capacity 11"):
         random_instance(_BrokenRng(0), 5, 2)
 
 
 def test_validate_demand_exceeds_capacity():
-    inst = ProjectInstance(
-        [Activity(0, 0, (0,)), Activity(1, 1, (5,)), Activity(2, 0, (0,))],
-        {(0, 1), (1, 2)},
-        (4,),
-    )
-    assert "exceeds capacity" in validate_instance(inst)
+    """A demand may use the whole capacity, and not one unit more."""
+    assert validate_instance(ProjectInstance(*_instance())) is None
+    with pytest.raises(ValueError, match="demand 3 exceeds capacity 2"):
+        ProjectInstance(*_instance({2: Activity(2, 3, (3,))}))
 
 
 def test_validate_negative_capacity():
-    inst = ProjectInstance(
-        [Activity(0, 0, (0,)), Activity(1, 1, (0,)), Activity(2, 0, (0,))],
-        {(0, 1), (1, 2)},
-        (-1,),
-    )
-    assert validate_instance(inst) == "resource 0: negative capacity -1"
+    """A capacity of 0 that nothing demands is valid; one below 0 is not."""
+    idle = {1: Activity(1, 2, (0,)), 2: Activity(2, 3, (0,))}
+    assert validate_instance(ProjectInstance(*_instance(idle, caps=(0,)))) is None
+    with pytest.raises(ValueError, match="^resource 0: negative capacity -1$"):
+        ProjectInstance(*_instance(idle, caps=(-1,)))
 
 
 def test_validate_disconnected():
-    inst = ProjectInstance(
-        [Activity(0, 0, (0,)), Activity(1, 1, (0,)), Activity(2, 0, (0,))],
-        {(0, 2)},
-        (1,),
-    )
-    assert "path" in validate_instance(inst)
+    """An activity with no arc at all is named on its source side first."""
+    with pytest.raises(ValueError, match="^activity 1 has no path from the dummy source$"):
+        ProjectInstance(
+            [Activity(0, 0, (0,)), Activity(1, 1, (0,)), Activity(2, 0, (0,))],
+            {(0, 2)},
+            (1,),
+        )
 
 
 @pytest.mark.parametrize("arc", [(1, 7), (-1, 1)], ids=["beyond-sink", "negative"])

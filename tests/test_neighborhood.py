@@ -142,8 +142,8 @@ def test_neighborhood_b_matches_the_rescanning_reference(case, weights):
     weights = weights[: inst.n_resources]
     block = create_block(inst, core, sched, P, random.Random(seed))
     rng, ref_rng = random.Random(seed), random.Random(seed)
-    rebuilt = neighborhood_b_move(inst, lst, sched, block, weights, rng)
-    assert rebuilt == reference_neighborhood_b_move(inst, lst, sched, block, weights, ref_rng)
+    rebuilt = neighborhood_b_move(inst, lst, block, weights, rng)
+    assert rebuilt == reference_neighborhood_b_move(inst, lst, block, weights, ref_rng)
     assert rng.getstate() == ref_rng.getstate()
 
 
@@ -235,25 +235,22 @@ def test_na_outputs_always_feasible_and_better():
 
 def test_nb_chain_block_contains_predecessor(tiny2):
     lst = (0, 1, 2, 3, 4)
-    sched = serial_sgs(tiny2, lst)
     block = Block(core=2, members={1, 2})
-    assert neighborhood_b_move(tiny2, lst, sched, block, (1.0,), random.Random(0)) is None
+    assert neighborhood_b_move(tiny2, lst, block, (1.0,), random.Random(0)) is None
 
 
 def test_nb_tiny1_rebuild(tiny1):
     lst = (0, 1, 2, 3)
-    sched = serial_sgs(tiny1, lst)
     block = Block(core=1, members={1, 2})
-    out = neighborhood_b_move(tiny1, lst, sched, block, (1.0,), random.Random(0))
+    out = neighborhood_b_move(tiny1, lst, block, (1.0,), random.Random(0))
     assert out is not None
     assert out == (0, 2, 1, 3)
 
 
 def test_nb_empty_block_unchanged(tiny1):
     lst = (0, 1, 2, 3)
-    sched = serial_sgs(tiny1, lst)
     block = Block(core=1, members=set())
-    out = neighborhood_b_move(tiny1, lst, sched, block, (1.0,), random.Random(0))
+    out = neighborhood_b_move(tiny1, lst, block, (1.0,), random.Random(0))
     assert out == lst
 
 
@@ -266,7 +263,7 @@ def test_nb_outputs_valid_lists():
         sched = serial_sgs(inst, lst)
         j = rng.randrange(1, inst.sink)
         block = create_block(inst, j, sched, 4, rng)
-        out = neighborhood_b_move(inst, lst, sched, block, (1.0, 1.0), rng)
+        out = neighborhood_b_move(inst, lst, block, (1.0, 1.0), rng)
         if out is not None:
             nonempty += 1
             assert sorted(out) == list(range(len(inst)))
@@ -294,7 +291,7 @@ def _move_digest(cases, polish=True):
             out = neighborhood_a_move(inst, sched, booked_profile(inst, sched), block, weights, 5, rng)
             h.update(repr((out and out.starts, rng.getstate())).encode())
             block = create_block(inst, rng.randrange(1, inst.sink), sched, P, rng)
-            out = neighborhood_b_move(inst, lst, sched, block, weights, rng)
+            out = neighborhood_b_move(inst, lst, block, weights, rng)
             h.update(repr((out, rng.getstate())).encode())
     return h.hexdigest()[:16]
 
@@ -533,6 +530,6 @@ def test_neighborhood_a_gives_none_or_a_feasible_shorter_schedule(case):
 @given(moves())
 def test_neighborhood_b_gives_none_or_a_precedence_feasible_list(case):
     inst, ind, block, weights, rng = case
-    rebuilt = neighborhood_b_move(inst, ind.list, ind.schedule, block, weights, rng)
+    rebuilt = neighborhood_b_move(inst, ind.list, block, weights, rng)
     if rebuilt is not None:
         assert is_precedence_feasible_list(inst, rebuilt)

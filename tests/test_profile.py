@@ -244,26 +244,27 @@ def test_serial_place_leaves_no_sentinel():
 
 
 def test_serial_place_leaves_no_sentinel_when_a_demand_exceeds_capacity():
-    """Activity 2 demands 4 of a capacity of 3: it fits nowhere, and the
-    booking of activity 1 before it stays."""
-    inst = _chain((3,), [2, 1], [(3,), (4,)])
+    """Activity 2 demands 3, all that activity 1 takes over [0, 2), and a
+    horizon of 2 leaves no later window: it fits nowhere, and the booking
+    of activity 1 before it stays."""
+    inst = _chain((3,), [2, 1], [(3,), (3,)])
     prof = profile.empty(inst, inst.horizon + 1)
     with pytest.raises(ValueError, match="activity 2 fits nowhere"):
-        profile.serial_place(inst, range(len(inst)), prof, inst.preds, inst.horizon)
+        profile.serial_place(inst, range(len(inst)), prof, inst.preds, 2)
     _no_sentinel(prof, inst.horizon + 1)
     assert _expand(prof, inst.slot_bits, 1) == [[0, 0, 3, 3]]
 
 
 def test_place_leaves_no_sentinel():
-    """A booking, a search that passes `hi`, and a demand of 4 above the
-    capacity of 3, which fits nowhere."""
-    inst = _chain((3,), [2, 1], [(2,), (4,)])
-    two, four = inst.packed_demand[1:3]
+    """A booking, a search that passes `hi`, and a demand of 3 above the
+    capacity of 1 the two bookings leave, which fits nowhere."""
+    inst = _chain((3,), [2, 1], [(2,), (3,)])
+    two, three = inst.packed_demand[1:3]
     prof = profile.empty(inst, 4)
     assert prof.place(two, 0, 3, 2) == 0
     _no_sentinel(prof, 4)
     assert prof.place(two, 1, 2, 2) == 2
-    assert prof.place(four, 0, 3, 1) is None
+    assert prof.place(three, 0, 3, 1) is None
     assert prof.place(two, 0, 0, 2) is None
     _no_sentinel(prof, 4)
     assert _expand(prof, inst.slot_bits, 1) == [[1, 1, 1, 1]]

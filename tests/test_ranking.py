@@ -4,15 +4,12 @@ import tracemalloc
 import pytest
 
 from rcpsp_hybrid.model import (
-    Activity,
-    ProjectInstance,
     critical_path_lower_bound,
     latest_starts,
     random_feasible_list,
 )
 from rcpsp_hybrid.random_instances import random_instance
 from rcpsp_hybrid.ranking import (
-    WeightConfigError,
     assign_weights,
     rank_and_weigh,
     rank_resources,
@@ -31,18 +28,6 @@ def test_relaxation_inactive_on_zero_demands(tiny2):
     sched, residues = solve_cumulative_relaxation(tiny2)
     assert sched.makespan == 9
     assert residues == (9 * 1,)
-
-
-def test_relaxation_stops_on_a_demanded_zero_capacity():
-    """validate_instance rejects a demand above a capacity of 0; called
-    directly, the relaxation raises instead of dividing by it."""
-    inst = ProjectInstance(
-        [Activity(0, 0, (0, 0)), Activity(1, 2, (1, 1)), Activity(2, 0, (0, 0))],
-        {(0, 1), (1, 2)},
-        (1, 0),
-    )
-    with pytest.raises(ValueError, match="resource 1"):
-        solve_cumulative_relaxation(inst)
 
 
 def test_relaxation_tiny1(tiny1):
@@ -164,8 +149,15 @@ def test_fixed_vector_prefix_truncated():
 
 
 def test_fixed_vector_rejects_many_resources():
-    with pytest.raises(WeightConfigError):
+    with pytest.raises(ValueError, match="'steep' covers 4 resources, instance has 5"):
         assign_weights((0, 1, 2, 3, 4), (1, 2, 3, 4, 5), mode="steep")
+
+
+def test_ratio_weights_without_resources(no_resources):
+    """With no resource there is no residue to divide by: the weight
+    vector is empty."""
+    result = rank_and_weigh(no_resources, "ratio")
+    assert (result.relaxed_makespan, result.residues, result.weights) == (3, (), ())
 
 
 def test_assign_weights_draws_nothing():

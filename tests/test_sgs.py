@@ -290,47 +290,50 @@ def test_serial_and_right_justification_match_the_stepwise_oracles(case):
     assert is_feasible(inst, back)
 
 
-def _over_capacity(demand):
-    """One activity demanding `demand` of a resource of capacity 2, after
-    one that fits."""
+def _full_capacity(demand):
+    """Two activities that each demand the whole capacity `demand`, so one
+    waits for the other."""
     return ProjectInstance(
         [
             Activity(0, 0, (0,)),
-            Activity(1, 2, (2,)),
+            Activity(1, 2, (demand,)),
             Activity(2, 1, (demand,)),
             Activity(3, 0, (0,)),
         ],
         {(0, 1), (0, 2), (1, 3), (2, 3)},
-        (2,),
+        (demand,),
     )
 
 
 @pytest.mark.parametrize("demand", [3, 7, 1000])
 def test_parallel_stops_on_demand_above_capacity(demand):
-    """validate_instance rejects such an instance; a decoder called on it
-    directly stops with ValueError, naming the activity, instead of
-    running on or booking it."""
-    with pytest.raises(ValueError, match="activity 2"):
-        parallel_sgs(_over_capacity(demand), [0, 1, 2, 3])
+    """The second activity's demand is above the capacity the first leaves:
+    the parallel decoder holds it until the first finishes, at the field
+    widths of 3, 7 and 1000."""
+    inst = _full_capacity(demand)
+    assert parallel_sgs(inst, [0, 1, 2, 3]).starts == (0, 0, 2, 3)
+    assert parallel_sgs(inst, [0, 2, 1, 3]).starts == (0, 1, 0, 3)
 
 
 @pytest.mark.parametrize("demand", [3, 7, 1000])
 def test_serial_stops_on_demand_above_capacity(demand):
-    with pytest.raises(ValueError, match="activity 2"):
-        serial_sgs(_over_capacity(demand), [0, 2, 1, 3])
+    """Activity 2's demand is above what activity 1 leaves over [0, 2), and
+    a horizon of 2 leaves no later window: the placement raises, naming it."""
+    inst = _full_capacity(demand)
+    with pytest.raises(ValueError, match="activity 2 fits nowhere within the horizon 2"):
+        profile.serial_place(inst, [0, 1, 2, 3], profile.empty(inst, 4), inst.preds, 2)
 
 
 def test_serial_stops_at_the_horizon():
-    """On one unit of capacity the second activity fits only in [2, 3),
-    past the horizon 2, though the profile runs to 3."""
+    """An activity that demands nothing is held only by its predecessor,
+    and still may not end past the horizon."""
     inst = ProjectInstance(
-        [Activity(0, 0, (0,)), Activity(1, 2, (1,)), Activity(2, 1, (1,)), Activity(3, 0, (0,))],
-        {(0, 1), (0, 2), (1, 3), (2, 3)},
+        [Activity(0, 0, (0,)), Activity(1, 2, (0,)), Activity(2, 1, (0,)), Activity(3, 0, (0,))],
+        {(0, 1), (1, 2), (2, 3)},
         (1,),
-        horizon=2,
     )
     with pytest.raises(ValueError, match="activity 2 fits nowhere within the horizon 2"):
-        serial_sgs(inst, [0, 1, 2, 3])
+        profile.serial_place(inst, [0, 1, 2, 3], profile.empty(inst, 4), inst.preds, 2)
 
 
 def test_parallel_stops_on_a_list_missing_an_activity(tiny2):
@@ -338,16 +341,6 @@ def test_parallel_stops_on_a_list_missing_an_activity(tiny2):
     raises instead of returning starts that leave it at 0."""
     with pytest.raises(IndexError):
         parallel_sgs(tiny2, [0, 1, 3, 4])
-
-
-def test_parallel_stops_on_a_precedence_cycle():
-    inst = ProjectInstance(
-        [Activity(0, 0, (0,)), Activity(1, 1, (0,)), Activity(2, 1, (0,)), Activity(3, 0, (0,))],
-        {(0, 1), (1, 2), (2, 1), (2, 3)},
-        (1,),
-    )
-    with pytest.raises(ValueError, match="cycle"):
-        parallel_sgs(inst, [0, 1, 2, 3])
 
 
 @pytest.fixture

@@ -54,17 +54,17 @@ def test_config_fields_are_run_settings():
         "population_capacity",
         "ns_burst",
         "stagnation_trigger",
-        "weight_mode",
         "seed",
     ]
 
 
-# operator parameters that are constants beside their operators, not
-# configuration: naming one is a TypeError
+# operator parameters that are constants beside their operators, and the
+# weight mode, which each solve draws: not configuration, so naming one is
+# a TypeError
 REMOVED_FIELDS = {
     "sigma1", "sigma2", "parent_probability", "dense_threshold", "block_size",
     "lambda_ns", "elite_count", "parents_size", "mutation_iterations",
-    "tabu_capacity", "grasp_constructions", "fbi_passes",
+    "tabu_capacity", "grasp_constructions", "fbi_passes", "weight_mode",
 }
 
 
@@ -112,8 +112,6 @@ def test_config_accepts_edge_values():
     SolverConfig(lambda_budget=None, time_limit=0.5)
     SolverConfig(ns_burst=0, stagnation_trigger=0, seed=-7)
     SolverConfig(population_capacity=2)
-    for mode in ("random", "steep", "shallow", "uniform", "ratio"):
-        SolverConfig(weight_mode=mode)
 
 
 def test_config_from_file(tmp_path):
@@ -121,24 +119,22 @@ def test_config_from_file(tmp_path):
     path.write_text(
         "# solver settings\n"
         "lambda_budget = 1234\n"
-        "stagnation_trigger = 3\n"
-        "weight_mode = uniform  # fixed for reproducibility\n"
+        "stagnation_trigger = 3  # checkpoint every third stale generation\n"
         "population_capacity = 2\n"
         "ns_burst = none\n"
     )
     cfg = SolverConfig.from_file(str(path))
     assert cfg.lambda_budget == 1234
     assert cfg.stagnation_trigger == 3
-    assert cfg.weight_mode == "uniform"
     assert cfg.population_capacity == 2
     assert cfg.ns_burst is None
 
 
 def test_config_from_file_reads_each_field_as_its_type(tmp_path):
     path = tmp_path / "solver.conf"
-    path.write_text("time_limit = 2\nseed = 7\nweight_mode = none\n")
-    with pytest.raises(ValueError, match="weight_mode must be"):
-        SolverConfig.from_file(str(path))
+    path.write_text("time_limit = 2\nseed = 7\n")
+    cfg = SolverConfig.from_file(str(path))
+    assert (cfg.time_limit, type(cfg.time_limit), cfg.seed) == (2.0, float, 7)
     for limit in ("inf", "nan"):
         path.write_text(f"lambda_budget = none\ntime_limit = {limit}\n")
         with pytest.raises(ValueError, match="time_limit must be"):
@@ -312,7 +308,7 @@ def test_solve_is_invariant_to_the_time_unit():
     for seed in range(12):
         rng = random.Random(seed)
         inst = random_instance(rng, rng.randint(8, 20), rng.randint(1, 4), edge_probability=0.15)
-        cfg = SolverConfig(lambda_budget=1500, weight_mode="uniform", seed=seed)
+        cfg = SolverConfig(lambda_budget=1500, seed=seed)
         sched, stats = solve(inst, cfg)
         long_sched, long_stats = solve(scaled_durations(inst, 1000), cfg)
         assert long_sched.starts == tuple(1000 * s for s in sched.starts)
@@ -569,16 +565,13 @@ def test_solve_two_members_feasible_and_repeatable():
             assert again == sched
 
 
-def test_solve_rejects_invalid_instance():
-    from rcpsp_hybrid.model import Activity, ProjectInstance
-
-    bad = ProjectInstance(
-        [Activity(0, 0, (0,)), Activity(1, 1, (9,)), Activity(2, 0, (0,))],
-        {(0, 1), (1, 2)},
-        (4,),
-    )
-    with pytest.raises(ValueError, match="invalid instance"):
-        solve(bad, SolverConfig(lambda_budget=10))
+@pytest.mark.parametrize("seed", range(8))
+def test_solve_without_resources(no_resources, seed):
+    """With no resource every weight mode gives the empty vector, the
+    "ratio" mode too, and the critical path is optimal."""
+    sched, stats = solve(no_resources, SolverConfig(lambda_budget=40, population_capacity=4, seed=seed))
+    assert sched.makespan == stats.cp_bound == 3
+    assert stats.weights == ()
 
 
 def _memo_sizes():
