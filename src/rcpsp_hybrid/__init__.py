@@ -41,7 +41,7 @@ from .neighborhood import (
     ns_run,
     tabu_status,
 )
-from .solver import Budget, RunStats, SolverConfig, classify_subset, solve
+from .solver import Budget, RunStats, SolverConfig, solve
 from .bench import BenchReport, compare_bounds, run_benchmark, write_makespans
 from .random_instances import random_instance
 

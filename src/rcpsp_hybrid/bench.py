@@ -1,8 +1,8 @@
 """Benchmark harness: run a dataset under a schedule budget, compute the
 average percent deviation from the critical-path lower bound, and emit
 per-instance makespan files and summary tables.  A file that does not
-parse, or whose solve raises ValueError, gets a failure row with its
-reason, and the other instances still run."""
+parse gets a failure row with its reason, and the other instances still
+run."""
 
 from __future__ import annotations
 
@@ -33,10 +33,6 @@ class InstanceResult:
         return 100.0 * (self.makespan - self.cp_bound) / max(self.cp_bound, 1)
 
 
-def _failed(name: str, reason: str, seconds: float = 0.0) -> InstanceResult:
-    return InstanceResult(name, None, None, 0, seconds, error=reason)
-
-
 @dataclass
 class BenchReport:
     rows: list[InstanceResult]
@@ -61,10 +57,7 @@ class BenchReport:
 def _solve_one(args) -> InstanceResult:
     name, inst, config = args
     t0 = time.monotonic()
-    try:
-        sched, stats = solve(inst, config)
-    except ValueError as exc:
-        return _failed(name, str(exc), time.monotonic() - t0)
+    sched, stats = solve(inst, config)
     return InstanceResult(
         name=name,
         makespan=sched.makespan,
@@ -85,8 +78,8 @@ def run_benchmark(
     for a given (seed, config, dataset) regardless of worker count.  At
     most one worker process per instance is started.  The i-th file, in
     name order, solves with seed `config.seed + i`.  A file that does not
-    parse and a solve that raises ValueError each give a failure row;
-    an unreadable file (OSError) and any other exception propagate."""
+    parse gives a failure row; an unreadable file (OSError) and any
+    exception from a solve propagate."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, not {threads}")
     rows: list[InstanceResult] = []
@@ -95,7 +88,7 @@ def run_benchmark(
         try:
             inst = parse_sm(text, name=name)
         except ValueError as exc:
-            rows.append(_failed(name, str(exc)))
+            rows.append(InstanceResult(name, None, None, 0, 0.0, error=str(exc)))
             continue
         jobs.append((name, inst, replace(config, seed=config.seed + idx)))
     # the pool forks all its workers at once, whether or not they get a job

@@ -64,7 +64,6 @@ def cmd_solve(args) -> int:
     print(f"instance      : {inst.name or args.file}")
     print(f"makespan      : {sched.makespan}")
     print(f"cp lower bound: {stats.cp_bound}")
-    print(f"subset        : {stats.subset}")
     print(f"schedules     : {stats.schedules_generated}")
     print(f"seconds       : {stats.seconds:.2f}")
     if args.starts:

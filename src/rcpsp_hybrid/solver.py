@@ -1,8 +1,10 @@
-"""Hybrid control loop: resource weights drawn once per run, population
-init and regime classification; then `_search` loops over three steps on
-one `_Run`: `_generation`, and at a stagnation checkpoint `_refresh` and
-`_burst`.  A step is looked up as a module global when it is called, so a
-script can rebind one.  `_Run.offer` makes every record after init's."""
+"""Hybrid control loop: resource weights drawn once per run and the
+population init; then `_search` loops over three steps on one `_Run`:
+`_generation`, and at a stagnation checkpoint (`stagnation_trigger`
+generations without a record) `_refresh` and `_burst`.  Every instance
+gets the same checkpoint settings.  A step is looked up as a module
+global when it is called, so a script can rebind one.  `_Run.offer` makes
+every record after init's."""
 
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ import math
 import random
 import time
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Optional, get_args, get_type_hints
 
 from .model import (
@@ -61,14 +63,13 @@ class Budget:
 class SolverConfig:
     """Run settings only; the operator parameters are constants beside
     their operators (`fbi`, `mutate`, `grasp_knapsack`, `ns_run`,
-    `TABU_CAPACITY`, `DENSE_THRESHOLD`, `PARENT_PROBABILITY` and the regime
-    thresholds below)."""
+    `TABU_CAPACITY`, `DENSE_THRESHOLD` and `PARENT_PROBABILITY`)."""
 
     lambda_budget: Optional[int] = 50000
     time_limit: Optional[float] = None
     population_capacity: int = 60
-    ns_burst: Optional[int] = None  # None: set by regime classification
-    stagnation_trigger: Optional[int] = None  # None: set by classification
+    ns_burst: int = 1000  # 0: no bursts (pure GA)
+    stagnation_trigger: int = 10
     seed: int = 0
 
     def __post_init__(self):
@@ -80,13 +81,11 @@ class SolverConfig:
         # a crossover needs two parents
         if not _is_int(self.population_capacity, 2):
             raise bad("population_capacity", "an integer >= 2")
-        for name, least in (
-            ("lambda_budget", 1),
-            ("ns_burst", 0),  # 0: no bursts (pure GA)
-            ("stagnation_trigger", 0),
-        ):
-            if getattr(self, name) is not None and not _is_int(getattr(self, name), least):
-                raise bad(name, f"none or an integer >= {least}")
+        if self.lambda_budget is not None and not _is_int(self.lambda_budget, 1):
+            raise bad("lambda_budget", "none or an integer >= 1")
+        for name in ("ns_burst", "stagnation_trigger"):
+            if not _is_int(getattr(self, name), 0):
+                raise bad(name, "an integer >= 0")
         if not _is_int(self.seed):
             raise bad("seed", "an integer")
         # an infinite time limit would be no cap at all
@@ -146,6 +145,7 @@ def _coerce(text: str, kind):
 class RunStats:
     schedules_generated: int = 0
     trace: list[tuple[int, int]] = field(default_factory=list)
+    # never set; kept because perfbench/run.py records it as `regime`
     subset: int = 0
     cp_bound: int = 0
     relaxed_makespan: int = 0
@@ -154,26 +154,6 @@ class RunStats:
     generations: int = 0
     ns_bursts: int = 0
     seconds: float = 0.0
-
-
-# regime thresholds on the relative gap of the initial record to the
-# critical path
-SIGMA1, SIGMA2 = 0.2, 0.6
-# (stagnation_trigger, ns_burst) per regime: regime 1 leans on the GA,
-# regime 3 on the NS operator
-_REGIME_PARAMS = {1: (20, 200), 2: (10, 1000), 3: (5, 5000)}
-
-
-def classify_subset(ub: int, cp_bound: int) -> int:
-    """Regime 1/2/3 by the relative gap of the initial record to the
-    critical path."""
-    cp = max(cp_bound, 1)
-    sigma = (ub - cp) / cp
-    if sigma < SIGMA1:
-        return 1
-    if sigma <= SIGMA2:
-        return 2
-    return 3
 
 
 def solve(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunStats]:
@@ -200,11 +180,6 @@ def _search(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunS
     pop = init_population(inst, config.population_capacity, rng, budget=budget)
     stats.trace.append((budget.used, pop.best.makespan))
 
-    # the regime fills in the checkpoint settings the config leaves as none
-    stats.subset = classify_subset(pop.best.makespan, stats.cp_bound)
-    regime = dict(zip(("stagnation_trigger", "ns_burst"), _REGIME_PARAMS[stats.subset]))
-    config = replace(config, **{k: v for k, v in regime.items() if getattr(config, k) is None})
-
     run = _Run(inst, config, rng, budget, stats, ranking.weights, pop, pop.best)
     stale = 0
     while not budget.exhausted:
@@ -221,7 +196,7 @@ def _search(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunS
 
 @dataclass
 class _Run:
-    """The state a solve's steps share; `config` has the regime's settings."""
+    """The state a solve's steps share."""
 
     inst: ProjectInstance
     config: SolverConfig

@@ -207,23 +207,15 @@ def test_run_benchmark_parse_failure_names_file(tmp_path):
 
 
 def _write_mixed_dataset(tmp_path):
-    """Three good instances on two resources, a file that does not parse
-    and a valid instance whose solve `_solve_rejecting` fails."""
+    """Three good instances on two resources and a file that does not
+    parse."""
     rng = random.Random(5)
     good = {}
     for name in ("a0", "c1", "e2"):
         good[name] = random_instance(rng, rng.randint(4, 10), 2)
         (tmp_path / f"{name}.sm").write_text(write_sm(good[name]))
     (tmp_path / "b_broken.sm").write_text("not a psplib file")
-    (tmp_path / "d_rejected.sm").write_text(write_sm(random_instance(rng, 6, 2)))
     return good
-
-
-def _solve_rejecting(inst, config):
-    """`solve`, except that the instance named d_rejected raises ValueError."""
-    if inst.name == "d_rejected":
-        raise ValueError("d_rejected is rejected")
-    return solve(inst, config)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -233,42 +225,41 @@ def test_run_benchmark_reports_bad_instances_and_solves_the_rest(tmp_path, monke
     good = _write_mixed_dataset(data)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _PoolRecorder)
     monkeypatch.setattr(_PoolRecorder, "workers", [])
-    # forked pool workers inherit the patch
-    monkeypatch.setattr(bench, "solve", _solve_rejecting)
     cfg = SolverConfig(lambda_budget=60, population_capacity=4, seed=3)
     out, csv_out = tmp_path / "makespans.txt", tmp_path / "summary.csv"
     report = run_benchmark(str(data), cfg, out_path=str(out), csv_path=str(csv_out), threads=threads)
 
     assert _PoolRecorder.workers == ([2] if threads == 2 else [])
-    assert [r.name for r in report.rows] == ["a0", "b_broken", "c1", "d_rejected", "e2"]
-    assert [r.name for r in report.failed] == ["b_broken", "d_rejected"]
-    assert report.failed[1].error == "d_rejected is rejected"
+    assert [r.name for r in report.rows] == ["a0", "b_broken", "c1", "e2"]
+    assert [r.name for r in report.failed] == ["b_broken"]
     # each good file solves with the seed of its place among all files
-    for idx, name in ((0, "a0"), (2, "c1"), (4, "e2")):
+    for idx, name in ((0, "a0"), (2, "c1"), (3, "e2")):
         sched, _ = solve(good[name], replace(cfg, seed=cfg.seed + idx))
         assert next(r.makespan for r in report.rows if r.name == name) == sched.makespan
     assert report.apd == sum(r.deviation_pct for r in report.solved) / 3
 
     lines = out.read_text().splitlines()
     assert lines[1] == f"b_broken failed: {report.failed[0].error}"
-    assert lines[3] == "d_rejected failed: d_rejected is rejected"
     rows = list(csv.reader(csv_out.read_text().splitlines()))
     assert rows[0][-1] == "error" and len({len(row) for row in rows}) == 1
-    assert rows[4][:4] == ["d_rejected", "", "", ""] and rows[4][-1] == "d_rejected is rejected"
+    assert rows[2][:4] == ["b_broken", "", "", ""] and rows[2][-1] == report.failed[0].error
     assert rows[1][-1] == ""
     table = format_table(report)
-    assert "APD over 3 instances" in table and "failed: 2 instance(s)" in table
+    assert "APD over 3 instances" in table and "failed: 1 instance(s)" in table
     assert "b_broken         failed: " in table
 
 
-def test_run_benchmark_lets_other_errors_through(tmp_path, monkeypatch):
+@pytest.mark.parametrize("error", [RuntimeError, ValueError])
+def test_run_benchmark_lets_other_errors_through(tmp_path, monkeypatch, error):
+    """Only a file that does not parse gets a failure row; an error from a
+    solve is a solver bug and propagates."""
     _write_dataset(tmp_path)
 
     def crash(inst, config):
-        raise RuntimeError("solver bug")
+        raise error("solver bug")
 
     monkeypatch.setattr(bench, "solve", crash)
-    with pytest.raises(RuntimeError, match="solver bug"):
+    with pytest.raises(error, match="solver bug"):
         run_benchmark(str(tmp_path), SolverConfig(lambda_budget=50))
 
 

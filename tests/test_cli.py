@@ -237,7 +237,9 @@ def test_seed_changes_nothing_on_reruns(instance_file, capsys):
         assert main(["solve", instance_file, "--lambda", "60", "--seed", "9"]) == 0
         lines = capsys.readouterr().out.splitlines()
         outputs.append([line for line in lines if not line.startswith("seconds ")])
-    assert len(outputs[0]) > 4
+    assert [line.split(":")[0].strip() for line in outputs[0]] == [
+        "instance", "makespan", "cp lower bound", "schedules"
+    ]
     assert outputs[0] == outputs[1]
 
 
@@ -283,12 +285,16 @@ def test_zero_capacity_resource_solves_and_ranks(tmp_path, capsys):
         "sigma1 = 0.1\n",
         "tabu_capacity = 10\n",
         "lambda_budget = none\ntime_limit = inf\n",
+        # the checkpoint settings are integers, never none
+        "ns_burst = none\n",
+        "stagnation_trigger = none\n",
     ],
     ids=[
         "unknown-weight-mode", "no-equals", "no-cap", "block-size-0", "sigma-text",
         "dense-threshold-text", "negative-elite-count", "one-member-population",
         "removed-ablation-key", "removed-fbi-passes", "removed-sigma1",
-        "removed-tabu-capacity", "infinite-time-limit",
+        "removed-tabu-capacity", "infinite-time-limit", "ns-burst-none",
+        "stagnation-trigger-none",
     ],
 )
 def test_bad_config_file_exit_1(instance_file, tmp_path, capsys, text):

@@ -20,16 +20,7 @@ from rcpsp_hybrid.neighborhood import ns_run
 from rcpsp_hybrid.random_instances import random_instance
 from rcpsp_hybrid.ranking import rank_and_weigh
 from rcpsp_hybrid.sgs import fbi, serial_sgs
-from rcpsp_hybrid.solver import (
-    SIGMA1,
-    SIGMA2,
-    Budget,
-    RunStats,
-    SolverConfig,
-    _Run,
-    classify_subset,
-    solve,
-)
+from rcpsp_hybrid.solver import Budget, RunStats, SolverConfig, _Run, solve
 from conftest import scaled_durations, with_zero_durations
 from oracles import brute_force_optimum
 
@@ -40,8 +31,8 @@ from oracles import brute_force_optimum
 def test_config_defaults_valid():
     cfg = SolverConfig()
     assert cfg.lambda_budget == 50000
+    assert (cfg.stagnation_trigger, cfg.ns_burst) == (10, 1000)
     # the operator parameters are the paper's values
-    assert SIGMA1 == 0.2 and SIGMA2 == 0.6
     assert PARENT_PROBABILITY == 0.25
     assert DENSE_THRESHOLD == 0.75
     assert inspect.signature(ns_run).parameters["P"].default == 4
@@ -93,8 +84,10 @@ REMOVED_FIELDS = {
         dict(lambda_ns=0),
         dict(mutation_iterations=-1),
         dict(ns_burst=-1),
+        dict(ns_burst=None),
         dict(stagnation_trigger=2.5),
         dict(stagnation_trigger=-1),
+        dict(stagnation_trigger=None),
         dict(elite_count=-3),
         dict(elite_count=0),
         dict(parents_size=0),
@@ -121,13 +114,13 @@ def test_config_from_file(tmp_path):
         "lambda_budget = 1234\n"
         "stagnation_trigger = 3  # checkpoint every third stale generation\n"
         "population_capacity = 2\n"
-        "ns_burst = none\n"
+        "ns_burst = 500\n"
     )
     cfg = SolverConfig.from_file(str(path))
     assert cfg.lambda_budget == 1234
     assert cfg.stagnation_trigger == 3
     assert cfg.population_capacity == 2
-    assert cfg.ns_burst is None
+    assert cfg.ns_burst == 500
 
 
 def test_config_from_file_reads_each_field_as_its_type(tmp_path):
@@ -158,6 +151,10 @@ def test_config_from_file_reads_each_field_as_its_type(tmp_path):
         ("fbi_passes = 2\n", "unknown key 'fbi_passes'"),
         ("sigma1 = 0.1\n", "unknown key 'sigma1'"),
         ("tabu_capacity = 10\n", "unknown key 'tabu_capacity'"),
+        # every instance gets the same checkpoint: none is not a setting
+        ("ns_burst = none\n", "ns_burst"),
+        ("stagnation_trigger = none\n", "stagnation_trigger"),
+        ("stagnation_trigger =\n", "stagnation_trigger"),
     ],
 )
 def test_config_from_file_rejects_bad_values(tmp_path, text, key):
@@ -238,20 +235,6 @@ def test_ns_burst_restores_the_budget_limit(limit, steps):
         assert limit is None or budget.used <= limit
 
 
-# ----------------------------------------------------------- classification
-
-
-def test_classify_subset_examples():
-    assert classify_subset(11, 10) == 1
-    assert classify_subset(13, 10) == 2
-    assert classify_subset(17, 10) == 3
-
-
-def test_classify_subset_scale_invariant():
-    for scale in (2, 3, 10):
-        assert classify_subset(13 * scale, 10 * scale) == 2
-
-
 # ------------------------------------------------------------------- solve
 
 
@@ -266,7 +249,6 @@ def test_solve_tiny1(tiny1):
 def test_solve_tiny2_minimal_budget(tiny2):
     sched, stats = solve(tiny2, SolverConfig(lambda_budget=10, population_capacity=4, seed=2))
     assert sched.makespan == 9
-    assert stats.subset == 1
 
 
 def test_solve_deterministic(tiny1):
@@ -288,27 +270,53 @@ def test_solve_deterministic_on_larger_instance():
 
 
 def test_solve_criterion_10_instance_pinned():
-    """A short fixed-seed solve of the acceptance criterion-10 instance.
-    The expected values come from the decoders before their memo and scan
-    changes; a speed-up must leave the search path exactly as it is."""
+    """A short fixed-seed solve of the acceptance criterion-10 instance,
+    with the default checkpoint; a speed-up must leave the search path
+    exactly as it is."""
     inst = random_instance(random.Random(1010), 120, 4, edge_probability=0.1)
     sched, stats = solve(inst, SolverConfig(lambda_budget=3000, seed=0))
-    assert stats.trace == [(300, 482)]
+    assert stats.trace == [(300, 482), (1681, 479), (2928, 476)]
     assert stats.schedules_generated == 3000
-    assert (stats.generations, stats.ns_bursts) == (5, 1)
+    assert (stats.generations, stats.ns_bursts) == (19, 0)
     digest = hashlib.sha256(repr(sched.starts).encode()).hexdigest()[:16]
-    assert digest == "ef43631f8703d3f8"
+    assert digest == "fdda50b57cd69dd8"
+
+
+@pytest.mark.parametrize(
+    "inst, lam, low, high",
+    [
+        (random_instance(random.Random(5), 15, 2, edge_probability=0.5), 3000, 0.0, 0.2),
+        (random_instance(random.Random(1), 15, 2, edge_probability=0.5), 3000, 0.2, 0.6),
+        (random_instance(random.Random(1010), 120, 4, edge_probability=0.1), 5000, 0.6, 10.0),
+    ],
+    ids=["gap-below-0.2", "gap-0.2-to-0.6", "criterion-10"],
+)
+def test_checkpoint_is_the_same_for_every_initial_gap(monkeypatch, inst, lam, low, high):
+    """The default checkpoint does not depend on how far the initial
+    record lies above the critical path: whatever the gap, every burst
+    walks 1 000 steps."""
+    steps = []
+
+    def spy(*args, **kwargs):
+        steps.append(kwargs["steps"])
+        return ns_run(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "ns_run", spy)
+    _, stats = solve(inst, SolverConfig(lambda_budget=lam, seed=0))
+    assert low <= (stats.trace[0][1] - stats.cp_bound) / stats.cp_bound < high
+    assert steps and set(steps) == {1000}
+    assert stats.ns_bursts == len(steps)
 
 
 def test_solve_is_invariant_to_the_time_unit():
     """Durations a thousand times longer scale every start by a thousand
-    and leave the search path as it was: the relaxation, the regime and
-    the bursts see only ratios of times."""
+    and leave the search path as it was: the relaxation and the bursts
+    see only ratios of times."""
     bursts = 0
     for seed in range(12):
         rng = random.Random(seed)
         inst = random_instance(rng, rng.randint(8, 20), rng.randint(1, 4), edge_probability=0.15)
-        cfg = SolverConfig(lambda_budget=1500, seed=seed)
+        cfg = SolverConfig(lambda_budget=1500, stagnation_trigger=5, seed=seed)
         sched, stats = solve(inst, cfg)
         long_sched, long_stats = solve(scaled_durations(inst, 1000), cfg)
         assert long_sched.starts == tuple(1000 * s for s in sched.starts)
