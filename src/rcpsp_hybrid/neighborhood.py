@@ -309,8 +309,10 @@ def neighborhood_b_move(
     # so their finish 0 leaves their successors in the prefix unconstrained
     packed = inst.packed_demand
     durs = inst.durations
-    slots = profile.empty(inst, inst.horizon + 1)
-    starts, finish = profile.serial_place(inst, prefix, slots, inst.preds, inst.horizon)
+    starts, finish = profile.serial_place(inst, prefix, inst.preds, inst.horizon)
+    slots = profile.booked(
+        inst, inst.horizon + 1, [(packed[a], starts[a], durs[a]) for a in prefix]
+    )
 
     # every predecessor of a member is in the prefix or the block
     waiting = dict.fromkeys(members, 0)

@@ -36,30 +36,38 @@ nearly every placement of a solve: in a λ = 8 000 solve of perfbench's
 scarce120 instance, 645 182 placements came from it against 22 602 from
 N_A and 3 461 from N_B, which call `Profile.place`.  So it is one flat
 loop that computes each activity's earliest start, tests the windows
-and books the fit inline, with no method call per activity.  Against one
-`place` call per activity, serial decodes with their right
-justifications took about 1.2x less CPU on ProGen j120, j30 and
-scarce120 instances (timed alternately in one process, equal starts),
-and perfbench's progen-j120 schedules_per_s rose 1.14x (BENCH_14.json).
+and books the fit inline, with no method call per activity.  It starts
+from full capacity and keeps its own profile, local to the call, as
+linked segments: three lists of segment start, packed value and next
+node.  A booking splits a segment by appending a node and relinking, so
+no list grows in the middle.
+
+Every placed activity's finish is the start of a node, and the loop
+records that node per activity.  An activity's earliest start is its
+latest predecessor's finish, so the window search starts at that
+predecessor's node, with no search for the segment that holds the start,
+and every window found starts where a node starts: a booking splits at
+its end only.  An activity with a duration splits there even when it
+demands nothing, and a zero-duration one takes its start node as its
+finish node.  Segments are never merged, so a split that leaves two
+equal values changes no start.  Against the change-point loop before it,
+which found each start by `bisect_right` and split by `list.insert`,
+each call took 0.72-0.92x the CPU on 3 000 placement loops sampled from
+each of ProGen j120, j30 and scarce120 solves (timed alternately in one
+process; equal starts and finishes), and perfbench's progen-j120
+schedules_per_s rose 1.20x (10 of 10 pairs; BENCH_18.json).
 
 On a conflict the loop skips the whole run of segments short of some
 resource, since no window covering such a segment fits; the segment
 that ends the run fits, so the next window test starts one segment
-after it.  For the length of the loop, a sentinel segment is appended:
-the value with every bit set, which fits every demand of the layout,
-from the profile's end to a far end past every window that starts
-inside the profile.  So a skip stops at the sentinel at the latest and
-needs no bound test; a window that reaches the sentinel ends past the
-profile, and one test of the window's end after the search catches it.
-A `finally` removes the sentinel again, also when the search raises.
-The sentinel took 1.11-1.13x off each call against the loop that tested
-`k < n` in each skip and the horizon before each window, on about
-5 000-7 000 placement loops captured from ProGen j120, j30 and scarce120
-solves (timed alternately in one process; equal starts, finishes and
-profiles), and perfbench's progen-j120 schedules_per_s rose 1.11x with
-the int-keyed right justification order (BENCH_15.json).  The `Profile`
-methods run too rarely for it to pay: on a sample of the 52 400 `place`
-and `fits` calls of the solve above, the shared scan took about 12 %
+after it.  The profile ends in a sentinel node: the value with every
+bit set, which fits every demand of the layout, from the profile's end
+to a far node past every window that starts inside the profile.  So a
+skip stops at the sentinel at the latest and needs no bound test; a
+window that reaches the sentinel ends past the profile, and one test of
+the window's end after the search catches it.  The `Profile` methods
+run too rarely for a sentinel to pay: on a sample of the 52 400 `place`
+and `fits` calls of the solve above, their shared scan took about 12 %
 longer per call than a copy of the sentinel loop, about 0.3 % of the
 solve's CPU.
 
@@ -88,11 +96,6 @@ def layout(capacities: Sequence[int], largest_demand: int = 0) -> tuple[int, int
 def pack(values: Sequence[int], bits: int) -> int:
     """Per-resource values in one int, resource k's at bit k * bits."""
     return sum(v << (k * bits) for k, v in enumerate(values))
-
-
-def empty(inst, length: int) -> Profile:
-    """Full capacity over [0, length), as one segment."""
-    return Profile([0, length], [inst.packed_capacity], inst.guard)
 
 
 def booked(inst, length: int, bookings: Iterable[tuple[int, int, int]]) -> Profile:
@@ -133,81 +136,87 @@ def _fits_nowhere(j: int, horizon: int) -> ValueError:
 def serial_place(
     inst,
     order: Sequence[int],
-    rem: Profile,
     preds: Sequence[Sequence[int]],
     horizon: int,
 ) -> tuple[list[int], list[int]]:
-    """Place `order` serially into the profile `rem` (covering at least
-    [0, horizon)): each activity at the earliest start after the finishes
-    of its `preds` at which it fits and finishes by `horizon`.  Returns the
-    start and finish vectors; an activity missing from the order keeps
-    start and finish 0, so it holds back no activity that lists it in
-    `preds`.  Raises ValueError when an activity fits nowhere."""
+    """Place `order` serially from full capacity over [0, horizon]: each
+    activity at the earliest start after the finishes of its `preds` at
+    which it fits and finishes by `horizon`.  Returns the start and finish
+    vectors; an activity missing from the order keeps start and finish 0,
+    so it holds back no activity that lists it in `preds`.  Raises
+    ValueError when an activity fits nowhere."""
     durs = inst.durations
     packed = inst.packed_demand
-    times, vals, guard = rem.times, rem.vals, rem.guard
-    starts = [0] * len(durs)
-    finish = [0] * len(durs)
-    # the sentinel segment ends every run of short segments, and its far
-    # end lies past every window that starts within the profile
-    vals.append(_all_fit(guard))
-    times.append(times[-1] + max(durs))
-    try:
-        for j in order:
-            p = durs[j]
-            t = 0
-            for q in preds[j]:
-                f = finish[q]
-                if f > t:
-                    t = f
-            end = t + p
+    guard = inst.guard
+    n = len(durs)
+    # the linked segments: node i covers [times[i], times[nxt[i]]) with
+    # vals[i] remaining.  Node 0 starts at 0, node 1 is the sentinel from
+    # the profile's end, and node 2 only marks the sentinel's far end,
+    # past every window that starts within the profile.
+    times = [0, horizon + 1, horizon + 1 + max(durs)]
+    vals = [inst.packed_capacity, _all_fit(guard), 0]
+    nxt = [1, 2, 2]
+    starts = [0] * n
+    finish = [0] * n
+    # the node that starts at each activity's finish; an activity not
+    # placed finishes at 0, where node 0 starts
+    node = [0] * n
+    for j in order:
+        p = durs[j]
+        t = 0
+        i = 0
+        for q in preds[j]:
+            f = finish[q]
+            if f > t:
+                t = f
+                i = node[q]
+        end = t + p
+        if p:
             d = packed[j]
-            if p and d:
-                i = k = bisect_right(times, t) - 1
-                while True:
-                    # segments i..k-1 fit the window [t, end); test on from k
-                    while (vals[k] - d) & guard == guard:
-                        k += 1
-                        if times[k] >= end:
-                            break
-                    else:
-                        # no window can start before the end of this run of
-                        # short segments; the segment after it fits, so the
-                        # next test starts one segment on
-                        k += 1
-                        while (vals[k] - d) & guard != guard:
-                            k += 1
-                        i = k
-                        t = times[k]
-                        end = t + p
-                        k += 1
-                        if times[k] < end:
-                            continue
-                    break
-                # a window reaching the sentinel ends past the horizon too
-                if end > horizon:
-                    raise _fits_nowhere(j, horizon)
-                # book [t, end): split the segments it starts and ends inside
-                if times[k] != end:
-                    times.insert(k, end)
-                    vals.insert(k, vals[k - 1])
-                if times[i] != t:
-                    i += 1
-                    times.insert(i, t)
-                    vals.insert(i, vals[i - 1])
-                    k += 1
-                if k == i + 1:
-                    vals[i] -= d
+            k = i
+            while True:
+                # the nodes from i up to k fit the window [t, end); test
+                # on from k
+                while (vals[k] - d) & guard == guard:
+                    k = nxt[k]
+                    if times[k] >= end:
+                        break
                 else:
-                    for q in range(i, k):
-                        vals[q] -= d
-            elif end > horizon:
+                    # no window can start before the end of this run of
+                    # short segments; the segment after it fits, so the
+                    # next test starts one segment on
+                    k = nxt[k]
+                    while (vals[k] - d) & guard != guard:
+                        k = nxt[k]
+                    i = k
+                    t = times[k]
+                    end = t + p
+                    k = nxt[k]
+                    if times[k] < end:
+                        continue
+                break
+            # a window reaching the sentinel ends past the horizon too
+            if end > horizon:
                 raise _fits_nowhere(j, horizon)
-            starts[j] = t
-            finish[j] = end
-    finally:
-        vals.pop()
-        times.pop()
+            # book [t, end), which starts where node i starts: take d from
+            # node i up to the node before k, and split that one at end
+            q = i
+            vals[q] -= d
+            while nxt[q] != k:
+                q = nxt[q]
+                vals[q] -= d
+            if times[k] != end:
+                nxt.append(k)
+                nxt[q] = k = len(times)
+                times.append(end)
+                vals.append(vals[q] + d)
+            node[j] = k
+        elif end > horizon:
+            raise _fits_nowhere(j, horizon)
+        else:
+            node[j] = i
+        starts[j] = t
+        finish[j] = end
     return starts, finish
 
 

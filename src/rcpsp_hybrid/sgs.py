@@ -17,19 +17,22 @@ the memos.  `solve` empties both (`clear_memos`) when it ends, returning
 or raising, so no solved instance stays in them.
 
 The serial decode and the right justification share one placement loop,
-`profile.serial_place`, which searches a resource profile for each
-activity's earliest window.  It lives in profile.py as one flat loop, with
-no method call per activity, because it is most of a solve's time: in
-perfbench's traced progen-j120 runs, the serial decode and FBI, whose self
-time is mostly the right justification's placement, took 44 % and 30-33 %
-of the self time while the loop made one `Profile.place` call per
-activity.  Inlined, it takes about 1.2x less CPU (profile.py gives the
-measurements).  This module touches no profile internals.  The right
-justification runs the loop on the time axis mirrored in [0, T], with
-successors as predecessors, so the earliest mirrored window is the latest
-real one.  Its order, decreasing finish, is a sort on one int key per
-activity (`_backward_order`), the instance holding the part of each key
-that does not depend on the schedule; a sort on a tuple per activity,
+`profile.serial_place`, which builds its own resource profile from full
+capacity and searches it for each activity's earliest window.  It lives
+in profile.py as one flat loop, with no method call per activity, because
+it is most of a solve's time: in perfbench's traced progen-j120 runs,
+the serial decode and FBI, whose self time is mostly the right
+justification's placement, took 46 % and 30 % of the self time.  Its
+profile is a linked list of segments in which every placed activity's
+finish starts a segment, so each window search starts at the segment of
+the latest-finishing predecessor, with no bisect, and a booking splits a
+segment by appending, with no list.insert (profile.py and BENCH_18.json
+give the measurements).  This module touches no profile internals.  The
+right justification runs the loop on the time axis mirrored in [0, T],
+with successors as predecessors, so the earliest mirrored window is the
+latest real one.  Its order, decreasing finish, is a sort on one int key
+per activity (`_backward_order`), the instance holding the part of each
+key that does not depend on the schedule; a sort on a tuple per activity,
 built in a lambda, took about 2x as long (about 2 000 orders captured
 from ProGen j120, j30 and scarce120 solves, timed alternately in one
 process).  The parallel decode needs no profile:
@@ -83,9 +86,7 @@ def clear_memos() -> None:
 
 @lru_cache(maxsize=SERIAL_MEMO_SIZE)
 def _serial_decode(inst: ProjectInstance, order: tuple[int, ...]) -> Schedule:
-    starts, finish = profile.serial_place(
-        inst, order, profile.empty(inst, inst.horizon + 1), inst.preds, inst.horizon
-    )
+    starts, finish = profile.serial_place(inst, order, inst.preds, inst.horizon)
     return Schedule(tuple(starts), finish[inst.sink])
 
 
@@ -217,7 +218,7 @@ def _right_justify(inst: ProjectInstance, sched: Schedule) -> Schedule:
     after a release time.  So each start is T minus the mirrored finish."""
     T = sched.makespan
     order = _backward_order(inst, sched.starts)
-    _, finish = profile.serial_place(inst, order, profile.empty(inst, T + 1), inst.succs, T)
+    _, finish = profile.serial_place(inst, order, inst.succs, T)
     starts = [T - f for f in finish]
     starts[0] = 0
     return Schedule(tuple(starts), T)

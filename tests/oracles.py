@@ -423,9 +423,10 @@ def reference_neighborhood_a_move(inst: ProjectInstance, sched, block: Block, we
 
 
 def reference_neighborhood_b_move(inst: ProjectInstance, lst, block: Block, weights, rng):
-    """N_B with a parallel extension that, at each event, rescans every
-    unscheduled member's predecessors for the ready set and every finish
-    for the next event time."""
+    """N_B with the prefix decoded by the stepwise serial oracle and a
+    parallel extension that, at each event, rescans every unscheduled
+    member's predecessors for the ready set and every finish for the next
+    event time."""
     j = block.core
     members = block.members - {0, inst.sink}
     if not members:
@@ -438,9 +439,11 @@ def reference_neighborhood_b_move(inst: ProjectInstance, lst, block: Block, weig
     prefix = [a for a in order[: last_pos + 1] if a not in members]
     suffix = order[last_pos + 1 :]
     packed = inst.packed_demand
-    slots = profile.empty(inst, inst.horizon + 1)
-    starts, prefix_finish = profile.serial_place(inst, prefix, slots, inst.preds, inst.horizon)
-    finish = {a: prefix_finish[a] for a in prefix}
+    starts = list(reference_serial_starts(inst, prefix))
+    finish = {a: starts[a] + inst.durations[a] for a in prefix}
+    slots = profile.booked(
+        inst, inst.horizon + 1, [(packed[a], starts[a], inst.durations[a]) for a in prefix]
+    )
     unscheduled = set(members)
     t = 0
     while unscheduled:

@@ -4,7 +4,6 @@ is drawn as one row of remaining capacities per resource, packed into
 segments for the call, and the booked profile is expanded back into rows
 to compare."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from rcpsp_hybrid import profile
@@ -135,8 +134,9 @@ def test_fits_and_reserve(case):
 @settings(max_examples=100, deadline=None)
 @given(capacities(), st.integers(1, 6))
 def test_empty_holds_every_capacity(caps, length):
+    """With no bookings, the profile is full capacity as one segment."""
     inst = _instance(caps)
-    prof = profile.empty(inst, length)
+    prof = profile.booked(inst, length, ())
     assert prof.times == [0, length]
     assert _expand(prof, inst.slot_bits, len(caps)) == [[c] * length for c in caps]
 
@@ -150,7 +150,7 @@ def test_operation_sequences_match_the_oracle(caps, length, data):
     include 0 and `hi < lo` occurs."""
     inst = _instance(caps)
     bits = inst.slot_bits
-    prof = profile.empty(inst, length)
+    prof = profile.booked(inst, length, ())
     rows = [[c] * length for c in caps]
     for _ in range(data.draw(st.integers(1, 12))):
         demand = [data.draw(_edge_value(c)) for c in caps]
@@ -234,33 +234,12 @@ def _chain(caps, durations, demands):
     return ProjectInstance(acts, arcs, caps)
 
 
-def test_serial_place_leaves_no_sentinel():
-    inst = _chain((3, 7), [2, 3, 1], [(3, 7), (2, 1), (1, 6)])
-    prof = profile.empty(inst, inst.horizon + 1)
-    starts, _ = profile.serial_place(inst, range(len(inst)), prof, inst.preds, inst.horizon)
-    assert starts == [0, 0, 2, 2, 5]
-    _no_sentinel(prof, inst.horizon + 1)
-    assert _expand(prof, inst.slot_bits, 2)[0] == [0, 0, 0, 1, 1, 3, 3]
-
-
-def test_serial_place_leaves_no_sentinel_when_a_demand_exceeds_capacity():
-    """Activity 2 demands 3, all that activity 1 takes over [0, 2), and a
-    horizon of 2 leaves no later window: it fits nowhere, and the booking
-    of activity 1 before it stays."""
-    inst = _chain((3,), [2, 1], [(3,), (3,)])
-    prof = profile.empty(inst, inst.horizon + 1)
-    with pytest.raises(ValueError, match="activity 2 fits nowhere"):
-        profile.serial_place(inst, range(len(inst)), prof, inst.preds, 2)
-    _no_sentinel(prof, inst.horizon + 1)
-    assert _expand(prof, inst.slot_bits, 1) == [[0, 0, 3, 3]]
-
-
 def test_place_leaves_no_sentinel():
     """A booking, a search that passes `hi`, and a demand of 3 above the
     capacity of 1 the two bookings leave, which fits nowhere."""
     inst = _chain((3,), [2, 1], [(2,), (3,)])
     two, three = inst.packed_demand[1:3]
-    prof = profile.empty(inst, 4)
+    prof = profile.booked(inst, 4, ())
     assert prof.place(two, 0, 3, 2) == 0
     _no_sentinel(prof, 4)
     assert prof.place(two, 1, 2, 2) == 2

@@ -13,7 +13,7 @@ from rcpsp_hybrid.model import Activity, ProjectInstance
 def test_zero_demand_or_duration_fits_at_lo(lo, demand, p):
     inst = ProjectInstance([Activity(0, 0, (0,)), Activity(1, 0, (0,))], [(0, 1)], (3,))
     packed = profile.pack([demand], inst.slot_bits)
-    prof = profile.empty(inst, 4)
+    prof = profile.booked(inst, 4, ())
     assert prof.place(profile.pack([2], inst.slot_bits), 1, 1, 2) == 1
     before = prof.copy()
     assert prof.fits(packed, lo, p)

@@ -290,6 +290,51 @@ def test_serial_and_right_justification_match_the_stepwise_oracles(case):
     assert is_feasible(inst, back)
 
 
+def _check_partial_order(inst, kept):
+    """`serial_place` of an order that may leave activities out gives the
+    stepwise oracle's starts; a left-out activity keeps start and finish 0."""
+    starts, finish = profile.serial_place(inst, kept, inst.preds, inst.horizon)
+    assert tuple(starts) == reference_serial_starts(inst, kept)
+    placed = set(kept)
+    durs = inst.durations
+    assert finish == [s + durs[j] if j in placed else 0 for j, s in enumerate(starts)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_instances(), st.data())
+def test_serial_place_of_a_partial_order_matches_the_stepwise_oracle(case, data):
+    """Orders that leave activities out, as N_B's prefix does: each window
+    search starts at the segment where its latest predecessor's finish
+    starts, and this covers zero-demand activities that take time and have
+    successors, and chains of zero-duration activities."""
+    inst, order = case
+    _check_partial_order(inst, [j for j in order if data.draw(st.booleans())])
+
+
+def test_serial_place_past_zero_demand_and_zero_duration_predecessors():
+    """Activity 4 books all of [0, 1) first; activity 1 demands nothing over
+    [0, 2), and the zero-duration chain 2 -> 3 after it starts at 2.  So
+    activity 5, after the chain, starts at 2, though [1, 2) is free: its
+    window search starts at the segment where 1 finishes, never before."""
+    inst = ProjectInstance(
+        [
+            Activity(0, 0, (0,)),
+            Activity(1, 2, (0,)),
+            Activity(2, 0, (1,)),
+            Activity(3, 0, (0,)),
+            Activity(4, 1, (1,)),
+            Activity(5, 1, (1,)),
+            Activity(6, 0, (0,)),
+        ],
+        {(0, 1), (1, 2), (2, 3), (3, 5), (0, 4), (4, 6), (5, 6)},
+        (1,),
+    )
+    starts, _ = profile.serial_place(inst, [0, 4, 1, 2, 3, 5, 6], inst.preds, inst.horizon)
+    assert starts == [0, 0, 2, 2, 0, 2, 3]
+    _check_partial_order(inst, [0, 4, 1, 2, 3, 5, 6])
+    _check_partial_order(inst, [4, 2, 3, 5])
+
+
 def _full_capacity(demand):
     """Two activities that each demand the whole capacity `demand`, so one
     waits for the other."""
@@ -321,7 +366,7 @@ def test_serial_stops_on_demand_above_capacity(demand):
     a horizon of 2 leaves no later window: the placement raises, naming it."""
     inst = _full_capacity(demand)
     with pytest.raises(ValueError, match="activity 2 fits nowhere within the horizon 2"):
-        profile.serial_place(inst, [0, 1, 2, 3], profile.empty(inst, 4), inst.preds, 2)
+        profile.serial_place(inst, [0, 1, 2, 3], inst.preds, 2)
 
 
 def test_serial_stops_at_the_horizon():
@@ -333,7 +378,7 @@ def test_serial_stops_at_the_horizon():
         (1,),
     )
     with pytest.raises(ValueError, match="activity 2 fits nowhere within the horizon 2"):
-        profile.serial_place(inst, [0, 1, 2, 3], profile.empty(inst, 4), inst.preds, 2)
+        profile.serial_place(inst, [0, 1, 2, 3], inst.preds, 2)
 
 
 def test_parallel_stops_on_a_list_missing_an_activity(tiny2):
@@ -508,23 +553,6 @@ def test_fbi_stops_when_an_activity_fits_nowhere(tiny1, empty_memos):
     with pytest.raises(ValueError, match="activity 1 fits nowhere"):
         fbi(tiny1, Schedule((0, 0, 0, 3), 3))
     assert sgs._fbi_pass.cache_info().currsize == 0
-
-
-def test_fbi_leaves_no_sentinel_when_an_activity_fits_nowhere(tiny1, monkeypatch):
-    """The right justification's profile ends at T + 1 after the raise, as
-    it began: the sentinel segment is gone."""
-    made = []
-
-    def empty(inst, length):
-        made.append(profile.Profile([0, length], [inst.packed_capacity], inst.guard))
-        return made[-1]
-
-    monkeypatch.setattr(profile, "empty", empty)
-    with pytest.raises(ValueError, match="fits nowhere"):
-        fbi(tiny1, Schedule((0, 0, 0, 3), 3))
-    (prof,) = made
-    assert prof.times[-1] == 4
-    assert len(prof.vals) == len(prof.times) - 1
 
 
 @settings(max_examples=300, deadline=None)

@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from rcpsp_hybrid import genetic, sgs, solver
+from rcpsp_hybrid import genetic, neighborhood, sgs, solver
 from rcpsp_hybrid.genetic import (
     DENSE_THRESHOLD,
     PARENT_PROBABILITY,
@@ -16,7 +16,7 @@ from rcpsp_hybrid.genetic import (
     decode_and_improve,
 )
 from rcpsp_hybrid.model import is_feasible, random_feasible_list
-from rcpsp_hybrid.neighborhood import ns_run
+from rcpsp_hybrid.neighborhood import neighborhood_b_move, ns_run
 from rcpsp_hybrid.random_instances import random_instance
 from rcpsp_hybrid.ranking import rank_and_weigh
 from rcpsp_hybrid.sgs import fbi, serial_sgs
@@ -280,6 +280,29 @@ def test_solve_criterion_10_instance_pinned():
     assert (stats.generations, stats.ns_bursts) == (19, 0)
     digest = hashlib.sha256(repr(sched.starts).encode()).hexdigest()[:16]
     assert digest == "fdda50b57cd69dd8"
+
+
+def test_solve_criterion_10_instance_with_a_burst_pinned(monkeypatch):
+    """The same solve at λ = 5 000 reaches the stagnation checkpoint and
+    runs one NS burst; its N_B moves, whose prefixes the serial placement
+    decodes, are pinned with the search path."""
+    moves = []
+
+    def spy(*args, **kwargs):
+        moves.append(neighborhood_b_move(*args, **kwargs))
+        return moves[-1]
+
+    monkeypatch.setattr(neighborhood, "neighborhood_b_move", spy)
+    inst = random_instance(random.Random(1010), 120, 4, edge_probability=0.1)
+    sched, stats = solve(inst, SolverConfig(lambda_budget=5000, seed=0))
+    assert stats.trace == [(300, 482), (1681, 479), (2928, 476)]
+    assert stats.schedules_generated == 5000
+    assert (stats.generations, stats.ns_bursts) == (28, 1)
+    assert sched.makespan == 476
+    digest = hashlib.sha256(repr(sched.starts).encode()).hexdigest()[:16]
+    assert digest == "fdda50b57cd69dd8"
+    assert (len(moves), moves.count(None)) == (178, 34)
+    assert hashlib.sha256(repr(moves).encode()).hexdigest()[:16] == "a0371dd8370ea4c0"
 
 
 @pytest.mark.parametrize(
