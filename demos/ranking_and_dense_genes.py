@@ -26,7 +26,7 @@ from rcpsp_hybrid.random_instances import random_instance
 rng = random.Random(11)
 project = random_instance(rng, n_real=15, n_resources=3)
 
-ranking = rank_and_weigh(project, mode="ratio")
+ranking = rank_and_weigh(project)
 print(f"relaxed makespan : {ranking.relaxed_makespan}")
 print(f"capacities       : {project.capacities}")
 print(f"residues         : {ranking.residues}")

@@ -112,12 +112,12 @@ def cmd_bench(args) -> int:
 
 def cmd_rank(args) -> int:
     inst = _load_instance(args.file)
-    result = rank_and_weigh(inst, mode="ratio")
+    result = rank_and_weigh(inst)
     print(f"instance          : {inst.name or args.file}")
     print(f"relaxed makespan  : {result.relaxed_makespan}")
     print(f"residues          : {' '.join(map(str, result.residues))}")
     print(f"rank (scarce 1st) : {' '.join(str(k + 1) for k in result.rank)}")
-    print(f"ratio weights     : {' '.join(f'{w:.3f}' for w in result.weights)}")
+    print(f"weights           : {' '.join(f'{w:.3f}' for w in result.weights)}")
     return 0
 
 
@@ -144,8 +144,17 @@ def cmd_validate(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error is bad input: it exits 1, as every input error does,
+    and leaves 2 to internal errors."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="rcpsp-hybrid",
         description="Hybrid GA + neighborhood-search RCPSP solver and benchmark harness",
     )

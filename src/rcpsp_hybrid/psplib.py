@@ -114,6 +114,7 @@ def _parse_precedence(lines: list[str], job_count: int) -> dict[int, list[int]]:
                 f"expected jobnr, #modes, #successors"
             )
         jobnr, modes, n_succ = nums[0], nums[1], nums[2]
+        _check_listed_once(_PRECEDENCE, start + off + 1, jobnr, successors)
         if modes != 1:
             raise PsplibStructureError(
                 f"job {jobnr} declares {modes} modes; only single-mode "
@@ -134,6 +135,15 @@ def _parse_precedence(lines: list[str], job_count: int) -> dict[int, list[int]]:
         successors[jobnr] = succ
     _check_jobs(_PRECEDENCE, successors, job_count)
     return successors
+
+
+def _check_listed_once(section: str, lineno: int, jobnr: int, listed: dict) -> None:
+    """A job's row comes once per section: a repeat would overwrite the
+    first row and still match the header's job count."""
+    if jobnr in listed:
+        raise PsplibStructureError(
+            f"section '{section}', line {lineno}: job {jobnr} is listed twice"
+        )
 
 
 def _check_jobs(section: str, listed: dict[int, list[int]], job_count: int) -> None:
@@ -168,6 +178,7 @@ def _parse_requests(
                 f"expected jobnr, mode, duration, demands"
             )
         jobnr, mode, duration = nums[0], nums[1], nums[2]
+        _check_listed_once(_REQUESTS, start + off + 1, jobnr, demands)
         if mode != 1:
             raise PsplibStructureError(
                 f"job {jobnr} uses mode {mode}; only single-mode files "

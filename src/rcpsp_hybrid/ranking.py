@@ -1,4 +1,4 @@
-"""Cumulative-resource relaxation, resource ranking and weight vectors.
+"""Cumulative-resource relaxation, resource ranking and resource weights.
 
 The relaxation replaces the per-interval capacity constraint with a
 prefix-sum constraint: consumption over [1..t] may not exceed t*R_k.
@@ -27,13 +27,9 @@ from .model import (
     latest_starts,
 )
 
-# the four weight options; "ratio" derives w_k from the relaxation residues
-WEIGHT_MODES = ("steep", "shallow", "uniform", "ratio")
-
-_FIXED_VECTORS = {
-    "steep": (1.0, 0.8, 0.6, 0.4),
-    "shallow": (1.0, 0.9, 0.8, 0.7),
-}
+# weights along the resource rank, most scarce first; every rank past the
+# fourth keeps the last
+RANK_WEIGHTS = (1.0, 0.8, 0.6, 0.4)
 
 
 @dataclass(frozen=True)
@@ -42,7 +38,6 @@ class RankingResult:
     residues: tuple[int, ...]
     rank: tuple[int, ...]  # resource indices, most scarce first
     weights: tuple[float, ...]  # per original resource index
-    mode: str
 
 
 def solve_cumulative_relaxation(
@@ -101,60 +96,19 @@ def rank_resources(
     return tuple(sorted(range(len(residues)), key=lambda k: (frac(k), k)))
 
 
-def _draw_mode(n_res: int, rng) -> str:
-    """One of the weight options, drawn uniformly; the fixed vectors are
-    left out above four resources."""
-    if rng is None:
-        raise ValueError("random weight mode needs an rng")
-    eligible = list(WEIGHT_MODES)
-    if n_res > 4:
-        eligible = [m for m in eligible if m not in _FIXED_VECTORS]
-    return eligible[rng.randrange(len(eligible))]
-
-
-def assign_weights(
-    rank: Sequence[int],
-    residues: Sequence[int],
-    mode: str,
-) -> tuple[float, ...]:
-    """Weight vector per original resource index.
-
-    Fixed vectors are assigned along the rank order (most scarce gets the
-    largest weight) and prefix-truncated below four resources; the ratio
-    mode applies w_k = 2 - residue_k / residue_max, so larger unused
-    balances give proportionally smaller weights.
-    """
-    n_res = len(rank)
-    if mode in _FIXED_VECTORS:
-        if n_res > 4:
-            raise ValueError(
-                f"fixed weight vector '{mode}' covers 4 resources, "
-                f"instance has {n_res}"
-            )
-        vector = _FIXED_VECTORS[mode][:n_res]
-    elif mode == "uniform":
-        vector = (1.0,) * n_res
-    elif mode == "ratio":
-        # divide by the largest residue so weights stay in [1, 2]
-        top = max(residues, default=0)
-        if top <= 0:
-            vector = (1.0,) * n_res
-        else:
-            vector = tuple(2.0 - residues[k] / top for k in rank)
-    else:
-        raise ValueError(f"unknown weight mode: {mode}")
-    weights = [0.0] * n_res
+def assign_weights(rank: Sequence[int]) -> tuple[float, ...]:
+    """Weight per original resource index: `RANK_WEIGHTS` along the rank
+    order, so the most scarce resource gets the largest weight, truncated
+    below four resources and held at its last value above."""
+    weights = [0.0] * len(rank)
+    last = len(RANK_WEIGHTS) - 1
     for pos, k in enumerate(rank):
-        weights[k] = vector[pos]
+        weights[k] = RANK_WEIGHTS[min(pos, last)]
     return tuple(weights)
 
 
-def rank_and_weigh(inst: ProjectInstance, mode: str, rng=None) -> RankingResult:
-    """Relaxation, resource rank and weights; a random mode is drawn here,
-    so the result reports the option actually used."""
+def rank_and_weigh(inst: ProjectInstance) -> RankingResult:
+    """Relaxation, resource rank and the weights along that rank."""
     sched, residues = solve_cumulative_relaxation(inst)
     rank = rank_resources(residues, inst.capacities, sched.makespan)
-    if mode == "random":
-        mode = _draw_mode(len(rank), rng)
-    weights = assign_weights(rank, residues, mode=mode)
-    return RankingResult(sched.makespan, residues, rank, weights, mode)
+    return RankingResult(sched.makespan, residues, rank, assign_weights(rank))

@@ -1,10 +1,10 @@
-"""Hybrid control loop: resource weights drawn once per run and the
-population init; then `_search` loops over three steps on one `_Run`:
-`_generation`, and at a stagnation checkpoint (`stagnation_trigger`
-generations without a record) `_refresh` and `_burst`.  Every instance
-gets the same checkpoint settings.  A step is looked up as a module
-global when it is called, so a script can rebind one.  `_Run.offer` makes
-every record after init's."""
+"""Hybrid control loop: the resource weights, set once per run by the
+resource rank, and the population init; then `_search` loops over three
+steps on one `_Run`: `_generation`, and at a stagnation checkpoint
+(`stagnation_trigger` generations without a record) `_refresh` and
+`_burst`.  Every instance gets the same checkpoint settings.  A step is
+looked up as a module global when it is called, so a script can rebind
+one.  `_Run.offer` makes every record after init's."""
 
 from __future__ import annotations
 
@@ -96,10 +96,11 @@ class SolverConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "SolverConfig":
-        """key = value, one per line; '#' starts a comment.  Each value is
-        read as its field's declared type; 'none' (or nothing) sets an
-        optional field to None."""
+        """key = value, one per line and each key once; '#' starts a
+        comment.  Each value is read as its field's declared type; 'none'
+        (or nothing) sets an optional field to None."""
         values = {}
+        seen = {}  # key -> line number
         types = get_type_hints(cls)
         valid = {f.name: types[f.name] for f in fields(cls)}
         with open(path) as fh:
@@ -112,6 +113,11 @@ class SolverConfig:
                 key, val = (part.strip() for part in line.split("=", 1))
                 if key not in valid:
                     raise ValueError(f"{path}:{lineno}: unknown key '{key}'")
+                if key in seen:
+                    raise ValueError(
+                        f"{path}:{lineno}: key '{key}' repeats line {seen[key]}"
+                    )
+                seen[key] = lineno
                 try:
                     values[key] = _coerce(val, valid[key])
                 except ValueError as exc:
@@ -149,7 +155,6 @@ class RunStats:
     subset: int = 0
     cp_bound: int = 0
     relaxed_makespan: int = 0
-    weight_mode: str = ""
     weights: tuple[float, ...] = ()
     generations: int = 0
     ns_bursts: int = 0
@@ -173,9 +178,9 @@ def _search(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunS
     rng = random.Random(config.seed)
     budget = Budget(config.lambda_budget, config.time_limit)
     # relaxation, ranking, and the resource weights of the run
-    ranking = rank_and_weigh(inst, mode="random", rng=rng)
+    ranking = rank_and_weigh(inst)
     stats = RunStats(cp_bound=critical_path_lower_bound(inst), weights=ranking.weights,
-                     relaxed_makespan=ranking.relaxed_makespan, weight_mode=ranking.mode)
+                     relaxed_makespan=ranking.relaxed_makespan)
 
     pop = init_population(inst, config.population_capacity, rng, budget=budget)
     stats.trace.append((budget.used, pop.best.makespan))

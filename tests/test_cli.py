@@ -7,6 +7,7 @@ from rcpsp_hybrid.cli import main
 from rcpsp_hybrid.model import Activity, ProjectInstance
 from rcpsp_hybrid.psplib import write_sm
 from rcpsp_hybrid.random_instances import random_instance
+from rcpsp_hybrid.solver import SolverConfig, solve
 from conftest import FIXTURE_A
 
 
@@ -64,6 +65,20 @@ def test_rank_command(instance_file, capsys):
     assert "relaxed makespan  : 4" in out
     assert "residues          : 3" in out
     assert "rank (scarce 1st) : 1" in out
+    assert "weights           : 1.000" in out
+
+
+def test_rank_prints_the_weights_solve_uses(tmp_path, capsys):
+    """`rank` prints the weights a solve runs with: the steep vector along
+    the resource rank, 0.4 past the fourth resource."""
+    inst = random_instance(random.Random(4), 6, 5)
+    path = tmp_path / "k5.sm"
+    path.write_text(write_sm(inst))
+    _, stats = solve(inst, SolverConfig(lambda_budget=50))
+    assert sorted(stats.weights) == [0.4, 0.4, 0.6, 0.8, 1.0]
+    assert main(["rank", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert f"weights           : {' '.join(f'{w:.3f}' for w in stats.weights)}\n" in out
 
 
 def test_validate_file(instance_file, capsys):
@@ -271,6 +286,7 @@ def test_zero_capacity_resource_solves_and_ranks(tmp_path, capsys):
     "text",
     [
         "weight_mode = bogus\n",
+        "seed = 1\nseed = 1\n",
         "lambda_budget 40\n",
         "lambda_budget = none\n",
         # operator parameters are not config keys: each is an unknown key
@@ -290,7 +306,7 @@ def test_zero_capacity_resource_solves_and_ranks(tmp_path, capsys):
         "stagnation_trigger = none\n",
     ],
     ids=[
-        "unknown-weight-mode", "no-equals", "no-cap", "block-size-0", "sigma-text",
+        "unknown-weight-mode", "repeated-key", "no-equals", "no-cap", "block-size-0", "sigma-text",
         "dense-threshold-text", "negative-elite-count", "one-member-population",
         "removed-ablation-key", "removed-fbi-passes", "removed-sigma1",
         "removed-tabu-capacity", "infinite-time-limit", "ns-burst-none",
@@ -325,9 +341,9 @@ def test_time_limit_option_lifts_the_schedule_cap(instance_file, capsys):
 @pytest.mark.parametrize("mode", ["steep", "shallow"])
 @pytest.mark.parametrize("command", ["solve", "bench"])
 def test_fixed_weight_mode_beyond_four_resources_exit_1(tmp_path, capsys, mode, command):
-    """Each solve draws its weight mode, leaving out the fixed vectors above
-    four resources, so `weight_mode` is no key: naming it exits 1, and
-    without it the five-resource instance solves."""
+    """The weights are fixed along the resource rank, 0.4 past the fourth
+    resource, so `weight_mode` is no key: naming it exits 1, and without
+    it the five-resource instance solves."""
     (tmp_path / "k5.sm").write_text(write_sm(random_instance(random.Random(4), 6, 5)))
     conf = tmp_path / "solver.conf"
     conf.write_text(f"lambda_budget = 50\nweight_mode = {mode}\n")
@@ -355,3 +371,34 @@ def test_malformed_instance_exit_1(tmp_path, capsys, old, new):
     assert main(["validate", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "x.sm", "--lambda", "abc"],
+        ["bench", "data", "--threads", "x"],
+        ["solve", "x.sm", "--no-such-option"],
+        [],
+        ["frobnicate"],
+    ],
+    ids=["lambda-abc", "threads-x", "unknown-option", "no-subcommand", "unknown-subcommand"],
+)
+def test_usage_error_exit_1(capsys, argv):
+    """argparse's usage errors are bad input: exit 1, with its message on
+    stderr, since 2 means an internal error."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    last = err.splitlines()[-1]
+    assert err.startswith("usage: rcpsp-hybrid")
+    assert last.startswith("rcpsp-hybrid") and ": error: " in last
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: rcpsp-hybrid")

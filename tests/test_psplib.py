@@ -119,6 +119,32 @@ def test_minus_signs_reach_the_checks(tmp_path, capsys, old, new, problem):
     assert problem in err and "internal error" not in err
 
 
+@pytest.mark.parametrize(
+    "row, repeat, section",
+    [
+        ("   2        1          1           4\n", "   2        1          1           3\n",
+         "PRECEDENCE RELATIONS"),
+        ("  2      1     2       2\n", "  2      1     7       4\n", "REQUESTS/DURATIONS"),
+    ],
+    ids=["precedence", "requests"],
+)
+def test_job_listed_twice_rejected(tmp_path, capsys, row, repeat, section):
+    """A second row for a job would overwrite the first and still match
+    the header's job count: it is refused, naming the section, the line
+    and the job, and validate exits 1."""
+    assert row in FIXTURE_A
+    text = FIXTURE_A.replace(row, row + repeat)
+    lineno = text.splitlines().index(repeat.rstrip("\n")) + 1
+    problem = f"section '{section}', line {lineno}: job 2 is listed twice"
+    with pytest.raises(PsplibStructureError, match=re.escape(problem)):
+        parse_sm(text)
+    path = tmp_path / "twice.sm"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert problem in err and "internal error" not in err
+
+
 def _edit_lines(text, rng):
     """1-3 random line edits: delete, duplicate, swap, or renumber one
     integer (possibly to a negative or out-of-range value)."""

@@ -1,8 +1,6 @@
 import random
 import tracemalloc
 
-import pytest
-
 from rcpsp_hybrid.model import (
     critical_path_lower_bound,
     latest_starts,
@@ -132,85 +130,43 @@ def test_rank_scale_invariant():
         assert base == scaled
 
 
-def test_ratio_weights():
-    # residues already in rank order: (10, 20, 30, 40)
-    rank = (0, 1, 2, 3)
-    w = assign_weights(rank, (10, 20, 30, 40), mode="ratio")
-    assert w == (1.75, 1.5, 1.25, 1.0)
-
-
-def test_uniform_weights():
-    assert assign_weights((0, 1, 2, 3), (1, 2, 3, 4), mode="uniform") == (1.0,) * 4
-
-
 def test_fixed_vector_prefix_truncated():
-    w = assign_weights((0, 1, 2), (1, 2, 3), mode="steep")
-    assert w == (1.0, 0.8, 0.6)
+    assert assign_weights((0, 1, 2)) == (1.0, 0.8, 0.6)
 
 
-def test_fixed_vector_rejects_many_resources():
-    with pytest.raises(ValueError, match="'steep' covers 4 resources, instance has 5"):
-        assign_weights((0, 1, 2, 3, 4), (1, 2, 3, 4, 5), mode="steep")
-
-
-def test_ratio_weights_without_resources(no_resources):
-    """With no resource there is no residue to divide by: the weight
-    vector is empty."""
-    result = rank_and_weigh(no_resources, "ratio")
+def test_weights_without_resources(no_resources):
+    """With no resource there is nothing to rank: the weight vector is
+    empty."""
+    result = rank_and_weigh(no_resources)
     assert (result.relaxed_makespan, result.residues, result.weights) == (3, (), ())
-
-
-def test_assign_weights_draws_nothing():
-    # the random option is drawn once, by rank_and_weigh
-    with pytest.raises(ValueError, match="unknown weight mode"):
-        assign_weights((0, 1), (1, 2), mode="random")
 
 
 def test_weights_follow_rank_not_index():
     # resource 1 is the scarce one
-    w = assign_weights((1, 0), (9, 1), mode="steep")
-    assert w == (0.8, 1.0)
+    assert assign_weights((1, 0)) == (0.8, 1.0)
 
 
 def test_weights_positive_and_fixed_modes_nonincreasing():
+    """Along the rank the weights are positive and never rise: the steep
+    vector's first K values for K <= 4 resources, 0.4 past the fourth."""
     rng = random.Random(37)
-    for _ in range(40):
-        inst = random_instance(rng, rng.randint(1, 15), rng.randint(1, 4))
-        result = rank_and_weigh(inst, mode="random", rng=rng)
-        assert all(w > 0 for w in result.weights)
-        if result.mode != "ratio":
-            # ratio weights follow raw residues, which need not be
-            # monotone along the capacity-relative rank
-            along = [result.weights[k] for k in result.rank]
+    for n_res in range(7):
+        for _ in range(10):
+            rank = tuple(rng.sample(range(n_res), n_res))
+            weights = assign_weights(rank)
+            along = [weights[k] for k in rank]
+            assert all(w > 0 for w in along)
             assert all(a >= b for a, b in zip(along, along[1:]))
+            assert along[:4] == [1.0, 0.8, 0.6, 0.4][:n_res]
+            assert along[4:] == [0.4] * (n_res - 4)
 
 
-def test_random_mode_reports_the_drawn_option():
-    # with one resource every option gives the weight (1.0,), so only the
-    # draw itself can tell which option was used
-    inst = random_instance(random.Random(3), 8, 1)
-    modes = []
-    for seed in range(6):
-        result = rank_and_weigh(inst, mode="random", rng=random.Random(seed))
-        assert result.weights == (1.0,)
-        modes.append(result.mode)
-    assert modes == ["ratio", "shallow", "steep", "shallow", "shallow", "uniform"]
-
-
-def test_rank_and_weigh_draws_like_assign_weights():
-    # one draw from the same stream: the mode, weights and rng state stay
-    # as they were when assign_weights drew the mode itself
+def test_rank_and_weigh_weighs_its_rank():
     rng = random.Random(41)
     for _ in range(30):
         inst = random_instance(rng, rng.randint(1, 12), rng.randint(1, 6))
-        seed = rng.randrange(1000)
-        a, b = random.Random(seed), random.Random(seed)
-        result = rank_and_weigh(inst, mode="random", rng=a)
-        eligible = ["steep", "shallow", "uniform", "ratio"]
-        if inst.n_resources > 4:
-            eligible = ["uniform", "ratio"]
-        assert result.mode == eligible[b.randrange(len(eligible))]
-        assert a.getstate() == b.getstate()
-        assert result.weights == assign_weights(
-            result.rank, result.residues, mode=result.mode
+        result = rank_and_weigh(inst)
+        assert result.rank == rank_resources(
+            result.residues, inst.capacities, result.relaxed_makespan
         )
+        assert result.weights == assign_weights(result.rank)

@@ -50,8 +50,8 @@ def test_config_fields_are_run_settings():
 
 
 # operator parameters that are constants beside their operators, and the
-# weight mode, which each solve draws: not configuration, so naming one is
-# a TypeError
+# weight mode, which the resource rank fixes: not configuration, so naming
+# one is a TypeError
 REMOVED_FIELDS = {
     "sigma1", "sigma2", "parent_probability", "dense_threshold", "block_size",
     "lambda_ns", "elite_count", "parents_size", "mutation_iterations",
@@ -155,6 +155,8 @@ def test_config_from_file_reads_each_field_as_its_type(tmp_path):
         ("ns_burst = none\n", "ns_burst"),
         ("stagnation_trigger = none\n", "stagnation_trigger"),
         ("stagnation_trigger =\n", "stagnation_trigger"),
+        # a repeated key is refused, not overwritten by its last value
+        ("seed = 1\n# again\nseed = 2\n", ":3: key 'seed' repeats line 1"),
     ],
 )
 def test_config_from_file_rejects_bad_values(tmp_path, text, key):
@@ -275,11 +277,11 @@ def test_solve_criterion_10_instance_pinned():
     exactly as it is."""
     inst = random_instance(random.Random(1010), 120, 4, edge_probability=0.1)
     sched, stats = solve(inst, SolverConfig(lambda_budget=3000, seed=0))
-    assert stats.trace == [(300, 482), (1681, 479), (2928, 476)]
+    assert stats.trace == [(300, 482), (809, 481), (1134, 480)]
     assert stats.schedules_generated == 3000
-    assert (stats.generations, stats.ns_bursts) == (19, 0)
+    assert (stats.generations, stats.ns_bursts) == (16, 1)
     digest = hashlib.sha256(repr(sched.starts).encode()).hexdigest()[:16]
-    assert digest == "fdda50b57cd69dd8"
+    assert digest == "bf1499ec7c1a203e"
 
 
 def test_solve_criterion_10_instance_with_a_burst_pinned(monkeypatch):
@@ -295,14 +297,14 @@ def test_solve_criterion_10_instance_with_a_burst_pinned(monkeypatch):
     monkeypatch.setattr(neighborhood, "neighborhood_b_move", spy)
     inst = random_instance(random.Random(1010), 120, 4, edge_probability=0.1)
     sched, stats = solve(inst, SolverConfig(lambda_budget=5000, seed=0))
-    assert stats.trace == [(300, 482), (1681, 479), (2928, 476)]
-    assert stats.schedules_generated == 5000
-    assert (stats.generations, stats.ns_bursts) == (28, 1)
-    assert sched.makespan == 476
+    assert stats.trace == [(300, 482), (809, 481), (1134, 480), (3934, 478)]
+    assert stats.schedules_generated == 5002
+    assert (stats.generations, stats.ns_bursts) == (26, 1)
+    assert sched.makespan == 478
     digest = hashlib.sha256(repr(sched.starts).encode()).hexdigest()[:16]
-    assert digest == "fdda50b57cd69dd8"
-    assert (len(moves), moves.count(None)) == (178, 34)
-    assert hashlib.sha256(repr(moves).encode()).hexdigest()[:16] == "a0371dd8370ea4c0"
+    assert digest == "e79591a125e7bdd0"
+    assert (len(moves), moves.count(None)) == (228, 57)
+    assert hashlib.sha256(repr(moves).encode()).hexdigest()[:16] == "f748ff4dca12aae4"
 
 
 @pytest.mark.parametrize(
@@ -425,24 +427,25 @@ def test_solve_inserts_no_member_twice(monkeypatch):
     assert held and not any(held)
 
 
-def test_solve_draws_the_weights_once(monkeypatch):
-    """The resource weights are drawn once per run, before the initial
-    population, and every burst and dense-gene call uses that draw."""
-    draws = []
+def test_solve_weighs_once(monkeypatch):
+    """The resource weights are computed once per run, before the initial
+    population, from the resource rank alone, and every burst and
+    dense-gene call uses them."""
+    calls = []
 
-    def drawing(*args, **kwargs):
-        draws.append(rank_and_weigh(*args, **kwargs))
-        return draws[-1]
+    def weighing(*args, **kwargs):
+        calls.append(rank_and_weigh(*args, **kwargs))
+        return calls[-1]
 
-    monkeypatch.setattr(solver, "rank_and_weigh", drawing)
+    monkeypatch.setattr(solver, "rank_and_weigh", weighing)
     inst = random_instance(random.Random(9), 15, 2)
     cfg = SolverConfig(
         lambda_budget=3000, population_capacity=6, ns_burst=20, stagnation_trigger=0, seed=4
     )
     _, stats = solve(inst, cfg)
     assert stats.ns_bursts >= 10
-    assert len(draws) == 1
-    assert stats.weights == draws[0].weights
+    assert len(calls) == 1
+    assert stats.weights == calls[0].weights == rank_and_weigh(inst).weights
 
 
 def test_solve_starts_no_burst_on_a_spent_budget(monkeypatch):
@@ -598,8 +601,8 @@ def test_solve_two_members_feasible_and_repeatable():
 
 @pytest.mark.parametrize("seed", range(8))
 def test_solve_without_resources(no_resources, seed):
-    """With no resource every weight mode gives the empty vector, the
-    "ratio" mode too, and the critical path is optimal."""
+    """With no resource the weight vector is empty, and the critical path
+    is optimal."""
     sched, stats = solve(no_resources, SolverConfig(lambda_budget=40, population_capacity=4, seed=seed))
     assert sched.makespan == stats.cp_bound == 3
     assert stats.weights == ()
