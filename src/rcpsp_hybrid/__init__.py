@@ -39,7 +39,6 @@ from .neighborhood import (
     neighborhood_a_move,
     neighborhood_b_move,
     ns_run,
-    tabu_status,
 )
 from .solver import Budget, RunStats, SolverConfig, solve
 from .bench import BenchReport, compare_bounds, run_benchmark, write_makespans

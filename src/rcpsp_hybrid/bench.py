@@ -147,10 +147,11 @@ def write_csv(report: BenchReport, path: str) -> None:
 
 
 def read_bounds_csv(path: str) -> dict[str, int]:
-    """CSV of (instance, best-known) in UTF-8; a row whose second column
-    is not a finite number, such as a header, is skipped."""
+    """CSV of (instance, best-known) in UTF-8, with or without a
+    byte-order mark; a row whose second column is not a finite number,
+    such as a header, is skipped."""
     bounds: dict[str, int] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         for row in csv.reader(fh):
             if len(row) < 2:
                 continue

@@ -1,11 +1,10 @@
 """Neighborhood search: block selection, windowed rescheduling (N_A),
-partial rebuild with knapsack-driven parallel extension (N_B), tabu
-memory on summed start times, and the GRASP knapsack solver."""
+partial rebuild with knapsack-driven parallel extension (N_B), the GRASP
+knapsack solver, and the walk that alternates the two moves."""
 
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional, Sequence
@@ -22,19 +21,12 @@ RCL_FRACTION = 0.5
 GRASP_CONSTRUCTIONS = 16
 # λ_NS: placement attempts of one N_A move before it returns None
 NA_TRIES = 5
-# visited-solution fingerprints the tabu list, a FIFO deque, remembers
-TABU_CAPACITY = 50
 
 
 @dataclass
 class Block:
     core: int
     members: set[int]
-
-
-def tabu_status(inst: ProjectInstance, sched: Schedule) -> int:
-    """Sum of non-dummy start times; the visited-solution fingerprint."""
-    return sum(sched.starts[1 : inst.sink])
 
 
 def create_block(
@@ -388,19 +380,15 @@ def ns_run(
     rng,
     P: int = 4,
     budget=None,
-    tabu: Optional[deque[int]] = None,
     stats: Optional[NsStats] = None,
 ) -> Individual:
-    """Tabu-guided walk of `steps` steps that each toss a fair coin
-    between N_A and N_B; strictly better neighbors update the incumbent
-    best.  The walk moves to each generated neighbor whose fingerprint
-    (`tabu_status`) is not tabu, and stays put on a tabu or empty one.
-    The current schedule's `booked_profile` is built at its first N_A move
-    and kept until the walk moves on."""
+    """Walk of `steps` steps that each toss a fair coin between N_A and
+    N_B; strictly better neighbors update the incumbent best.  The walk
+    moves to every generated neighbor, better or worse, and stays put on
+    an empty one.  The current schedule's `booked_profile` is built at its
+    first N_A move and kept until the walk moves on."""
     if stats is None:
         stats = NsStats()
-    if tabu is None:
-        tabu = deque(maxlen=TABU_CAPACITY)
     best = start
     current = start
     current_booked = None
@@ -436,13 +424,9 @@ def ns_run(
             stats.empty += 1
             continue
         stats.nonempty += 1
-        ts = tabu_status(inst, neighbor.schedule)
-        if ts in tabu:
-            continue
         if neighbor.makespan < best.makespan:
             best = neighbor
             stats.improved += 1
-        tabu.append(ts)
         current = neighbor
         current_booked = None
     return best

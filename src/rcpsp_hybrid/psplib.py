@@ -29,8 +29,9 @@ _AVAILABILITIES = "RESOURCEAVAILABILITIES"
 
 
 def parse_sm(text: str, name: str = "") -> ProjectInstance:
-    """Parse a complete `.sm` file into a validated ProjectInstance."""
-    lines = text.splitlines()
+    """Parse a complete `.sm` file into a validated ProjectInstance.  One
+    leading UTF-8 byte-order mark is ignored."""
+    lines = text.removeprefix("\ufeff").splitlines()
 
     job_count = _header_int(lines, r"^\s*jobs\b", "jobs")
     horizon = _header_int(lines, r"^\s*horizon\b", "horizon")

@@ -1,38 +1,31 @@
 """Hybrid control loop: the resource weights, set once per run by the
-resource rank, and the population init; then `_search` loops over three
+resource rank, and the population init; then `_search` loops over two
 steps on one `_Run`: `_generation`, and at a stagnation checkpoint
-(`stagnation_trigger` generations without a record) `_refresh` and
-`_burst`.  Every instance gets the same checkpoint settings.  A step is
-looked up as a module global when it is called, so a script can rebind
-one.  `_Run.offer` makes every record after init's."""
+(`stagnation_trigger` generations without a record) one NS `_burst`.
+Every instance gets the same checkpoint settings.  A step is looked up
+as a module global when it is called, so a script can rebind one.
+`_Run.offer` makes every record after init's."""
 
 from __future__ import annotations
 
 import math
 import random
 import time
-from collections import deque
 from dataclasses import dataclass, field, fields
 from typing import Optional, get_args, get_type_hints
 
-from .model import (
-    ProjectInstance,
-    Schedule,
-    critical_path_lower_bound,
-    random_feasible_list,
-)
+from .model import ProjectInstance, Schedule, critical_path_lower_bound
 from .genetic import (
     PARENT_PROBABILITY,
     Individual,
     Population,
-    decode_and_improve,
     dense_genes,
     init_population,
     make_child,
     next_generation,
     select_parents,
 )
-from .neighborhood import TABU_CAPACITY, NsStats, ns_run
+from .neighborhood import NsStats, ns_run
 from .ranking import rank_and_weigh
 from .sgs import clear_memos
 
@@ -63,7 +56,7 @@ class Budget:
 class SolverConfig:
     """Run settings only; the operator parameters are constants beside
     their operators (`fbi`, `mutate`, `grasp_knapsack`, `ns_run`,
-    `TABU_CAPACITY`, `DENSE_THRESHOLD` and `PARENT_PROBABILITY`)."""
+    `DENSE_THRESHOLD` and `PARENT_PROBABILITY`)."""
 
     lambda_budget: Optional[int] = 50000
     time_limit: Optional[float] = None
@@ -96,14 +89,15 @@ class SolverConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "SolverConfig":
-        """key = value, one per line and each key once; '#' starts a
-        comment.  Each value is read as its field's declared type; 'none'
-        (or nothing) sets an optional field to None."""
+        """key = value, one per line and each key once, in UTF-8 with or
+        without a byte-order mark; '#' starts a comment.  Each value is
+        read as its field's declared type; 'none' (or nothing) sets an
+        optional field to None."""
         values = {}
         seen = {}  # key -> line number
         types = get_type_hints(cls)
         valid = {f.name: types[f.name] for f in fields(cls)}
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -190,7 +184,6 @@ def _search(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunS
     while not budget.exhausted:
         stale = 0 if _generation(run) else stale + 1
         if stale >= config.stagnation_trigger and not budget.exhausted:
-            _refresh(run)
             _burst(run)
             stale = 0
 
@@ -211,7 +204,6 @@ class _Run:
     weights: tuple[float, ...]
     pop: Population
     best: Individual
-    tabu: deque = field(default_factory=lambda: deque(maxlen=TABU_CAPACITY))
 
     def offer(self, ind: Individual) -> None:
         """Make `ind` the record if it beats it."""
@@ -240,25 +232,11 @@ def _generation(run: _Run) -> bool:
     return run.best is not record
 
 
-def _refresh(run: _Run) -> None:
-    """Replace the worst fifth of the population with random members."""
-    count = max(1, run.config.population_capacity // 5)
-    run.pop.remove_worst(count)
-    for _ in range(count):
-        if run.budget.exhausted:
-            break
-        lst = random_feasible_list(run.inst, run.rng)
-        member = Individual.of(run.inst, decode_and_improve(run.inst, lst, budget=run.budget))
-        run.pop.insert(member)
-        run.offer(member)
-
-
 def _burst(run: _Run) -> None:
     """An NS burst of `ns_burst` steps from a parent-scan seed; a result
     that improved on its seed replaces the worst member if it beats it."""
     budget, config = run.budget, run.config
-    # a spent budget, say by the refresh, would let the walk take no step
-    if config.ns_burst == 0 or budget.exhausted:
+    if config.ns_burst == 0:
         return
     seed = select_parents(run.pop, 1, PARENT_PROBABILITY, run.rng)[0]
     # the walk charges the run's budget, capped at `ns_burst` more schedules;
@@ -268,7 +246,7 @@ def _burst(run: _Run) -> None:
     budget.limit = min(budget.used + config.ns_burst, math.inf if limit is None else limit)
     found = ns_run(
         run.inst, seed, run.weights, steps=config.ns_burst, rng=run.rng,
-        budget=budget, tabu=run.tabu, stats=NsStats(),
+        budget=budget, stats=NsStats(),
     )
     budget.limit = limit
     run.stats.ns_bursts += 1

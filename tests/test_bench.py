@@ -85,9 +85,12 @@ def test_format_table_mentions_apd():
 
 
 def test_read_bounds_csv(tmp_path):
+    """With a header or without, and with a UTF-8 byte-order mark or
+    without, the first instance keeps its plain name."""
     path = tmp_path / "bounds.csv"
-    path.write_text("instance,best\nj1,78\nj2,55\n")
-    assert read_bounds_csv(str(path)) == {"j1": 78, "j2": 55}
+    for text in ("instance,best\nj1,78\nj2,55\n", "\ufeffj1,78\nj2,55\n"):
+        path.write_text(text, encoding="utf-8")
+        assert read_bounds_csv(str(path)) == {"j1": 78, "j2": 55}
 
 
 def test_compare_bounds_improvement():

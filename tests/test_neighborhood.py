@@ -22,7 +22,6 @@ from rcpsp_hybrid.neighborhood import (
     neighborhood_a_move,
     neighborhood_b_move,
     ns_run,
-    tabu_status,
 )
 from rcpsp_hybrid.random_instances import random_instance
 from rcpsp_hybrid.sgs import fbi, parallel_sgs, schedule_to_list, serial_sgs
@@ -40,15 +39,6 @@ from oracles import (
 def _individual(inst, order):
     lst = tuple(order)
     return Individual(lst, serial_sgs(inst, lst))
-
-
-# --------------------------------------------------------- tabu fingerprint
-
-
-def test_tabu_status(tiny1, tiny2):
-    assert tabu_status(tiny1, Schedule((0, 0, 2, 5), 5)) == 2
-    assert tabu_status(tiny2, Schedule((0, 0, 2, 5, 9), 9)) == 7
-    assert tabu_status(tiny1, Schedule((0, 0, 0, 0), 0)) == 0
 
 
 # ------------------------------------------------------------ create_block
@@ -490,6 +480,47 @@ def test_ns_run_profile_cache_matches_a_rebuild_per_move(monkeypatch):
     assert [walk(*case) for case in cases] == cached
     # N_A also ran from schedules the walks moved to, not only from the starts
     assert len(set(moved_from)) > 3 * len(cases)
+
+
+def test_ns_run_moves_to_every_neighbor(monkeypatch):
+    """With N_A and N_B scripted to return a run of neighbors, some longer
+    than the schedule before them, one a schedule visited before and some
+    empty, each block is built from the schedule of the last non-empty
+    neighbor, and the walk returns the first of the shortest."""
+    rng = random.Random(21)
+    inst = random_instance(rng, 20, 2)
+    start = _individual(inst, random_feasible_list(inst, rng))
+    found = [_individual(inst, random_feasible_list(inst, rng)) for _ in range(12)]
+    spans = [ind.makespan for ind in found]
+    assert any(b > a for a, b in zip(spans, spans[1:])) and min(spans) < start.makespan
+    script = found[:3] + [None] + found[3:8] + [found[1], None, None] + found[8:]
+    steps = iter(script)
+    blocks_from = []
+
+    def block(inst, j, sched, P, rng):
+        blocks_from.append(sched)
+        return create_block(inst, j, sched, P, rng)
+
+    def move_a(*args, **kwargs):
+        ind = next(steps)
+        return None if ind is None else ind.schedule
+
+    def move_b(*args, **kwargs):
+        ind = next(steps)
+        return None if ind is None else ind.list
+
+    monkeypatch.setattr(neighborhood, "create_block", block)
+    monkeypatch.setattr(neighborhood, "neighborhood_a_move", move_a)
+    monkeypatch.setattr(neighborhood, "neighborhood_b_move", move_b)
+    stats = NsStats()
+    best = ns_run(inst, start, (1.0, 1.0), len(script), random.Random(0), stats=stats)
+    current, want = start.schedule, []
+    for ind in script:
+        want.append(current)
+        current = current if ind is None else ind.schedule
+    assert blocks_from == want
+    assert best.schedule == min(found, key=lambda ind: ind.makespan).schedule
+    assert (stats.empty, stats.nonempty) == (3, len(found) + 1)
 
 
 # ------------------------------------------------- properties on small instances

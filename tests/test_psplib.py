@@ -57,13 +57,16 @@ def test_multi_mode_rejected(fixture_a_text):
 
 
 def test_canonical_round_trip(fixture_a_text):
+    """The canonical layout reads back, also behind a UTF-8 byte-order
+    mark, where its first line is the jobs header."""
     inst = parse_sm(fixture_a_text)
-    again = parse_sm(write_sm(inst))
-    assert again.durations == inst.durations
-    assert again.demands == inst.demands
-    assert again.arcs == inst.arcs
-    assert again.capacities == inst.capacities
-    assert again.horizon == inst.horizon
+    for bom in ("", "\ufeff"):
+        again = parse_sm(bom + write_sm(inst))
+        assert again.durations == inst.durations
+        assert again.demands == inst.demands
+        assert again.arcs == inst.arcs
+        assert again.capacities == inst.capacities
+        assert again.horizon == inst.horizon
 
 
 def test_canonical_round_trip_random_instances():

@@ -8,13 +8,7 @@ from dataclasses import fields, replace
 import pytest
 
 from rcpsp_hybrid import genetic, neighborhood, sgs, solver
-from rcpsp_hybrid.genetic import (
-    DENSE_THRESHOLD,
-    PARENT_PROBABILITY,
-    Individual,
-    Population,
-    decode_and_improve,
-)
+from rcpsp_hybrid.genetic import DENSE_THRESHOLD, PARENT_PROBABILITY, Individual, Population
 from rcpsp_hybrid.model import is_feasible, random_feasible_list
 from rcpsp_hybrid.neighborhood import neighborhood_b_move, ns_run
 from rcpsp_hybrid.random_instances import random_instance
@@ -108,19 +102,23 @@ def test_config_accepts_edge_values():
 
 
 def test_config_from_file(tmp_path):
+    """The same settings with and without a UTF-8 byte-order mark before
+    the first key."""
     path = tmp_path / "solver.conf"
-    path.write_text(
-        "# solver settings\n"
-        "lambda_budget = 1234\n"
-        "stagnation_trigger = 3  # checkpoint every third stale generation\n"
-        "population_capacity = 2\n"
-        "ns_burst = 500\n"
-    )
-    cfg = SolverConfig.from_file(str(path))
-    assert cfg.lambda_budget == 1234
-    assert cfg.stagnation_trigger == 3
-    assert cfg.population_capacity == 2
-    assert cfg.ns_burst == 500
+    for bom in ("", "\ufeff"):
+        path.write_text(
+            bom + "lambda_budget = 1234\n"
+            "# solver settings\n"
+            "stagnation_trigger = 3  # checkpoint every third stale generation\n"
+            "population_capacity = 2\n"
+            "ns_burst = 500\n",
+            encoding="utf-8",
+        )
+        cfg = SolverConfig.from_file(str(path))
+        assert cfg.lambda_budget == 1234
+        assert cfg.stagnation_trigger == 3
+        assert cfg.population_capacity == 2
+        assert cfg.ns_burst == 500
 
 
 def test_config_from_file_reads_each_field_as_its_type(tmp_path):
@@ -287,7 +285,8 @@ def test_solve_criterion_10_instance_pinned():
 def test_solve_criterion_10_instance_with_a_burst_pinned(monkeypatch):
     """The same solve at λ = 5 000 reaches the stagnation checkpoint and
     runs one NS burst; its N_B moves, whose prefixes the serial placement
-    decodes, are pinned with the search path."""
+    decodes, are pinned with the search path.  The checkpoint runs the
+    burst alone, and the walk moves to every non-empty neighbor."""
     moves = []
 
     def spy(*args, **kwargs):
@@ -297,14 +296,16 @@ def test_solve_criterion_10_instance_with_a_burst_pinned(monkeypatch):
     monkeypatch.setattr(neighborhood, "neighborhood_b_move", spy)
     inst = random_instance(random.Random(1010), 120, 4, edge_probability=0.1)
     sched, stats = solve(inst, SolverConfig(lambda_budget=5000, seed=0))
-    assert stats.trace == [(300, 482), (809, 481), (1134, 480), (3934, 478)]
-    assert stats.schedules_generated == 5002
-    assert (stats.generations, stats.ns_bursts) == (26, 1)
-    assert sched.makespan == 478
+    assert stats.trace == [
+        (300, 482), (809, 481), (1134, 480), (3895, 479), (4429, 478), (4876, 477)
+    ]
+    assert stats.schedules_generated == 5003
+    assert (stats.generations, stats.ns_bursts) == (27, 1)
+    assert sched.makespan == 477
     digest = hashlib.sha256(repr(sched.starts).encode()).hexdigest()[:16]
-    assert digest == "e79591a125e7bdd0"
-    assert (len(moves), moves.count(None)) == (228, 57)
-    assert hashlib.sha256(repr(moves).encode()).hexdigest()[:16] == "f748ff4dca12aae4"
+    assert digest == "8b191c0e156ce108"
+    assert (len(moves), moves.count(None)) == (195, 53)
+    assert hashlib.sha256(repr(moves).encode()).hexdigest()[:16] == "57ae3e43fe983c29"
 
 
 @pytest.mark.parametrize(
@@ -385,25 +386,25 @@ def test_solve_budget_respected():
 
 
 def test_solve_pure_ga_ablation(monkeypatch):
-    """ns_burst = 0 runs no burst: the checkpoints still refresh the
-    population, but none draws a seed or calls ns_run."""
+    """With ns_burst = 0 a checkpoint is a no-op: the run equals one whose
+    checkpoint never comes, in schedule, trace and schedules spent."""
     def no_burst(*args, **kwargs):
         raise AssertionError("ns_run called with ns_burst = 0")
 
     monkeypatch.setattr(solver, "ns_run", no_burst)
-    refreshed = []
-    monkeypatch.setattr(
-        solver, "random_feasible_list", lambda *a: refreshed.append(a) or random_feasible_list(*a)
-    )
-    rng = random.Random(8)
-    inst = random_instance(rng, 15, 2)
-    cfg = SolverConfig(
-        lambda_budget=400, population_capacity=8, ns_burst=0, stagnation_trigger=0, seed=3
-    )
-    sched, stats = solve(inst, cfg)
-    assert is_feasible(inst, sched)
-    assert stats.ns_bursts == 0
-    assert refreshed
+    inst = random_instance(random.Random(8), 15, 2)
+    for seed in range(3):
+        cfg = SolverConfig(
+            lambda_budget=400, population_capacity=8, ns_burst=0, stagnation_trigger=0,
+            seed=seed,
+        )
+        sched, stats = solve(inst, cfg)
+        never, never_stats = solve(inst, replace(cfg, stagnation_trigger=10**9))
+        assert is_feasible(inst, sched)
+        assert sched == never
+        assert stats.trace == never_stats.trace
+        assert stats.schedules_generated == never_stats.schedules_generated
+        assert stats.ns_bursts == never_stats.ns_bursts == 0
 
 
 def test_solve_inserts_no_member_twice(monkeypatch):
@@ -449,10 +450,10 @@ def test_solve_weighs_once(monkeypatch):
 
 
 def test_solve_starts_no_burst_on_a_spent_budget(monkeypatch):
-    """A checkpoint's refresh can spend the last of λ; then no burst
-    follows, so ns_run never gets a spent budget and ns_bursts counts
-    only bursts that took a step."""
-    bursts, refresh_spent = [], []
+    """A generation that spends the last of λ starts no burst, so ns_run
+    never gets a spent budget and ns_bursts counts only bursts that took
+    a step."""
+    bursts, generations_spent = [], []
 
     def burst(*args, **kwargs):
         spent = kwargs["budget"].exhausted
@@ -460,58 +461,31 @@ def test_solve_starts_no_burst_on_a_spent_budget(monkeypatch):
         bursts.append((spent, kwargs["stats"].empty + kwargs["stats"].nonempty))
         return best
 
-    def refresh(*args, **kwargs):
-        sched = decode_and_improve(*args, **kwargs)
-        refresh_spent.append(kwargs["budget"].exhausted)
-        return sched
+    solver_generation = solver._generation
+
+    def generation(run):
+        record = solver_generation(run)
+        generations_spent.append(run.budget.exhausted)
+        return record
 
     monkeypatch.setattr(solver, "ns_run", burst)
-    monkeypatch.setattr(solver, "decode_and_improve", refresh)
+    monkeypatch.setattr(solver, "_generation", generation)
     inst = random_instance(random.Random(9), 15, 2)
     spent_runs = 0
-    for lam in range(320, 336):
+    for lam in range(300, 340):
         bursts.clear()
-        refresh_spent.clear()
+        generations_spent.clear()
         cfg = SolverConfig(
             lambda_budget=lam, population_capacity=10, ns_burst=20, stagnation_trigger=0, seed=4
         )
         _, stats = solve(inst, cfg)
-        spent_runs += any(refresh_spent)
+        spent_runs += generations_spent[-1]
         assert not any(spent for spent, _ in bursts)
         assert all(steps > 0 for _, steps in bursts)
         assert stats.ns_bursts == len(bursts)
-    # some of these runs end in a refresh that spends the budget
+    # some of these runs end in a generation that spends the budget, with
+    # a checkpoint due after it
     assert spent_runs > 0
-
-
-def test_solve_records_a_refresh_member_that_beats_the_record(monkeypatch):
-    """A refresh member better than the record becomes the record: the
-    refresh here always decodes to a schedule from a long run, which a
-    short run ending soon after its first refresh has not found."""
-    inst = random_instance(random.Random(9), 30, 3)
-    good, _ = solve(inst, SolverConfig(lambda_budget=5000, seed=0))
-    refreshes = []
-
-    def planted(inst, lst, budget):
-        budget.charge()
-        refreshes.append(lst)
-        return good
-
-    monkeypatch.setattr(solver, "decode_and_improve", planted)
-    refreshed = 0
-    for seed in range(2):
-        for lam in range(40, 200, 4):
-            refreshes.clear()
-            cfg = SolverConfig(
-                lambda_budget=lam, population_capacity=10, ns_burst=0,
-                stagnation_trigger=0, seed=seed,
-            )
-            sched, stats = solve(inst, cfg)
-            if refreshes:
-                refreshed += 1
-                assert sched.makespan <= good.makespan
-                assert stats.trace[-1][1] == sched.makespan
-    assert refreshed >= 20
 
 
 def test_burst_step_rebound_to_a_no_op_is_pure_ga(monkeypatch):
@@ -563,8 +537,8 @@ def test_solve_computes_dense_genes_once_per_drawn_schedule(monkeypatch):
 
 
 def test_solve_smallest_population(monkeypatch):
-    # two members: every stagnation refresh removes one, so one is left to
-    # seed the NS burst
+    # two members: each generation drops the worst before its child goes
+    # in, and every checkpoint seeds its NS burst from the two
     left = []
     remove_worst = Population.remove_worst
 
