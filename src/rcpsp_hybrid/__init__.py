@@ -10,7 +10,7 @@ from .model import (
     random_feasible_list,
     validate_instance,
 )
-from .psplib import load_dataset, parse_sm, write_sm
+from .psplib import load_dataset, parse_sm, read_sm, write_sm
 from .sgs import fbi, left_shift, parallel_sgs, schedule_to_list, serial_sgs
 from .ranking import (
     RankingResult,

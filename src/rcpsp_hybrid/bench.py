@@ -7,12 +7,13 @@ run."""
 from __future__ import annotations
 
 import csv
+import math
 import sys
 import time
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .psplib import dataset_files, parse_sm
+from .psplib import dataset_files, read_sm
 from .solver import SolverConfig, solve
 
 
@@ -84,9 +85,9 @@ def run_benchmark(
         raise ValueError(f"threads must be >= 1, not {threads}")
     rows: list[InstanceResult] = []
     jobs = []
-    for idx, (name, _, text) in enumerate(dataset_files(dataset_dir)):
+    for idx, (name, path) in enumerate(dataset_files(dataset_dir)):
         try:
-            inst = parse_sm(text, name=name)
+            inst = read_sm(path)
         except ValueError as exc:
             rows.append(InstanceResult(name, None, None, 0, 0.0, error=str(exc)))
             continue
@@ -148,18 +149,32 @@ def write_csv(report: BenchReport, path: str) -> None:
 
 def read_bounds_csv(path: str) -> dict[str, int]:
     """CSV of (instance, best-known) in UTF-8, with or without a
-    byte-order mark; a row whose second column is not a finite number,
-    such as a header, is skipped."""
+    byte-order mark.  A row whose second column is not a finite number,
+    such as a header, is skipped.  A bound that is not a whole number, an
+    instance listed twice and a file with no bound raise ValueError."""
     bounds: dict[str, int] = {}
     with open(path, encoding="utf-8-sig", newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if len(row) < 2:
                 continue
             name, value = row[0].strip(), row[1].strip()
             try:
-                bounds[name] = int(float(value))
-            except (ValueError, OverflowError):
-                continue  # header, stray line, nan or inf
+                bound = float(value)
+            except ValueError:
+                continue  # header or stray line
+            if not math.isfinite(bound):
+                continue
+            where = f"line {reader.line_num}"
+            if not bound.is_integer():
+                raise ValueError(
+                    f"{where}: bound {value} of {name} is not a whole number"
+                )
+            if name in bounds:
+                raise ValueError(f"{where}: {name} is listed twice")
+            bounds[name] = int(bound)
+    if not bounds:
+        raise ValueError("no row holds an instance and a bound")
     return bounds
 
 

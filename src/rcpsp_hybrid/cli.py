@@ -13,7 +13,7 @@ from .bench import (
     read_bounds_csv,
     run_benchmark,
 )
-from .psplib import dataset_files, parse_sm
+from .psplib import dataset_files, read_sm
 from .ranking import rank_and_weigh
 from .solver import SolverConfig, solve
 
@@ -26,13 +26,8 @@ def _load_instance(path: str):
     if not os.path.isfile(path):
         raise InputError(f"no such file: {path}")
     try:
-        with open(path, encoding="utf-8", errors="replace") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    try:
-        return parse_sm(text, name=os.path.splitext(os.path.basename(path))[0])
-    except ValueError as exc:
+        return read_sm(path)
+    except (OSError, ValueError) as exc:
         raise InputError(str(exc)) from exc
 
 
@@ -124,14 +119,14 @@ def cmd_rank(args) -> int:
 def cmd_validate(args) -> int:
     target = args.path
     if not os.path.isdir(target):
-        _load_instance(target)  # parse_sm rejects an invalid instance
+        _load_instance(target)  # read_sm rejects an invalid instance
         print("ok")
         return 0
     bad = 0
     try:
-        for name, _, text in dataset_files(target):
+        for name, path in dataset_files(target):
             try:
-                parse_sm(text, name=name)
+                read_sm(path)
             except ValueError as exc:
                 print(f"{name}: {exc}")
                 bad += 1

@@ -4,14 +4,13 @@ The chromosome is an activity list: a tuple of activity ids."""
 
 from __future__ import annotations
 
-import heapq
 from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 from typing import Optional, Sequence
 
-from .model import ProjectInstance, Schedule, random_feasible_list
+from .model import ProjectInstance, Schedule, random_feasible_list, topological_order
 from .sgs import fbi, parallel_sgs, schedule_to_list, serial_sgs
 
 
@@ -300,19 +299,7 @@ def repair_precedence(inst: ProjectInstance, seq: Sequence[int]) -> list[int]:
     pos = {a: i for i, a in enumerate(seq)}
     if len(seq) != n2 or pos.keys() != set(range(n2)):
         raise ValueError("sequence is not a permutation of activities")
-    remaining = [len(inst.preds[j]) for j in range(n2)]
-    heap = [pos[j] for j in range(n2) if remaining[j] == 0]
-    heapq.heapify(heap)
-    out: list[int] = []
-    seq = list(seq)
-    while heap:
-        j = seq[heapq.heappop(heap)]
-        out.append(j)
-        for s in inst.succs[j]:
-            remaining[s] -= 1
-            if remaining[s] == 0:
-                heapq.heappush(heap, pos[s])
-    return out
+    return topological_order(inst, seq)
 
 
 def _schedule_graph_network(

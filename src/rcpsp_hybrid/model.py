@@ -116,20 +116,31 @@ class Schedule:
     makespan: int
 
 
-def topological_order(inst: ProjectInstance) -> Optional[list[int]]:
-    """The lexicographically smallest topological order (Kahn's algorithm
-    with a min-heap); None if the precedence graph has a cycle."""
+def topological_order(
+    inst: ProjectInstance, seq: Optional[Sequence[int]] = None
+) -> Optional[list[int]]:
+    """Kahn's algorithm with a min-heap on each activity's position in
+    `seq`, a permutation of the activities: of the activities whose
+    predecessors are all emitted, the earliest in `seq` goes next.  By
+    default `seq` is index order, which gives the lexicographically
+    smallest topological order.  None if the precedence graph has a cycle."""
     n2 = len(inst)
+    if seq is None:
+        seq = range(n2)
+    pos = [0] * n2
+    for i, j in enumerate(seq):
+        pos[j] = i
     indeg = inst.pred_counts.copy()
-    ready = [j for j in range(n2) if indeg[j] == 0]
+    ready = [pos[j] for j in range(n2) if indeg[j] == 0]
+    heapq.heapify(ready)
     out: list[int] = []
     while ready:
-        j = heapq.heappop(ready)
+        j = seq[heapq.heappop(ready)]
         out.append(j)
         for s in inst.succs[j]:
             indeg[s] -= 1
             if indeg[s] == 0:
-                heapq.heappush(ready, s)
+                heapq.heappush(ready, pos[s])
     return out if len(out) == n2 else None
 
 

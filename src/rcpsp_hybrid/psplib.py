@@ -2,15 +2,25 @@
 
 Whitespace-tolerant, line-oriented parsing keyed on section-title
 substrings.  PSPLIB numbers jobs 1..n+2; activities are shifted to
-0..n+1 on load.  Only single-mode files are supported: a mode count
-other than 1 is a structural error.
+0..n+1 on load.
+
+PRECEDENCE RELATIONS and REQUESTS/DURATIONS are read row by row.  A row
+holding a letter, such as a column header, or no number is skipped.
+Every other row starts with a job number and a mode and holds at least
+one number more; the mode must be 1, since only single-mode files are
+supported.  Each section lists every job 1..n exactly once.  What the
+rows describe is checked by `ProjectInstance(...)`, whose message a bad
+instance raises as PsplibStructureError.
+
+`read_sm` reads one file as UTF-8, replacing undecodable bytes, and
+names the instance by the file name without its extension;
+`dataset_files` lists a directory's `.sm` files.
 """
 
 from __future__ import annotations
 
 import os
 import re
-from typing import Iterator
 
 from .model import Activity, ProjectInstance
 
@@ -26,6 +36,8 @@ class PsplibStructureError(ValueError):
 _PRECEDENCE = "PRECEDENCE RELATIONS"
 _REQUESTS = "REQUESTS/DURATIONS"
 _AVAILABILITIES = "RESOURCEAVAILABILITIES"
+_LETTER = re.compile(r"[A-Za-z]").search
+_NUMBERS = re.compile(r"-?\d+").findall
 
 
 def parse_sm(text: str, name: str = "") -> ProjectInstance:
@@ -35,35 +47,20 @@ def parse_sm(text: str, name: str = "") -> ProjectInstance:
 
     job_count = _header_int(lines, r"^\s*jobs\b", "jobs")
     horizon = _header_int(lines, r"^\s*horizon\b", "horizon")
-    if job_count < 2:
-        raise PsplibStructureError(f"job count {job_count} is below 2")
-
-    successors = _parse_precedence(lines, job_count)
-    durations, demands = _parse_requests(lines, job_count)
+    arcs = _parse_arcs(lines, job_count)
+    requests = _job_rows(lines, _REQUESTS, job_count)
     capacities = _parse_availabilities(lines)
 
-    n_res = len(capacities)
-    for jobnr, dem in demands.items():
-        if len(dem) != n_res:
-            raise PsplibStructureError(
-                f"job {jobnr}: {len(dem)} demands but {n_res} capacities"
-            )
-
-    activities = [
-        Activity(j, durations[j + 1], tuple(demands[j + 1]))
-        for j in range(job_count)
-    ]
-    arcs = set()
-    for jobnr, succ in successors.items():
-        for s in succ:
-            arcs.add((jobnr - 1, s - 1))
-
+    activities = []
+    for j in range(job_count):
+        _, (duration, *demand) = requests[j + 1]
+        activities.append(Activity(j, duration, tuple(demand)))
     try:
         return ProjectInstance(
             activities,
             arcs,
             capacities,
-            horizon=max(horizon, sum(durations.values())),
+            horizon=max(horizon, sum(a.duration for a in activities)),
             name=name,
         )
     except ValueError as exc:
@@ -75,7 +72,7 @@ def _header_int(lines: list[str], pattern: str, label: str) -> int:
     for lineno, line in enumerate(lines, 1):
         if rx.search(line) and ":" in line:
             tail = line.split(":", 1)[1]
-            nums = re.findall(r"-?\d+", tail)
+            nums = _NUMBERS(tail)
             if not nums:
                 raise PsplibParseError(
                     f"line {lineno}: '{label}' header carries no number"
@@ -86,119 +83,86 @@ def _header_int(lines: list[str], pattern: str, label: str) -> int:
 
 def _section_body(lines: list[str], title: str) -> tuple[int, list[str]]:
     """Lines following the section title up to the next separator/section."""
-    start = None
-    for lineno, line in enumerate(lines):
+    for start, line in enumerate(lines, 1):
         if title in line.upper():
-            start = lineno + 1
             break
-    if start is None:
+    else:
         raise PsplibParseError(f"missing section '{title}'")
     body = []
     for line in lines[start:]:
-        stripped = line.strip()
-        if stripped.startswith("****"):
+        if line.strip().startswith("****"):
             break
         body.append(line)
     return start, body
 
 
-def _parse_precedence(lines: list[str], job_count: int) -> dict[int, list[int]]:
-    start, body = _section_body(lines, _PRECEDENCE)
-    successors: dict[int, list[int]] = {}
-    for off, line in enumerate(body):
-        nums = [int(x) for x in re.findall(r"-?\d+", line)]
+def _job_rows(
+    lines: list[str], title: str, job_count: int
+) -> dict[int, tuple[int, list[int]]]:
+    """Each job's row of a section, keyed by job number: its line number
+    and the numbers after the job number and the mode."""
+    start, body = _section_body(lines, title)
+    rows: dict[int, tuple[int, list[int]]] = {}
+    for lineno, line in enumerate(body, start + 1):
+        if _LETTER(line):
+            continue  # column header row ("jobnr. mode duration R 1 ...")
+        nums = [int(x) for x in _NUMBERS(line)]
         if not nums:
             continue
+        where = f"section '{title}', line {lineno}"
         if len(nums) < 3:
             raise PsplibParseError(
-                f"section '{_PRECEDENCE}', line {start + off + 1}: "
-                f"expected jobnr, #modes, #successors"
+                f"{where}: expected jobnr, mode and at least one more number"
             )
-        jobnr, modes, n_succ = nums[0], nums[1], nums[2]
-        _check_listed_once(_PRECEDENCE, start + off + 1, jobnr, successors)
-        if modes != 1:
+        jobnr, mode = nums[0], nums[1]
+        # a repeat would overwrite the first row and still match the
+        # header's job count
+        if jobnr in rows:
+            raise PsplibStructureError(f"{where}: job {jobnr} is listed twice")
+        if mode != 1:
             raise PsplibStructureError(
-                f"job {jobnr} declares {modes} modes; only single-mode "
-                f"files are supported"
+                f"{where}: job {jobnr} reads {mode} in the mode column; "
+                f"only single-mode files are supported"
             )
-        succ = nums[3 : 3 + n_succ]
+        if not 1 <= jobnr <= job_count:
+            raise PsplibStructureError(
+                f"{where}: job {jobnr} is outside jobs 1..{job_count}"
+            )
+        rows[jobnr] = (lineno, nums[2:])
+    if len(rows) != job_count:
+        raise PsplibStructureError(
+            f"section '{title}': {len(rows)} jobs listed, header declares {job_count}"
+        )
+    return rows
+
+
+def _parse_arcs(lines: list[str], job_count: int) -> set[tuple[int, int]]:
+    """The precedence arcs between activities (jobs shifted by one)."""
+    arcs = set()
+    for jobnr, (lineno, row) in _job_rows(lines, _PRECEDENCE, job_count).items():
+        n_succ = row[0]
+        succ = row[1 : 1 + n_succ]
         if len(succ) != n_succ:
             raise PsplibParseError(
-                f"section '{_PRECEDENCE}', line {start + off + 1}: "
+                f"section '{_PRECEDENCE}', line {lineno}: "
                 f"job {jobnr} lists {len(succ)} of {n_succ} successors"
             )
         for s in succ:
             if not 1 <= s <= job_count:
                 raise PsplibStructureError(
-                    f"section '{_PRECEDENCE}', line {start + off + 1}: "
+                    f"section '{_PRECEDENCE}', line {lineno}: "
                     f"successor {s} is outside jobs 1..{job_count}"
                 )
-        successors[jobnr] = succ
-    _check_jobs(_PRECEDENCE, successors, job_count)
-    return successors
-
-
-def _check_listed_once(section: str, lineno: int, jobnr: int, listed: dict) -> None:
-    """A job's row comes once per section: a repeat would overwrite the
-    first row and still match the header's job count."""
-    if jobnr in listed:
-        raise PsplibStructureError(
-            f"section '{section}', line {lineno}: job {jobnr} is listed twice"
-        )
-
-
-def _check_jobs(section: str, listed: dict[int, list[int]], job_count: int) -> None:
-    """A section lists every job 1..job_count and no other."""
-    for jobnr in listed:
-        if not 1 <= jobnr <= job_count:
-            raise PsplibStructureError(
-                f"section '{section}': job {jobnr} is outside jobs 1..{job_count}"
-            )
-    if len(listed) != job_count:
-        raise PsplibStructureError(
-            f"section '{section}': {len(listed)} jobs listed, "
-            f"header declares {job_count}"
-        )
-
-
-def _parse_requests(
-    lines: list[str], job_count: int
-) -> tuple[dict[int, int], dict[int, list[int]]]:
-    start, body = _section_body(lines, _REQUESTS)
-    durations: dict[int, int] = {}
-    demands: dict[int, list[int]] = {}
-    for off, line in enumerate(body):
-        if re.search(r"[A-Za-z]", line):
-            continue  # column header row ("jobnr. mode duration R 1 ...")
-        nums = [int(x) for x in re.findall(r"-?\d+", line)]
-        if not nums:
-            continue
-        if len(nums) < 3:
-            raise PsplibParseError(
-                f"section '{_REQUESTS}', line {start + off + 1}: "
-                f"expected jobnr, mode, duration, demands"
-            )
-        jobnr, mode, duration = nums[0], nums[1], nums[2]
-        _check_listed_once(_REQUESTS, start + off + 1, jobnr, demands)
-        if mode != 1:
-            raise PsplibStructureError(
-                f"job {jobnr} uses mode {mode}; only single-mode files "
-                f"are supported"
-            )
-        durations[jobnr] = duration
-        demands[jobnr] = nums[3:]
-    _check_jobs(_REQUESTS, demands, job_count)
-    return durations, demands
+            arcs.add((jobnr - 1, s - 1))
+    return arcs
 
 
 def _parse_availabilities(lines: list[str]) -> list[int]:
-    start, body = _section_body(lines, _AVAILABILITIES)
-    for off, line in enumerate(body):
-        if re.search(r"\d", line) and not re.search(r"[A-Za-z]", line):
-            return [int(x) for x in re.findall(r"-?\d+", line)]
-    raise PsplibParseError(
-        f"section '{_AVAILABILITIES}' carries no capacity line"
-    )
+    _, body = _section_body(lines, _AVAILABILITIES)
+    for line in body:
+        if re.search(r"\d", line) and not _LETTER(line):
+            return [int(x) for x in _NUMBERS(line)]
+    raise PsplibParseError(f"section '{_AVAILABILITIES}' carries no capacity line")
 
 
 def write_sm(inst: ProjectInstance) -> str:
@@ -232,31 +196,37 @@ def write_sm(inst: ProjectInstance) -> str:
     return "\n".join(out) + "\n"
 
 
-def dataset_files(directory: str) -> Iterator[tuple[str, str, str]]:
-    """(name, path, text) of every `.sm` file in a directory, lexicographic
-    by file name; the name is the file name without its extension.  A file
-    that cannot be read raises OSError when the iteration reaches it."""
+def read_sm(path: str) -> ProjectInstance:
+    """Parse one `.sm` file; an unreadable one raises OSError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8", errors="replace") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise OSError(f"cannot read {path}: {exc}") from exc
+    return parse_sm(text, name=_stem(path))
+
+
+def _stem(path: str) -> str:
+    return os.path.splitext(os.path.basename(path))[0]
+
+
+def dataset_files(directory: str) -> list[tuple[str, str]]:
+    """(name, path) of every `.sm` file in a directory, lexicographic by
+    file name; the name is the one `read_sm` gives the instance."""
     if not os.path.isdir(directory):
         raise FileNotFoundError(f"not a directory: {directory}")
     names = sorted(f for f in os.listdir(directory) if f.lower().endswith(".sm"))
     if not names:
         raise FileNotFoundError(f"no .sm files in {directory}")
-    for fname in names:
-        path = os.path.join(directory, fname)
-        try:
-            with open(path, "r", encoding="utf-8", errors="replace") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise OSError(f"cannot read {path}: {exc}") from exc
-        yield os.path.splitext(fname)[0], path, text
+    return [(_stem(f), os.path.join(directory, f)) for f in names]
 
 
 def load_dataset(directory: str) -> list[tuple[str, ProjectInstance]]:
     """Parse every `.sm` file in a directory, lexicographic by file name."""
     out = []
-    for name, path, text in dataset_files(directory):
+    for name, path in dataset_files(directory):
         try:
-            out.append((name, parse_sm(text, name=name)))
+            out.append((name, read_sm(path)))
         except ValueError as exc:
             raise type(exc)(f"{path}: {exc}") from exc
     return out

@@ -1,6 +1,7 @@
 import concurrent.futures
 import csv
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -91,6 +92,15 @@ def test_read_bounds_csv(tmp_path):
     for text in ("instance,best\nj1,78\nj2,55\n", "\ufeffj1,78\nj2,55\n"):
         path.write_text(text, encoding="utf-8")
         assert read_bounds_csv(str(path)) == {"j1": 78, "j2": 55}
+    # no bound at all, a bound that is not whole, an instance listed twice
+    for text, problem in [
+        ("instance,best\nstray text\nj1,nan\n", "no row holds an instance and a bound"),
+        ("j1,78\nj2,12.7\n", "line 2: bound 12.7 of j2 is not a whole number"),
+        ("j1,-5\nj2,55\nj1,7\n", "line 3: j1 is listed twice"),
+    ]:
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            read_bounds_csv(str(path))
 
 
 def test_compare_bounds_improvement():

@@ -163,11 +163,19 @@ def test_bench_bounds_report(dataset_dir, tmp_path, capsys):
     assert "improved over best known" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("make_bounds", ["missing", "not utf-8"])
+BAD_BOUNDS = {
+    "not utf-8": b"instance,best\ninst0,99999\n\xff\xfe\n",
+    "an .sm file": FIXTURE_A.encode(),
+    "not whole": b"instance,best\ninst0,12.7\n",
+    "listed twice": b"inst0,-5\ninst0,7\n",
+}
+
+
+@pytest.mark.parametrize("make_bounds", ["missing", *BAD_BOUNDS])
 def test_bench_checks_its_bounds_file_before_solving(dataset_dir, tmp_path, capsys, make_bounds):
     bounds = tmp_path / "bounds.csv"
-    if make_bounds == "not utf-8":
-        bounds.write_bytes(b"instance,best\ninst0,99999\n\xff\xfe\n")
+    if make_bounds != "missing":
+        bounds.write_bytes(BAD_BOUNDS[make_bounds])
     out_file = tmp_path / "makespans.txt"
     argv = ["bench", dataset_dir, "--lambda", "60", "--out", str(out_file), "--bounds", str(bounds)]
     assert main(argv) == 1

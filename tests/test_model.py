@@ -57,13 +57,12 @@ def _sm_text(acts, arcs, caps, horizon):
 
 
 # (parts, problem text, whether a `.sm` file can hold the problem: parse_sm
-# refuses a job count below 2 and a demand row of the wrong length first,
 # numbers activities by position and raises the horizon to the sum of the
 # durations)
 INVALID = {
     "no-dummies": (
         ([Activity(0, 0, (0,))], set(), (2,), None),
-        "instance must contain at least the two dummy activities", False,
+        "instance must contain at least the two dummy activities", True,
     ),
     "negative-capacity": (
         _instance(caps=(-1,)), "resource 0: negative capacity -1", True,
@@ -77,7 +76,7 @@ INVALID = {
     ),
     "demand-length": (
         _instance({1: Activity(1, 2, (1, 1))}),
-        "activity 1: demand vector length != resource count", False,
+        "activity 1: demand vector length != resource count", True,
     ),
     "negative-duration": (
         _instance({1: Activity(1, -2, (1,))}), "activity 1: negative duration", True,

@@ -48,12 +48,25 @@ def test_job_count_mismatch(fixture_a_text):
 
 
 def test_multi_mode_rejected(fixture_a_text):
-    mutilated = fixture_a_text.replace(
-        "   2        1          1           4",
-        "   2        2          1           4",
-    )
-    with pytest.raises(PsplibStructureError, match="single-mode"):
-        parse_sm(mutilated)
+    """A mode other than 1 is refused in either section."""
+    for row, multi in [
+        ("   2        1          1           4", "   2        2          1           4"),
+        ("  2      1     2       2", "  2      2     2       2"),
+    ]:
+        assert row in fixture_a_text
+        with pytest.raises(PsplibStructureError, match="single-mode"):
+            parse_sm(fixture_a_text.replace(row, multi))
+
+
+def test_rows_holding_a_letter_are_skipped(fixture_a_text):
+    """A column header row is skipped in either section, also when it
+    carries numbers."""
+    text = fixture_a_text.replace("successors\n", "successors 1 2 3\n")
+    text = text.replace("R 1\n---", "R 1 2 3 4\n---")
+    assert text.count(" 1 2 3") == 2
+    again = parse_sm(text)
+    inst = parse_sm(fixture_a_text)
+    assert (again.arcs, again.demands) == (inst.arcs, inst.demands)
 
 
 def test_canonical_round_trip(fixture_a_text):
@@ -142,6 +155,35 @@ def test_job_listed_twice_rejected(tmp_path, capsys, row, repeat, section):
     with pytest.raises(PsplibStructureError, match=re.escape(problem)):
         parse_sm(text)
     path = tmp_path / "twice.sm"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert problem in err and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "row, bad, section, problem",
+    [
+        ("   4        1          0", "   5        1          0", "PRECEDENCE RELATIONS",
+         "job 5 is outside jobs 1..4"),
+        ("  4      1     0       0", "  0      1     0       0", "REQUESTS/DURATIONS",
+         "job 0 is outside jobs 1..4"),
+        ("  3      1     3       3", "  3      1", "REQUESTS/DURATIONS",
+         "expected jobnr, mode and at least one more number"),
+    ],
+    ids=["precedence-outside", "requests-outside", "requests-short"],
+)
+def test_bad_job_row_names_section_and_line(tmp_path, capsys, row, bad, section, problem):
+    """A row's job number must be one of the header's jobs, and a row
+    needs a job number, a mode and one number more; the message names the
+    section and the line, and validate exits 1."""
+    assert row in FIXTURE_A
+    text = FIXTURE_A.replace(row, bad)
+    lineno = text.splitlines().index(bad) + 1
+    problem = f"section '{section}', line {lineno}: {problem}"
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        parse_sm(text)
+    path = tmp_path / "bad_row.sm"
     path.write_text(text)
     assert main(["validate", str(path)]) == 1
     err = capsys.readouterr().err
