@@ -23,8 +23,6 @@ class InputError(Exception):
 
 
 def _load_instance(path: str):
-    if not os.path.isfile(path):
-        raise InputError(f"no such file: {path}")
     try:
         return read_sm(path)
     except (OSError, ValueError) as exc:
@@ -32,23 +30,20 @@ def _load_instance(path: str):
 
 
 def _build_config(args) -> SolverConfig:
-    config_path = getattr(args, "config", None)
-    if config_path and not os.path.isfile(config_path):
-        raise InputError(f"no such config file: {config_path}")
     overrides = {}
-    if getattr(args, "lam", None) is not None:
+    if args.lam is not None:
         overrides["lambda_budget"] = args.lam
-    if getattr(args, "time_limit", None) is not None:
+    elif args.time_limit is not None:
+        overrides["lambda_budget"] = None
+    if args.time_limit is not None:
         overrides["time_limit"] = args.time_limit
-        if getattr(args, "lam", None) is None:
-            overrides["lambda_budget"] = None
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["seed"] = args.seed
     try:
-        config = SolverConfig.from_file(config_path) if config_path else SolverConfig()
+        config = SolverConfig.from_file(args.config) if args.config else SolverConfig()
         return replace(config, **overrides)
     except OSError as exc:
-        raise InputError(f"cannot read config file {config_path}: {exc}") from exc
+        raise InputError(f"cannot read config file {args.config}: {exc}") from exc
     except ValueError as exc:
         raise InputError(f"bad configuration: {exc}") from exc
 
@@ -67,13 +62,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if not os.path.isdir(args.directory):
-        raise InputError(f"no such directory: {args.directory}")
     config = _build_config(args)
     bounds = None
     if args.bounds:
-        if not os.path.isfile(args.bounds):
-            raise InputError(f"no such bounds file: {args.bounds}")
         try:
             bounds = read_bounds_csv(args.bounds)
         except (OSError, ValueError) as exc:  # a decode error is a ValueError

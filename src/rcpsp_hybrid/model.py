@@ -32,7 +32,8 @@ class ProjectInstance:
     hashes by identity, which is how the decode memos of sgs.py key it.
 
     The constructor raises ValueError, with the text of `validate_instance`,
-    on an invalid instance, so no other code checks one again.
+    on an invalid instance, so no other code checks one again.  `name` is
+    keyword-only; the horizon is the sum of the durations.
     """
 
     def __init__(
@@ -40,7 +41,7 @@ class ProjectInstance:
         activities: Sequence[Activity],
         arcs: Iterable[tuple[int, int]],
         capacities: Sequence[int],
-        horizon: Optional[int] = None,
+        *,
         name: str = "",
     ):
         self.activities = tuple(activities)
@@ -55,9 +56,7 @@ class ProjectInstance:
 
         self.durations = [a.duration for a in self.activities]
         self.demands = [tuple(a.demand) for a in self.activities]
-        # duration-weighted total: horizon default is always serial-feasible
-        total = sum(self.durations)
-        self.horizon = total if horizon is None else int(horizon)
+        self.horizon = sum(self.durations)
 
         self.preds: list[list[int]] = [[] for _ in range(n2)]
         self.succs: list[list[int]] = [[] for _ in range(n2)]
@@ -173,28 +172,20 @@ def validate_instance(inst: ProjectInstance) -> Optional[str]:
                 )
     if inst.topo_order is None:
         return "precedence graph contains a cycle"
-    # every non-dummy must be reachable from the source and reach the sink
-    from_source = _reachable(inst.succs, 0)
-    to_sink = _reachable(inst.preds, inst.sink)
+    # every non-dummy must be reachable from the source and reach the sink.
+    # The graph is acyclic, so once each non-dummy has a predecessor and a
+    # successor, walks back end at the source and walks forward at the sink,
+    # unless an arc enters the source (which then reaches no non-dummy) or
+    # leaves the sink (which then no non-dummy reaches).
     for j in range(1, inst.sink):
-        if j not in from_source:
+        if not inst.preds[j]:
             return f"activity {j} has no path from the dummy source"
-        if j not in to_sink:
+        if not inst.succs[j]:
             return f"activity {j} has no path to the dummy sink"
-    if inst.horizon < sum(inst.durations):
-        return "horizon is smaller than the sum of all durations"
+    if inst.n_real and (inst.preds[0] or inst.succs[inst.sink]):
+        end = "from the dummy source" if inst.preds[0] else "to the dummy sink"
+        return f"activity 1 has no path {end}"
     return None
-
-
-def _reachable(adj: list[list[int]], root: int) -> set[int]:
-    seen = {root}
-    stack = [root]
-    while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
 
 
 def is_feasible(inst: ProjectInstance, sched: Schedule) -> bool:

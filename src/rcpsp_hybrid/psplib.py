@@ -2,19 +2,22 @@
 
 Whitespace-tolerant, line-oriented parsing keyed on section-title
 substrings.  PSPLIB numbers jobs 1..n+2; activities are shifted to
-0..n+1 on load.
+0..n+1 on load.  The `horizon` header is not read: the horizon is the
+sum of the durations, which `write_sm` writes there.
 
 PRECEDENCE RELATIONS and REQUESTS/DURATIONS are read row by row.  A row
 holding a letter, such as a column header, or no number is skipped.
 Every other row starts with a job number and a mode and holds at least
 one number more; the mode must be 1, since only single-mode files are
-supported.  Each section lists every job 1..n exactly once.  What the
-rows describe is checked by `ProjectInstance(...)`, whose message a bad
-instance raises as PsplibStructureError.
+supported.  Each section lists every job 1..n exactly once, and a
+PRECEDENCE row exactly as many successors as its #successors reads.
+What the rows describe is checked by `ProjectInstance(...)`, whose
+message a bad instance raises as PsplibStructureError.
 
 `read_sm` reads one file as UTF-8, replacing undecodable bytes, and
 names the instance by the file name without its extension;
-`dataset_files` lists a directory's `.sm` files.
+`dataset_files` lists a directory's `.sm` files.  A path that cannot be
+opened or listed raises OSError("cannot read <path>: ...").
 """
 
 from __future__ import annotations
@@ -45,8 +48,7 @@ def parse_sm(text: str, name: str = "") -> ProjectInstance:
     leading UTF-8 byte-order mark is ignored."""
     lines = text.removeprefix("\ufeff").splitlines()
 
-    job_count = _header_int(lines, r"^\s*jobs\b", "jobs")
-    horizon = _header_int(lines, r"^\s*horizon\b", "horizon")
+    job_count = _job_count(lines)
     arcs = _parse_arcs(lines, job_count)
     requests = _job_rows(lines, _REQUESTS, job_count)
     capacities = _parse_availabilities(lines)
@@ -56,29 +58,19 @@ def parse_sm(text: str, name: str = "") -> ProjectInstance:
         _, (duration, *demand) = requests[j + 1]
         activities.append(Activity(j, duration, tuple(demand)))
     try:
-        return ProjectInstance(
-            activities,
-            arcs,
-            capacities,
-            horizon=max(horizon, sum(a.duration for a in activities)),
-            name=name,
-        )
+        return ProjectInstance(activities, arcs, capacities, name=name)
     except ValueError as exc:
         raise PsplibStructureError(str(exc)) from exc
 
 
-def _header_int(lines: list[str], pattern: str, label: str) -> int:
-    rx = re.compile(pattern, re.IGNORECASE)
+def _job_count(lines: list[str]) -> int:
     for lineno, line in enumerate(lines, 1):
-        if rx.search(line) and ":" in line:
-            tail = line.split(":", 1)[1]
-            nums = _NUMBERS(tail)
+        if re.match(r"\s*jobs\b", line, re.IGNORECASE) and ":" in line:
+            nums = _NUMBERS(line.split(":", 1)[1])
             if not nums:
-                raise PsplibParseError(
-                    f"line {lineno}: '{label}' header carries no number"
-                )
+                raise PsplibParseError(f"line {lineno}: 'jobs' header carries no number")
             return int(nums[0])
-    raise PsplibParseError(f"missing '{label}' header line")
+    raise PsplibParseError("missing 'jobs' header line")
 
 
 def _section_body(lines: list[str], title: str) -> tuple[int, list[str]]:
@@ -140,12 +132,11 @@ def _parse_arcs(lines: list[str], job_count: int) -> set[tuple[int, int]]:
     """The precedence arcs between activities (jobs shifted by one)."""
     arcs = set()
     for jobnr, (lineno, row) in _job_rows(lines, _PRECEDENCE, job_count).items():
-        n_succ = row[0]
-        succ = row[1 : 1 + n_succ]
+        n_succ, *succ = row
         if len(succ) != n_succ:
             raise PsplibParseError(
                 f"section '{_PRECEDENCE}', line {lineno}: "
-                f"job {jobnr} lists {len(succ)} of {n_succ} successors"
+                f"#successors reads {n_succ}, but job {jobnr} lists {len(succ)}"
             )
         for s in succ:
             if not 1 <= s <= job_count:
@@ -213,9 +204,10 @@ def _stem(path: str) -> str:
 def dataset_files(directory: str) -> list[tuple[str, str]]:
     """(name, path) of every `.sm` file in a directory, lexicographic by
     file name; the name is the one `read_sm` gives the instance."""
-    if not os.path.isdir(directory):
-        raise FileNotFoundError(f"not a directory: {directory}")
-    names = sorted(f for f in os.listdir(directory) if f.lower().endswith(".sm"))
+    try:
+        names = sorted(f for f in os.listdir(directory) if f.lower().endswith(".sm"))
+    except OSError as exc:
+        raise OSError(f"cannot read {directory}: {exc}") from exc
     if not names:
         raise FileNotFoundError(f"no .sm files in {directory}")
     return [(_stem(f), os.path.join(directory, f)) for f in names]

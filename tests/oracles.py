@@ -33,7 +33,10 @@ every unscheduled member's predecessors and every finish at each event
 where the library counts unplaced predecessors down and bisects a sorted
 list of finishes.  The reference precedence repair rescans the sequence
 for each activity it emits, where the library keeps a heap of ready
-positions and returns a feasible sequence after one pass.
+positions and returns a feasible sequence after one pass.  The reference
+reachability searches the arcs from the source and back from the sink,
+where the instance checks only that each non-dummy has a predecessor and
+a successor and that no arc enters the source or leaves the sink.
 """
 
 from __future__ import annotations
@@ -102,6 +105,25 @@ def reference_repair_precedence(inst: ProjectInstance, seq) -> list[int]:
         out.append(j)
         done.add(j)
     return out
+
+
+def reachable(arcs, root: int, backward: bool = False) -> set[int]:
+    """The activities a depth-first search reaches from `root` along the
+    arcs (i, j), or against them when `backward`: `root` and all that it
+    precedes, or all that precede it."""
+    adj: dict[int, list[int]] = {}
+    for i, j in arcs:
+        if backward:
+            i, j = j, i
+        adj.setdefault(i, []).append(j)
+    seen = {root}
+    stack = [root]
+    while stack:
+        for nxt in adj.get(stack.pop(), []):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
 
 
 def is_precedence_feasible_list(inst: ProjectInstance, order) -> bool:

@@ -181,7 +181,7 @@ def test_bench_checks_its_bounds_file_before_solving(dataset_dir, tmp_path, caps
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert "internal error" not in captured.err
-    assert "bounds file" in captured.err
+    assert captured.err.startswith(f"error: bad bounds file {bounds}: ")
     assert captured.out == ""
     assert not out_file.exists()
 
@@ -204,8 +204,15 @@ def test_bench_fewer_than_one_thread_exit_1(dataset_dir, capsys, threads):
     assert "threads must be >= 1" in err and "internal error" not in err
 
 
-def test_bench_missing_directory_exit_1(tmp_path):
-    assert main(["bench", str(tmp_path / "nope")]) == 1
+def test_bench_missing_directory_exit_1(tmp_path, capsys):
+    """A directory that is not there, or a file given for one, is bad
+    input; the message names it."""
+    a_file = tmp_path / "a.sm"
+    a_file.write_text(FIXTURE_A)
+    for target in (tmp_path / "nope", a_file):
+        assert main(["bench", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {target}: ") and "internal error" not in err
 
 
 @pytest.mark.parametrize("argv", [["bench", "--lambda", "50"], ["validate"]])
@@ -231,25 +238,38 @@ def _deny_reading(monkeypatch, denied: str) -> None:
     monkeypatch.setattr("builtins.open", fake_open)
 
 
-@pytest.mark.parametrize("command", ["solve", "rank", "validate"])
-def test_unreadable_instance_exit_1(instance_file, monkeypatch, capsys, command):
-    _deny_reading(monkeypatch, instance_file)
+@pytest.mark.parametrize(
+    "command, how",
+    [(c, how) for how in ("denied", "missing") for c in ("solve", "rank", "validate")],
+    ids=["solve", "rank", "validate", "solve-missing", "rank-missing", "validate-missing"],
+)
+def test_unreadable_instance_exit_1(instance_file, monkeypatch, capsys, command, how):
+    if how == "denied":
+        _deny_reading(monkeypatch, instance_file)
+    else:
+        os.remove(instance_file)
     assert main([command, instance_file]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: cannot read") and "internal error" not in err
+    assert err.startswith(f"error: cannot read {instance_file}: ") and "internal error" not in err
 
 
-@pytest.mark.parametrize("command", ["solve", "bench"])
+@pytest.mark.parametrize(
+    "command, how",
+    [(c, how) for how in ("denied", "missing") for c in ("solve", "bench")],
+    ids=["solve", "bench", "solve-missing", "bench-missing"],
+)
 def test_unreadable_config_file_exit_1(
-    instance_file, dataset_dir, tmp_path, monkeypatch, capsys, command
+    instance_file, dataset_dir, tmp_path, monkeypatch, capsys, command, how
 ):
     conf = tmp_path / "solver.conf"
-    conf.write_text("lambda_budget = 40\n")
-    _deny_reading(monkeypatch, str(conf))
+    if how == "denied":
+        conf.write_text("lambda_budget = 40\n")
+        _deny_reading(monkeypatch, str(conf))
     target = instance_file if command == "solve" else dataset_dir
     assert main([command, target, "--config", str(conf)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: cannot read config file") and "internal error" not in err
+    assert err.startswith(f"error: cannot read config file {conf}: ")
+    assert "internal error" not in err
 
 
 def test_seed_changes_nothing_on_reruns(instance_file, capsys):

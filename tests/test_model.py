@@ -22,14 +22,14 @@ from rcpsp_hybrid.random_instances import random_instance
 from rcpsp_hybrid.sgs import serial_sgs
 from rcpsp_hybrid.solver import SolverConfig, solve
 from conftest import small_instances
-from oracles import is_precedence_feasible_list, reference_random_feasible_list
+from oracles import is_precedence_feasible_list, reachable, reference_random_feasible_list
 
 
 def test_validate_ok(tiny2):
     assert validate_instance(tiny2) is None
 
 
-def _instance(changes=None, arcs=None, caps=(2,), horizon=None):
+def _instance(changes=None, arcs=None, caps=(2,)):
     """The arguments of ProjectInstance for two real activities in parallel
     on one resource of capacity 2, with the activities at the positions in
     `changes` replaced."""
@@ -38,14 +38,14 @@ def _instance(changes=None, arcs=None, caps=(2,), horizon=None):
         acts[pos] = act
     if arcs is None:
         arcs = {(0, 1), (0, 2), (1, 3), (2, 3)}
-    return acts, arcs, caps, horizon
+    return acts, arcs, caps
 
 
-def _sm_text(acts, arcs, caps, horizon):
+def _sm_text(acts, arcs, caps):
     """The `.sm` file of these parts in write_sm's layout, which, unlike
     write_sm, needs no valid instance."""
     rule = "*" * 72
-    lines = [f"jobs (incl. supersource/sink ):  {len(acts)}", f"horizon : {horizon or 0}", rule]
+    lines = [f"jobs (incl. supersource/sink ):  {len(acts)}", rule]
     lines += ["PRECEDENCE RELATIONS:", "jobnr. #modes #successors successors"]
     for a in acts:
         succ = sorted(j + 1 for i, j in arcs if i == a.id)
@@ -57,11 +57,10 @@ def _sm_text(acts, arcs, caps, horizon):
 
 
 # (parts, problem text, whether a `.sm` file can hold the problem: parse_sm
-# numbers activities by position and raises the horizon to the sum of the
-# durations)
+# numbers activities by position)
 INVALID = {
     "no-dummies": (
-        ([Activity(0, 0, (0,))], set(), (2,), None),
+        ([Activity(0, 0, (0,))], set(), (2,)),
         "instance must contain at least the two dummy activities", True,
     ),
     "negative-capacity": (
@@ -99,9 +98,6 @@ INVALID = {
     "no-path-to-sink": (
         _instance(arcs={(0, 1), (0, 2), (1, 3)}),
         "activity 2 has no path to the dummy sink", True,
-    ),
-    "short-horizon": (
-        _instance(horizon=4), "horizon is smaller than the sum of all durations", False,
     ),
 }
 
@@ -204,6 +200,50 @@ def test_validate_disconnected():
             {(0, 2)},
             (1,),
         )
+
+
+def _random_acyclic_arcs(rng):
+    """Activity count and arcs of a random acyclic graph: the arcs run
+    forward in an order of the activities that puts each dummy first,
+    last or anywhere, each a third of the time."""
+    n2 = rng.randint(2, 9)
+    order = list(range(1, n2 - 1))
+    for dummy in (0, n2 - 1):
+        order.insert(rng.choice([0, len(order), rng.randint(0, len(order))]), dummy)
+    density = rng.uniform(0.2, 0.8)
+    arcs = {(order[a], order[b]) for b in range(n2) for a in range(b) if rng.random() < density}
+    return n2, arcs
+
+
+def test_path_rule_agrees_with_a_search():
+    """On random acyclic graphs, the instance refuses a missing path exactly
+    when a search finds a non-dummy cut off from the source or the sink,
+    and the activity it names lacks the path named.  The draws include
+    graphs whose every non-dummy has a predecessor and a successor, but
+    whose arcs enter the source or leave the sink."""
+    rng = random.Random(32)
+    seen = {"accepted": 0, "refused": 0, "refused with every degree": 0}
+    for _ in range(5000):
+        n2, arcs = _random_acyclic_arcs(rng)
+        sink = n2 - 1
+        acts = [Activity(j, int(0 < j < sink), (0,)) for j in range(n2)]
+        from_source, to_sink = reachable(arcs, 0), reachable(arcs, sink, backward=True)
+        cut = [j for j in range(1, sink) if j not in from_source or j not in to_sink]
+        try:
+            ProjectInstance(acts, arcs, (1,))
+        except ValueError as exc:
+            m = re.fullmatch(r"activity (\d+) has no path (from the dummy source|to the dummy sink)", str(exc))
+            assert m, str(exc)
+            assert int(m[1]) in cut  # a non-dummy
+            assert int(m[1]) not in (from_source if m[2].startswith("from") else to_sink)
+            seen["refused"] += 1
+            heads, tails = {j for _, j in arcs}, {i for i, _ in arcs}
+            if all(j in heads and j in tails for j in range(1, sink)):
+                seen["refused with every degree"] += 1
+        else:
+            assert cut == [], arcs
+            seen["accepted"] += 1
+    assert min(seen.values()) > 100, seen
 
 
 @pytest.mark.parametrize("arc", [(1, 7), (-1, 1)], ids=["beyond-sink", "negative"])

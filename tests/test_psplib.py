@@ -170,13 +170,16 @@ def test_job_listed_twice_rejected(tmp_path, capsys, row, repeat, section):
          "job 0 is outside jobs 1..4"),
         ("  3      1     3       3", "  3      1", "REQUESTS/DURATIONS",
          "expected jobnr, mode and at least one more number"),
+        ("   2        1          1           4", "   2        1          1           4   3",
+         "PRECEDENCE RELATIONS", "#successors reads 1, but job 2 lists 2"),
     ],
-    ids=["precedence-outside", "requests-outside", "requests-short"],
+    ids=["precedence-outside", "requests-outside", "requests-short", "precedence-long"],
 )
 def test_bad_job_row_names_section_and_line(tmp_path, capsys, row, bad, section, problem):
-    """A row's job number must be one of the header's jobs, and a row
-    needs a job number, a mode and one number more; the message names the
-    section and the line, and validate exits 1."""
+    """A row's job number must be one of the header's jobs, a row needs a
+    job number, a mode and one number more, and a precedence row lists as
+    many successors as its count, no more; the message names the section
+    and the line, and validate exits 1."""
     assert row in FIXTURE_A
     text = FIXTURE_A.replace(row, bad)
     lineno = text.splitlines().index(bad) + 1
