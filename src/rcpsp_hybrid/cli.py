@@ -69,6 +69,13 @@ def cmd_bench(args) -> int:
             bounds = read_bounds_csv(args.bounds)
         except (OSError, ValueError) as exc:  # a decode error is a ValueError
             raise InputError(f"bad bounds file {args.bounds}: {exc}") from exc
+    # a bad output path fails before any solve; "a" keeps an older file
+    for option, path in (("--out", args.out), ("--csv", args.csv)):
+        if path:
+            try:
+                open(path, "a").close()
+            except OSError as exc:
+                raise InputError(f"cannot write {option} file {path}: {exc}") from exc
     try:
         report = run_benchmark(
             args.directory,

@@ -303,14 +303,14 @@ def repair_precedence(inst: ProjectInstance, seq: Sequence[int]) -> list[int]:
 
 
 def _schedule_graph_network(
-    inst: ProjectInstance, sched: Schedule, root: int, outgoing: bool
+    inst: ProjectInstance, sched: Schedule, roots: set[int], outgoing: bool
 ) -> set[int]:
-    """Connected component of `root` in the schedule graph G_S (arcs of A
+    """`roots` and what they reach in the schedule graph G_S (arcs of A
     with c_i = s_j), following arcs forward (outgoing) or backward."""
     starts = sched.starts
     durs = inst.durations
-    seen = {root}
-    stack = [root]
+    seen = set(roots)
+    stack = list(roots)
     while stack:
         i = stack.pop()
         nexts = inst.succs[i] if outgoing else inst.preds[i]
@@ -353,9 +353,7 @@ def crossover_b(
         return shorter.list
 
     outgoing = rng.random() < 0.5
-    extended = set(block)
-    for a in block:
-        extended |= _schedule_graph_network(inst, parent2.schedule, a, outgoing)
+    extended = _schedule_graph_network(inst, parent2.schedule, block, outgoing)
     extended -= {0, inst.sink}
 
     donor = parent2.list

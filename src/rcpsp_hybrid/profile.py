@@ -1,13 +1,9 @@
 """Renewable-resource profile: storage and window search.
 
-A profile is a step function over [0, length), stored as change points:
-`times` holds the sorted segment starts with `length` as its last entry,
-and `vals[i]` holds every resource's remaining capacity over the segment
-[times[i], times[i+1]).  Adjacent segments may hold equal values; they
-are never merged, so a segment is only split, by a booking that starts or
-ends inside it.
+A `Profile` stores the remaining capacity over [0, length) as one list,
+`slots`, whose slots[t] packs every resource's value over [t, t+1).
 
-The value of a segment packs all resources into one int, each in its own
+The value of a slot packs all resources into one int, each in its own
 bit field of B bits, where B - 1 bits hold the largest capacity and the
 largest demand: resource k's field, at bit kB, holds 2**(B-1) +
 remaining_k.  The top bit of a field is a guard bit, set in every stored
@@ -17,18 +13,16 @@ guard bits (`ProjectInstance.packed_demand`).
 Capacities and demands are >= 0, so 0 <= d_k < 2**(B-1): subtracting
 a packed demand never borrows across fields, and resource k's guard bit
 survives exactly when remaining_k >= d_k.  So (value - demand) & guard ==
-guard tests all resources of a segment at once, and value -= demand books
+guard tests all resources of a slot at once, and value -= demand books
 it.
 
-A profile is built in one sweep over start and finish events (`booked`).
-The `Profile` methods share one scan, `_earliest`, and one booking,
-`_add`: `fits` scans one start, `place` books the earliest fit in a
-range of starts, and `release` gives a booking back.  `_earliest` tests
-a window one segment at a time, and after a short segment the next
-window starts where that segment ends; every window its callers pass
-lies inside the profile, so it needs no bound test.  N_A builds the full
-profile of a schedule once (`neighborhood.booked_profile`) and releases
-its block from a copy of it on each move.
+`booked` builds a profile from full capacity by subtracting each booking
+over its window.  The `Profile` methods share one scan, `_earliest`:
+`fits` scans one start, `place` books the earliest fit in a range of
+starts, and `release` gives a booking back.  `_earliest` tests a window
+slot by slot, and after a short slot the next window starts one past
+it, so each slot is tested once; every window its callers pass lies
+inside the profile, so it needs no bound test.
 
 `serial_place` is the serial decode (sgs.serial_sgs), the right
 justification (sgs._right_justify) and N_B's prefix decode, so it makes
@@ -66,10 +60,10 @@ to a far node past every window that starts inside the profile.  So a
 skip stops at the sentinel at the latest and needs no bound test; a
 window that reaches the sentinel ends past the profile, and one test of
 the window's end after the search catches it.  The `Profile` methods
-run too rarely for a sentinel to pay: on a sample of the 52 400 `place`
-and `fits` calls of the solve above, their shared scan took about 12 %
-longer per call than a copy of the sentinel loop, about 0.3 % of the
-solve's CPU.
+run too rarely for segments or a sentinel to pay: in λ = 8 000 solves
+of scarce120 they and `booked` took 3.4-4.2 % of the time on slots,
+against 2.8-3.3 % on change points split by `list.insert` (8 pairs in
+fresh processes, each side first in 4; 0.2-0.35 % each on ProGen j120).
 
 The right justification needs the latest fitting start instead, and
 gets it from `serial_place` on a mirrored time axis: over [0, T] the
@@ -82,7 +76,6 @@ resource and try one start at a time (tests/test_sgs.py compares them).
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from typing import Iterable, Optional, Sequence
 
 
@@ -100,26 +93,14 @@ def pack(values: Sequence[int], bits: int) -> int:
 
 def booked(inst, length: int, bookings: Iterable[tuple[int, int, int]]) -> Profile:
     """The profile over [0, length) with every (packed demand, start,
-    duration) of `bookings` booked, built in one sweep over their start and
-    finish events.  The bookings must lie within [0, length) and fit
-    together within the capacities."""
-    delta: dict[int, int] = {}
+    duration) of `bookings` booked.  The bookings must lie within
+    [0, length) and fit together within the capacities."""
+    slots = [inst.packed_capacity] * length
     for demand, t, p in bookings:
-        if p and demand:
-            delta[t] = delta.get(t, 0) - demand
-            delta[t + p] = delta.get(t + p, 0) + demand
-    value = inst.packed_capacity
-    times = [0]
-    vals = [value]
-    for t in sorted(delta):
-        value += delta[t]
-        if not t:
-            vals[0] = value
-        elif t < length:
-            times.append(t)
-            vals.append(value)
-    times.append(length)
-    return Profile(times, vals, inst.guard)
+        if demand:
+            for u in range(t, t + p):
+                slots[u] -= demand
+    return Profile(slots, inst.guard)
 
 
 def _all_fit(guard: int) -> int:
@@ -221,22 +202,21 @@ def serial_place(
 
 
 class Profile:
-    """Remaining capacity over [0, length) as change points (see the module
-    docstring).  Windows [t, t+p) passed in must lie within [0, length)."""
+    """Remaining capacity over [0, length) as one packed int per slot (see
+    the module docstring).  Windows [t, t+p) passed in must lie within it."""
 
-    __slots__ = ("times", "vals", "guard")
+    __slots__ = ("slots", "guard")
 
-    def __init__(self, times: list[int], vals: list[int], guard: int):
-        self.times = times
-        self.vals = vals
+    def __init__(self, slots: list[int], guard: int):
+        self.slots = slots
         self.guard = guard
 
     def copy(self) -> Profile:
-        return Profile(self.times[:], self.vals[:], self.guard)
+        return Profile(self.slots[:], self.guard)
 
     def at(self, t: int) -> int:
         """The packed remaining capacity over [t, t+1)."""
-        return self.vals[bisect_right(self.times, t) - 1]
+        return self.slots[t]
 
     def fits(self, demand: int, t: int, p: int) -> bool:
         """Whether the window [t, t+p) has room for the packed demand (a zero
@@ -248,8 +228,10 @@ class Profile:
         return t; return None, booking nothing, when none fits.  N_B asks
         with lo == hi."""
         t = self._earliest(demand, lo, hi, p)
-        if t is not None:
-            self._add(-demand, t, t + p)
+        if t is not None and demand:
+            slots = self.slots
+            for u in range(t, t + p):
+                slots[u] -= demand
         return t
 
     def release(self, demand: int, t: int, p: int) -> None:
@@ -257,7 +239,10 @@ class Profile:
         there.  N_A releases the block's members from a copy of the
         incumbent's full profile (`booked`), instead of booking every
         activity outside the block again on each move."""
-        self._add(demand, t, t + p)
+        if demand:
+            slots = self.slots
+            for u in range(t, t + p):
+                slots[u] += demand
 
     def _earliest(self, demand: int, lo: int, hi: int, p: int) -> Optional[int]:
         """The earliest t in [lo, hi] whose window [t, t+p) fits the packed
@@ -266,36 +251,16 @@ class Profile:
             return None
         if not (p and demand):
             return lo
-        times, vals, guard = self.times, self.vals, self.guard
-        t = lo
-        k = bisect_right(times, t) - 1
+        slots, guard = self.slots, self.guard
+        t = u = lo
         while True:
+            # slots t to u - 1 fit the window [t, t+p); test on from u
             end = t + p
-            while (vals[k] - demand) & guard == guard:
-                k += 1
-                if times[k] >= end:
+            while (slots[u] - demand) & guard == guard:
+                u += 1
+                if u == end:
                     return t
-            # no window covering segment k fits: the next starts at its end
-            k += 1
-            t = times[k]
+            # no window covering slot u fits: the next starts one past it
+            t = u = u + 1
             if t > hi:
                 return None
-
-    def _add(self, delta: int, t: int, end: int) -> None:
-        """Add the packed `delta` over [t, end), splitting the segments that
-        t and end fall inside; a zero delta or an empty window changes
-        nothing."""
-        if not (delta and end > t):
-            return
-        times, vals = self.times, self.vals
-        i = bisect_right(times, t) - 1
-        if times[i] != t:
-            i += 1
-            times.insert(i, t)
-            vals.insert(i, vals[i - 1])
-        k = bisect_left(times, end, i)
-        if times[k] != end:
-            times.insert(k, end)
-            vals.insert(k, vals[k - 1])
-        for q in range(i, k):
-            vals[q] += delta

@@ -186,6 +186,22 @@ def test_bench_checks_its_bounds_file_before_solving(dataset_dir, tmp_path, caps
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("option", ["--out", "--csv"])
+def test_bench_checks_its_output_paths_before_solving(dataset_dir, tmp_path, capsys, monkeypatch, option):
+    """An output file that cannot be created exits 1, naming the option and
+    the path, before any solve starts."""
+
+    def no_solve(*args):
+        raise AssertionError("solve called")
+
+    monkeypatch.setattr("rcpsp_hybrid.bench.solve", no_solve)
+    target = tmp_path / "missing" / "x.txt"
+    assert main(["bench", dataset_dir, "--lambda", "60", option, str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {option} file {target}: ")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("value", ["inf", "-inf", "1e400", "nan"])
 def test_bench_skips_a_bound_that_is_not_finite(dataset_dir, tmp_path, capsys, value):
     bounds = tmp_path / "bounds.csv"

@@ -1,7 +1,7 @@
 """Every module of the package uses each name it imports (the package
 __init__ imports only to re-export, so it is left out), every function,
 class and method it defines is named somewhere in it, no module but
-profile.py reads a profile's change points, only `serial_place` uses the
+profile.py reads a profile's slots, only `serial_place` uses the
 sentinel segment, no module makes a check with
 `assert`, every SolverConfig field is read somewhere, and the package
 imports nothing outside the standard library, nor multiprocessing until
@@ -88,18 +88,18 @@ def test_every_definition_is_named():
 
 
 def profile_field_reads(source: str) -> list[int]:
-    """The lines that read an attribute named `times` or `vals`: the change
-    points of a profile, whose format only profile.py may know."""
+    """The lines that read an attribute named `slots`: the storage of a
+    profile, whose format only profile.py may know."""
     tree = ast.parse(source)
     return sorted(
         node.lineno
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr in ("times", "vals")
+        if isinstance(node, ast.Attribute) and node.attr == "slots"
     )
 
 
 def test_guard_sees_profile_field_reads():
-    source = "def f(rem):\n    times = rem.times\n    return rem.vals[0], times\n"
+    source = "def f(rem):\n    slots = rem.slots\n    return rem.slots[0], slots\n"
     assert profile_field_reads(source) == [2, 3]
 
 
@@ -109,6 +109,7 @@ def test_guard_sees_profile_field_reads():
     ids=lambda p: p.name,
 )
 def test_only_profile_reads_the_change_points(path):
+    """No module but profile.py reads a profile's `slots`, its storage."""
     assert profile_field_reads(path.read_text()) == []
 
 

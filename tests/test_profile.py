@@ -1,8 +1,7 @@
 """The window searches of profile.py against a per-resource brute-force
-scan.  The oracle never looks at the packed layout or the segments: a case
-is drawn as one row of remaining capacities per resource, packed into
-segments for the call, and the booked profile is expanded back into rows
-to compare."""
+scan.  The oracle never looks at the packed layout: a case is drawn as one
+row of remaining capacities per resource, packed into slots for the call,
+and the booked profile is expanded back into rows to compare."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -42,8 +41,8 @@ def capacities(draw):
 
 @st.composite
 def searches(draw):
-    """A profile drawn as rows, how to cut it into segments, and a search
-    whose window is often flush with the end of the profile."""
+    """A profile drawn as rows and a search whose window is often flush
+    with the end of the profile."""
     caps = draw(capacities())
     length = draw(st.integers(1, 14))
     rows = [draw(st.lists(_edge_value(c), min_size=length, max_size=length)) for c in caps]
@@ -51,8 +50,7 @@ def searches(draw):
     p = draw(st.integers(0, length))
     lo = draw(st.one_of(st.just(length - p), st.integers(0, length - p)))
     hi = draw(st.one_of(st.just(length - p), st.integers(lo - 2, length - p)))
-    per_slot = draw(st.booleans())
-    return caps, rows, demand, lo, hi, p, per_slot
+    return caps, rows, demand, lo, hi, p
 
 
 def _unpack(value, bits, n_resources):
@@ -63,15 +61,9 @@ def _unpack(value, bits, n_resources):
 
 def _expand(prof, bits, n_resources):
     """The profile as one row of remaining capacities per resource, after
-    checking the segment invariants."""
-    times, vals = prof.times, prof.vals
-    assert times[0] == 0
-    assert all(a < b for a, b in zip(times, times[1:]))
-    assert len(vals) == len(times) - 1
-    assert all(v & prof.guard == prof.guard for v in vals)
-    cols = []
-    for i, v in enumerate(vals):
-        cols += [_unpack(v, bits, n_resources)] * (times[i + 1] - times[i])
+    checking that every slot keeps its guard bits."""
+    assert all(v & prof.guard == prof.guard for v in prof.slots)
+    cols = [_unpack(v, bits, n_resources) for v in prof.slots]
     return [list(row) for row in zip(*cols)]
 
 
@@ -81,18 +73,11 @@ def _instance(caps):
     return ProjectInstance(acts, [(0, 1)], caps)
 
 
-def _packed(caps, rows, demand, per_slot):
-    """The case in the packed layout: (profile, demand, expand).  The
-    profile has one segment per slot, or one per run of equal slots."""
+def _packed(caps, rows, demand):
+    """The case in the packed layout: (profile, demand, expand)."""
     bits, guard = profile.layout(caps)
     slots = [guard + profile.pack(col, bits) for col in zip(*rows)]
-    times, vals = [], []
-    for t, v in enumerate(slots):
-        if per_slot or not vals or vals[-1] != v:
-            times.append(t)
-            vals.append(v)
-    times.append(len(slots))
-    prof = profile.Profile(times, vals, guard)
+    prof = profile.Profile(slots, guard)
 
     def expand(got):
         return _expand(got, bits, len(caps))
@@ -104,9 +89,9 @@ def _packed(caps, rows, demand, per_slot):
 @settings(max_examples=400, deadline=None)
 @given(searches())
 def test_place_is_the_earliest_fit(case):
-    caps, rows, demand, lo, hi, p, per_slot = case
+    caps, rows, demand, lo, hi, p = case
     want = _earliest(rows, demand, lo, hi, p)
-    prof, packed, expand = _packed(caps, rows, demand, per_slot)
+    prof, packed, expand = _packed(caps, rows, demand)
     got = prof.place(packed, lo, hi, p)
     assert got == want
     assert expand(prof) == (rows if want is None else _booked(rows, demand, want, p))
@@ -117,8 +102,8 @@ def test_place_is_the_earliest_fit(case):
 def test_fits_and_reserve(case):
     """fits and a booking at one fixed start (a search with lo == hi), and
     the copy and the value at each t beside them."""
-    caps, rows, demand, lo, _, p, per_slot = case
-    prof, packed, expand = _packed(caps, rows, demand, per_slot)
+    caps, rows, demand, lo, _, p = case
+    prof, packed, expand = _packed(caps, rows, demand)
     bits, _ = profile.layout(caps)
     for t in range(len(rows[0])):
         assert _unpack(prof.at(t), bits, len(caps)) == [row[t] for row in rows]
@@ -134,10 +119,10 @@ def test_fits_and_reserve(case):
 @settings(max_examples=100, deadline=None)
 @given(capacities(), st.integers(1, 6))
 def test_empty_holds_every_capacity(caps, length):
-    """With no bookings, the profile is full capacity as one segment."""
+    """With no bookings, every slot holds the full capacity."""
     inst = _instance(caps)
     prof = profile.booked(inst, length, ())
-    assert prof.times == [0, length]
+    assert prof.slots == [inst.packed_capacity] * length
     assert _expand(prof, inst.slot_bits, len(caps)) == [[c] * length for c in caps]
 
 
@@ -145,9 +130,8 @@ def test_empty_holds_every_capacity(caps, length):
 @given(capacities(), st.integers(1, 14), st.data())
 def test_operation_sequences_match_the_oracle(caps, length, data):
     """Random sequences of searches from a full profile, half of them at one
-    fixed start (lo == hi).  Starts and window ends are often drawn from the
-    current segment boundaries and the profile's end; durations and demands
-    include 0 and `hi < lo` occurs."""
+    fixed start (lo == hi).  Durations and demands include 0 and `hi < lo`
+    occurs."""
     inst = _instance(caps)
     bits = inst.slot_bits
     prof = profile.booked(inst, length, ())
@@ -156,13 +140,11 @@ def test_operation_sequences_match_the_oracle(caps, length, data):
         demand = [data.draw(_edge_value(c)) for c in caps]
         packed = profile.pack(demand, bits)
         p = data.draw(st.integers(0, length))
-        bounds = [t for t in prof.times if t <= length - p]
-        point = st.one_of(st.sampled_from(bounds), st.integers(0, length - p))
-        lo = data.draw(point)
+        lo = data.draw(st.integers(0, length - p))
         if data.draw(st.booleans()):
             hi = lo
         else:
-            hi = data.draw(st.one_of(point, st.integers(lo - 2, length - p)))
+            hi = data.draw(st.integers(lo - 2, length - p))
         want = _earliest(rows, demand, lo, hi, p)
         assert prof.place(packed, lo, hi, p) == want
         if want is not None:
@@ -173,8 +155,8 @@ def test_operation_sequences_match_the_oracle(caps, length, data):
 @settings(max_examples=200, deadline=None)
 @given(capacities(), st.integers(1, 14), st.data())
 def test_booked_equals_one_reserve_per_booking(caps, length, data):
-    """The one-sweep build gives the profile that booking each window in
-    turn gives, whatever order the bookings come in."""
+    """The build gives the profile that booking each window in turn gives,
+    whatever order the bookings come in."""
     inst = _instance(caps)
     bits = inst.slot_bits
     rows = [[c] * length for c in caps]
@@ -193,9 +175,8 @@ def test_booked_equals_one_reserve_per_booking(caps, length, data):
 @settings(max_examples=200, deadline=None)
 @given(capacities(), st.integers(1, 14), st.data())
 def test_release_gives_back_part_of_a_booking(caps, length, data):
-    """Releasing any sub-window of a booked window, starting and ending
-    inside segments or on their bounds, in any order, leaves the profile
-    the bookings made without those parts."""
+    """Releasing any sub-window of a booked window, in any order, leaves
+    the profile the bookings made without those parts."""
     inst = _instance(caps)
     bits = inst.slot_bits
     rows = [[c] * length for c in caps]
@@ -219,9 +200,8 @@ def test_release_gives_back_part_of_a_booking(caps, length, data):
 
 
 def _no_sentinel(prof, length):
-    """The profile still ends at `length`, one value per segment."""
-    assert prof.times[-1] == length
-    assert len(prof.vals) == len(prof.times) - 1
+    """The profile still holds one slot per unit of [0, length)."""
+    assert len(prof.slots) == length
 
 
 def _chain(caps, durations, demands):

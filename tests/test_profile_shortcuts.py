@@ -20,4 +20,4 @@ def test_zero_demand_or_duration_fits_at_lo(lo, demand, p):
     assert prof.place(packed, lo, lo + 5, p) == lo
     assert prof.place(packed, lo, lo - 1, p) is None
     prof.release(packed, lo, p)
-    assert (prof.times, prof.vals) == (before.times, before.vals)
+    assert prof.slots == before.slots
