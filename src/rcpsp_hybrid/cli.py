@@ -191,8 +191,9 @@ def main(argv=None) -> int:
         return 1
     except KeyboardInterrupt:
         return 2
-    except Exception as exc:  # internal failure
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # internal failure; a MemoryError has no message
+        detail = f": {exc}" if str(exc) else ""
+        print(f"internal error: {type(exc).__name__}{detail}", file=sys.stderr)
         return 2
 
 

@@ -142,15 +142,13 @@ def dense_activities(
     idle_weight = sum(w * c for w, c in zip(wk_over_rk, caps))
 
     # running set of activities per unit interval via start/finish events;
-    # at each time the events keep id order, starts and finishes mixed
+    # at each time the events keep id order, starts and finishes mixed, so
+    # a zero-duration activity's pair cancels where it stands
     events: dict[int, list[int]] = {}
     for j in range(1, inst.sink):
-        p = inst.durations[j]
-        if p == 0:
-            continue
         s = sched.starts[j]
         events.setdefault(s, []).append(j)
-        events.setdefault(s + p, []).append(-j)
+        events.setdefault(s + inst.durations[j], []).append(-j)
 
     candidates: list[DenseGene] = []
     current: set[int] = set()

@@ -110,10 +110,6 @@ def _all_fit(guard: int) -> int:
     return (1 << guard.bit_length()) - 1
 
 
-def _fits_nowhere(j: int, horizon: int) -> ValueError:
-    return ValueError(f"activity {j} fits nowhere within the horizon {horizon}")
-
-
 def serial_place(
     inst,
     order: Sequence[int],
@@ -178,7 +174,7 @@ def serial_place(
                 break
             # a window reaching the sentinel ends past the horizon too
             if end > horizon:
-                raise _fits_nowhere(j, horizon)
+                raise ValueError(f"activity {j} fits nowhere within the horizon {horizon}")
             # book [t, end), which starts where node i starts: take d from
             # node i up to the node before k, and split that one at end
             q = i
@@ -192,8 +188,6 @@ def serial_place(
                 times.append(end)
                 vals.append(vals[q] + d)
             node[j] = k
-        elif end > horizon:
-            raise _fits_nowhere(j, horizon)
         else:
             node[j] = i
         starts[j] = t

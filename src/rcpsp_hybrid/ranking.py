@@ -52,8 +52,6 @@ def solve_cumulative_relaxation(
     events: list[dict[int, int]] = [{} for _ in range(n_res)]  # time -> rate change
     for j in range(1, inst.sink):
         s, p = starts[j], inst.durations[j]
-        if p == 0:
-            continue
         for k, d in inst.active_demand[j]:
             work[k] += d * p
             row = events[k]

@@ -120,8 +120,9 @@ def parallel_sgs(
     the remaining capacity only rises as they finish (Kolisch 1996): an
     activity fits over [t, t+p) exactly when it fits at t.  So the decoder
     keeps no profile, only the packed free capacity at t in the layout of
-    profile.py, guard bits included; an activity's packed demand leaves it
-    when the activity starts and returns when it finishes.
+    profile.py, guard bits included.  An activity books its packed demand
+    when it starts, or none when it has no duration, and the finish heap
+    gives the booked demand back when it finishes.
 
     `lst` must hold every activity: one it leaves out is ranked past its
     end, so the decoder raises IndexError when that activity becomes
@@ -140,42 +141,30 @@ def parallel_sgs(
     waiting = inst.pred_counts.copy()
     # list positions of the eligible activities, ascending
     eligible = sorted(rank[j] for j, w in enumerate(waiting) if not w)
-    running: list[tuple[int, int]] = []  # heap of (finish, activity), p > 0
+    # heap of (finish, activity, booked demand); an activity with no
+    # duration books none, so it always fits, and it leaves the heap at
+    # the t it started, releasing its successors for another scan at t
+    running: list[tuple[int, int, int]] = []
     t = 0
     while True:
-        # a zero-duration activity books nothing and finishes at t, so its
-        # successors are tried in another pass at t
-        while eligible:
-            left = []
-            ended = []
-            for i in eligible:
-                j = lst[i]
-                p = durs[j]
-                if not p:
-                    starts[j] = t
-                    ended.append(j)
-                    continue
-                d = packed[j]
-                if (free - d) & guard != guard:
-                    left.append(i)
-                    continue
-                free -= d
-                starts[j] = t
-                heapq.heappush(running, (t + p, j))
-            eligible = left
-            if not ended:
-                break
-            for j in ended:
-                for s in succs[j]:
-                    waiting[s] -= 1
-                    if not waiting[s]:
-                        insort(eligible, rank[s])
+        left = []
+        for i in eligible:
+            j = lst[i]
+            p = durs[j]
+            d = packed[j] if p else 0
+            if (free - d) & guard != guard:
+                left.append(i)
+                continue
+            free -= d
+            starts[j] = t
+            heapq.heappush(running, (t + p, j, d))
+        eligible = left
         if not running:
             break
         t = running[0][0]
         while running and running[0][0] == t:
-            j = heapq.heappop(running)[1]
-            free += packed[j]
+            _, j, d = heapq.heappop(running)
+            free += d
             for s in succs[j]:
                 waiting[s] -= 1
                 if not waiting[s]:

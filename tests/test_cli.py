@@ -52,6 +52,17 @@ def test_solve_unparsable_file_exit_1(tmp_path, capsys):
     assert main(["solve", str(bad)]) == 1
 
 
+def test_internal_error_names_the_exception(instance_file, monkeypatch, capsys):
+    """A MemoryError carries no message, so the report names its type."""
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr("rcpsp_hybrid.cli.solve", out_of_memory)
+    assert main(["solve", instance_file]) == 2
+    assert capsys.readouterr().err == "internal error: MemoryError\n"
+
+
 def test_solve_with_config_file(instance_file, tmp_path, capsys):
     conf = tmp_path / "solver.conf"
     conf.write_text("lambda_budget = 40\npopulation_capacity = 4\nseed = 3\n")
