@@ -33,10 +33,6 @@ def _build_config(args) -> SolverConfig:
     overrides = {}
     if args.lam is not None:
         overrides["lambda_budget"] = args.lam
-    elif args.time_limit is not None:
-        overrides["lambda_budget"] = None
-    if args.time_limit is not None:
-        overrides["time_limit"] = args.time_limit
     if args.seed is not None:
         overrides["seed"] = args.seed
     try:
@@ -76,6 +72,9 @@ def cmd_bench(args) -> int:
                 open(path, "a").close()
             except OSError as exc:
                 raise InputError(f"cannot write {option} file {path}: {exc}") from exc
+    # both files exist now; one path for both would lose the makespans
+    if args.out and args.csv and os.path.samefile(args.out, args.csv):
+        raise InputError(f"--out and --csv name one file: {args.out}")
     try:
         report = run_benchmark(
             args.directory,
@@ -159,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("directory")
     for p in (p_solve, p_bench):
         p.add_argument("--lambda", dest="lam", type=int, help="schedule budget")
-        p.add_argument("--time-limit", type=float, help="wall-clock cap in seconds")
         p.add_argument("--seed", type=int)
         p.add_argument("--config", help="key = value config file")
     p_solve.add_argument("--starts", action="store_true", help="print the start vector")

@@ -189,7 +189,11 @@ def validate_instance(inst: ProjectInstance) -> Optional[str]:
 
 
 def is_feasible(inst: ProjectInstance, sched: Schedule) -> bool:
-    """Precedence and per-interval resource check of a start vector."""
+    """Precedence and resource check of a start vector.  Per resource, the
+    usage changes only where an activity starts (+demand) or finishes
+    (-demand); the changes at one time are summed before the usage is
+    compared with the capacity, so the cost does not grow with the
+    durations."""
     starts = sched.starts
     if len(starts) != len(inst):
         return False
@@ -201,19 +205,19 @@ def is_feasible(inst: ProjectInstance, sched: Schedule) -> bool:
             return False
     if sched.makespan != max(s + p for s, p in zip(starts, durs)):
         return False
-    horizon = sched.makespan
-    n_res = inst.n_resources
-    usage = [[0] * horizon for _ in range(n_res)]
+    deltas: list[dict[int, int]] = [{} for _ in range(inst.n_resources)]
     for j in range(1, inst.sink):
-        s, p = starts[j], durs[j]
+        s, f = starts[j], starts[j] + durs[j]
         for k, d in inst.active_demand[j]:
-            row = usage[k]
-            for t in range(s, s + p):
-                row[t] += d
-    caps = inst.capacities
-    for k in range(n_res):
-        if any(u > caps[k] for u in usage[k]):
-            return False
+            row = deltas[k]
+            row[s] = row.get(s, 0) + d
+            row[f] = row.get(f, 0) - d
+    for cap, row in zip(inst.capacities, deltas):
+        usage = 0
+        for t in sorted(row):
+            usage += row[t]
+            if usage > cap:
+                return False
     return True
 
 

@@ -4,15 +4,14 @@ steps on one `_Run`: `_generation`, and at a stagnation checkpoint
 (`stagnation_trigger` generations without a record) one NS `_burst`.
 Every instance gets the same checkpoint settings.  A step is looked up
 as a module global when it is called, so a script can rebind one.
-`_Run.offer` makes every record after init's."""
+`_Run.offer` makes every record after init's.  A run stops when it has
+generated `lambda_budget` schedules; nothing else ends it."""
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import dataclass, field, fields
-from typing import Optional, get_args, get_type_hints
 
 from .model import ProjectInstance, Schedule, critical_path_lower_bound
 from .genetic import (
@@ -31,25 +30,18 @@ from .sgs import clear_memos
 
 
 class Budget:
-    """Counts generated schedules against a cap; optionally wall-clock
-    limited for 'unlimited' runs."""
+    """Counts generated schedules against the cap `limit`."""
 
-    def __init__(self, limit: Optional[int] = None, time_limit: Optional[float] = None):
+    def __init__(self, limit: int):
         self.limit = limit
-        self.time_limit = time_limit
         self.used = 0
-        self._t0 = time.monotonic()
 
     def charge(self, k: int = 1) -> None:
         self.used += k
 
     @property
     def exhausted(self) -> bool:
-        if self.limit is not None and self.used >= self.limit:
-            return True
-        if self.time_limit is not None and time.monotonic() - self._t0 >= self.time_limit:
-            return True
-        return False
+        return self.used >= self.limit
 
 
 @dataclass
@@ -58,8 +50,7 @@ class SolverConfig:
     their operators (`fbi`, `mutate`, `grasp_knapsack`, `ns_run`,
     `DENSE_THRESHOLD` and `PARENT_PROBABILITY`)."""
 
-    lambda_budget: Optional[int] = 50000
-    time_limit: Optional[float] = None
+    lambda_budget: int = 50000
     population_capacity: int = 60
     ns_burst: int = 1000  # 0: no bursts (pure GA)
     stagnation_trigger: int = 10
@@ -74,29 +65,22 @@ class SolverConfig:
         # a crossover needs two parents
         if not _is_int(self.population_capacity, 2):
             raise bad("population_capacity", "an integer >= 2")
-        if self.lambda_budget is not None and not _is_int(self.lambda_budget, 1):
-            raise bad("lambda_budget", "none or an integer >= 1")
+        if not _is_int(self.lambda_budget, 1):
+            raise bad("lambda_budget", "an integer >= 1")
         for name in ("ns_burst", "stagnation_trigger"):
             if not _is_int(getattr(self, name), 0):
                 raise bad(name, "an integer >= 0")
         if not _is_int(self.seed):
             raise bad("seed", "an integer")
-        # an infinite time limit would be no cap at all
-        if self.time_limit is not None and not _is_finite_positive(self.time_limit):
-            raise bad("time_limit", "none or a finite positive number")
-        if self.lambda_budget is None and self.time_limit is None:
-            raise ValueError("lambda_budget and time_limit are both none: no cap")
 
     @classmethod
     def from_file(cls, path: str) -> "SolverConfig":
         """key = value, one per line and each key once, in UTF-8 with or
-        without a byte-order mark; '#' starts a comment.  Each value is
-        read as its field's declared type; 'none' (or nothing) sets an
-        optional field to None."""
+        without a byte-order mark; '#' starts a comment.  Every field is an
+        integer, so each value is read with `int()`."""
         values = {}
         seen = {}  # key -> line number
-        types = get_type_hints(cls)
-        valid = {f.name: types[f.name] for f in fields(cls)}
+        valid = {f.name for f in fields(cls)}
         with open(path, encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
@@ -113,32 +97,14 @@ class SolverConfig:
                     )
                 seen[key] = lineno
                 try:
-                    values[key] = _coerce(val, valid[key])
+                    values[key] = int(val)
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
         return cls(**values)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _is_int(value, least: float = float("-inf")) -> bool:
-    return _is_number(value) and isinstance(value, int) and value >= least
-
-
-def _is_finite_positive(value) -> bool:
-    return _is_number(value) and 0 < value < math.inf
-
-
-def _coerce(text: str, kind):
-    """`text` as a value of the field type `kind`: int, float or Optional
-    of one of them."""
-    if type(None) in get_args(kind):
-        if text.lower() in ("none", ""):
-            return None
-        kind = get_args(kind)[0]
-    return kind(text)
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 @dataclass
@@ -169,8 +135,9 @@ def solve(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunSta
 
 
 def _search(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunStats]:
+    t0 = time.monotonic()
     rng = random.Random(config.seed)
-    budget = Budget(config.lambda_budget, config.time_limit)
+    budget = Budget(config.lambda_budget)
     # relaxation, ranking, and the resource weights of the run
     ranking = rank_and_weigh(inst)
     stats = RunStats(cp_bound=critical_path_lower_bound(inst), weights=ranking.weights,
@@ -188,7 +155,7 @@ def _search(inst: ProjectInstance, config: SolverConfig) -> tuple[Schedule, RunS
             stale = 0
 
     stats.schedules_generated = budget.used
-    stats.seconds = time.monotonic() - budget._t0
+    stats.seconds = time.monotonic() - t0
     return run.best.schedule, stats
 
 
@@ -243,7 +210,7 @@ def _burst(run: _Run) -> None:
     # an empty step charges nothing and an N_A step up to NA_TRIES.  The
     # counts in `stats` are read by perfbench/layertrace.py
     limit = budget.limit
-    budget.limit = min(budget.used + config.ns_burst, math.inf if limit is None else limit)
+    budget.limit = min(budget.used + config.ns_burst, limit)
     found = ns_run(
         run.inst, seed, run.weights, steps=config.ns_burst, rng=run.rng,
         budget=budget, stats=NsStats(),

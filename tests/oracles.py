@@ -36,7 +36,9 @@ for each activity it emits, where the library keeps a heap of ready
 positions and returns a feasible sequence after one pass.  The reference
 reachability searches the arcs from the source and back from the sink,
 where the instance checks only that each non-dummy has a predecessor and
-a successor and that no arc enters the source or leaves the sink.
+a successor and that no arc enters the source or leaves the sink.  The
+reference schedule check adds every demand into each unit slot it
+covers, where the library sums the start and finish events per resource.
 """
 
 from __future__ import annotations
@@ -135,6 +137,26 @@ def is_precedence_feasible_list(inst: ProjectInstance, order) -> bool:
     if order[0] != 0 or order[-1] != inst.sink:
         return False
     return all(pos[i] < pos[j] for i, j in inst.arcs)
+
+
+def reference_is_feasible(inst: ProjectInstance, sched: Schedule) -> bool:
+    """Schedule check: the source at 0, no negative start, every arc's
+    head after its tail's finish, the makespan the latest finish, and at
+    every unit slot of [0, makespan) each resource's usage within its
+    capacity."""
+    starts, durs = sched.starts, inst.durations
+    if len(starts) != len(inst) or starts[0] != 0 or any(s < 0 for s in starts):
+        return False
+    if any(starts[i] + durs[i] > starts[j] for i, j in inst.arcs):
+        return False
+    if sched.makespan != max(s + p for s, p in zip(starts, durs)):
+        return False
+    usage = [[0] * sched.makespan for _ in range(inst.n_resources)]
+    for j in range(1, inst.sink):
+        for k, d in enumerate(inst.demands[j]):
+            for t in range(starts[j], starts[j] + durs[j]):
+                usage[k][t] += d
+    return all(u <= cap for cap, row in zip(inst.capacities, usage) for u in row)
 
 
 def brute_force_optimum(inst: ProjectInstance) -> int:

@@ -21,8 +21,13 @@ from rcpsp_hybrid.psplib import PsplibStructureError, parse_sm
 from rcpsp_hybrid.random_instances import random_instance
 from rcpsp_hybrid.sgs import serial_sgs
 from rcpsp_hybrid.solver import SolverConfig, solve
-from conftest import small_instances
-from oracles import is_precedence_feasible_list, reachable, reference_random_feasible_list
+from conftest import scaled_durations, small_instances
+from oracles import (
+    is_precedence_feasible_list,
+    reachable,
+    reference_is_feasible,
+    reference_random_feasible_list,
+)
 
 
 def test_validate_ok(tiny2):
@@ -277,6 +282,37 @@ def test_is_feasible_tiny2(tiny2):
 
 def test_is_feasible_rejects_precedence_violation(tiny2):
     assert not is_feasible(tiny2, Schedule((0, 0, 1, 5, 9), 9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    small_instances(),
+    st.integers(0, 2**32),
+    st.lists(st.tuples(st.integers(0, 9), st.integers(-3, 3)), max_size=4),
+    st.sampled_from([0, 0, 0, -1, 1]),
+)
+def test_is_feasible_agrees_with_the_slot_check(case, seed, shifts, makespan_shift):
+    """The event sweep judges a schedule as the slot-by-slot check does: a
+    serial schedule with a few starts moved, which may break a capacity,
+    an arc or the source's start, and a makespan that may miss the latest
+    finish."""
+    inst, _ = case
+    starts = list(serial_sgs(inst, random_feasible_list(inst, random.Random(seed))).starts)
+    for j, delta in shifts:
+        starts[j % len(inst)] += delta
+    makespan = max(s + p for s, p in zip(starts, inst.durations)) + makespan_shift
+    sched = Schedule(tuple(starts), makespan)
+    assert is_feasible(inst, sched) == reference_is_feasible(inst, sched)
+
+
+def test_is_feasible_cost_does_not_grow_with_the_durations():
+    """Every duration and start ×10⁹: the schedule stays feasible, and the
+    sweep judges it from its events, not from 10⁹ slots per activity."""
+    inst = random_instance(random.Random(3), 20, 3)
+    sched = serial_sgs(inst, random_feasible_list(inst, random.Random(4)))
+    factor = 10**9
+    scaled = Schedule(tuple(s * factor for s in sched.starts), sched.makespan * factor)
+    assert is_feasible(scaled_durations(inst, factor), scaled)
 
 
 def test_critical_path(tiny1, tiny2):

@@ -35,7 +35,6 @@ def test_config_defaults_valid():
 def test_config_fields_are_run_settings():
     assert [f.name for f in fields(SolverConfig)] == [
         "lambda_budget",
-        "time_limit",
         "population_capacity",
         "ns_burst",
         "stagnation_trigger",
@@ -43,13 +42,14 @@ def test_config_fields_are_run_settings():
     ]
 
 
-# operator parameters that are constants beside their operators, and the
-# weight mode, which the resource rank fixes: not configuration, so naming
-# one is a TypeError
+# operator parameters that are constants beside their operators, the
+# weight mode, which the resource rank fixes, and the wall-clock cap, since
+# λ is a run's only stop: not configuration, so naming one is a TypeError
 REMOVED_FIELDS = {
     "sigma1", "sigma2", "parent_probability", "dense_threshold", "block_size",
     "lambda_ns", "elite_count", "parents_size", "mutation_iterations",
     "tabu_capacity", "grasp_constructions", "fbi_passes", "weight_mode",
+    "time_limit",
 }
 
 
@@ -96,7 +96,7 @@ def test_config_rejects_bad_values(bad):
 
 
 def test_config_accepts_edge_values():
-    SolverConfig(lambda_budget=None, time_limit=0.5)
+    SolverConfig(lambda_budget=1)
     SolverConfig(ns_burst=0, stagnation_trigger=0, seed=-7)
     SolverConfig(population_capacity=2)
 
@@ -122,18 +122,23 @@ def test_config_from_file(tmp_path):
 
 
 def test_config_from_file_reads_each_field_as_its_type(tmp_path):
+    """Every field is an integer, so every key is read as an int; the
+    wall-clock cap is gone, and λ has no 'none' spelling."""
     path = tmp_path / "solver.conf"
-    path.write_text("time_limit = 2\nseed = 7\n")
+    path.write_text(
+        "lambda_budget = 300\npopulation_capacity = 4\nns_burst = 0\n"
+        "stagnation_trigger = 2\nseed = -7\n"
+    )
     cfg = SolverConfig.from_file(str(path))
-    assert (cfg.time_limit, type(cfg.time_limit), cfg.seed) == (2.0, float, 7)
-    for limit in ("inf", "nan"):
-        path.write_text(f"lambda_budget = none\ntime_limit = {limit}\n")
-        with pytest.raises(ValueError, match="time_limit must be"):
-            SolverConfig.from_file(str(path))
+    values = [getattr(cfg, f.name) for f in fields(SolverConfig)]
+    assert values == [300, 4, 0, 2, -7]
+    assert all(type(v) is int for v in values)
     path.write_text("time_limit = 2\nseed = 7\n")
-    cfg = SolverConfig.from_file(str(path))
-    assert cfg.time_limit == 2.0 and isinstance(cfg.time_limit, float)
-    assert cfg.seed == 7
+    with pytest.raises(ValueError, match=":1: unknown key 'time_limit'"):
+        SolverConfig.from_file(str(path))
+    path.write_text("lambda_budget = none\n")
+    with pytest.raises(ValueError, match=":1: lambda_budget"):
+        SolverConfig.from_file(str(path))
 
 
 @pytest.mark.parametrize(
@@ -184,12 +189,6 @@ def test_budget_counts_and_exhausts():
     assert b.used == 3
 
 
-def test_budget_unlimited_without_caps():
-    b = Budget(None, None)
-    b.charge(10**6)
-    assert not b.exhausted
-
-
 @pytest.mark.parametrize("k", [1, 3, 10, 40])
 def test_ns_burst_charges_at_most_its_allowance(k):
     """A burst of k steps under the cap `_burst` sets, k schedules more
@@ -211,12 +210,11 @@ def test_ns_burst_charges_at_most_its_allowance(k):
 
 
 @pytest.mark.parametrize("steps", [1, 3, 20])
-@pytest.mark.parametrize("limit", [None, 10, 10**6])
+@pytest.mark.parametrize("limit", [10, 10**6])
 def test_ns_burst_restores_the_budget_limit(limit, steps):
     """`_burst` caps its walk at `steps` more schedules by lowering the
     run budget's limit, and puts the limit back afterwards: under a λ
-    cap, which can also end the walk, and under a time-limit-only
-    budget, whose limit is none."""
+    cap that can also end the walk, and under one far off."""
     for seed in range(10):
         rng = random.Random(seed)
         inst = random_instance(rng, rng.randint(3, 25), rng.randint(1, 3))
@@ -224,7 +222,7 @@ def test_ns_burst_restores_the_budget_limit(limit, steps):
         start = Individual(lst, serial_sgs(inst, lst))
         pop = Population()
         pop.insert(start)
-        budget = Budget(limit, time_limit=None if limit else 60.0)
+        budget = Budget(limit)
         budget.charge(5)
         run = _Run(inst, SolverConfig(ns_burst=steps), rng, budget, RunStats(),
                    (1.0,) * len(inst.capacities), pop, start)
@@ -232,7 +230,7 @@ def test_ns_burst_restores_the_budget_limit(limit, steps):
         assert budget.limit == limit
         assert run.stats.ns_bursts == 1
         assert budget.used <= 5 + steps
-        assert limit is None or budget.used <= limit
+        assert budget.used <= limit
 
 
 # ------------------------------------------------------------------- solve
@@ -638,11 +636,3 @@ def test_solve_keeps_no_instance_alive(monkeypatch):
     gc.collect()
     assert ref() is None
 
-
-def test_solve_time_limit_only():
-    rng = random.Random(10)
-    inst = random_instance(rng, 20, 2)
-    cfg = SolverConfig(lambda_budget=None, time_limit=0.3, population_capacity=8, seed=5)
-    sched, stats = solve(inst, cfg)
-    assert is_feasible(inst, sched)
-    assert stats.seconds < 5.0
