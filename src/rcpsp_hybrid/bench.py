@@ -1,15 +1,13 @@
-"""Benchmark harness: run a dataset under a schedule budget, compute the
-average percent deviation from the critical-path lower bound, and emit
-per-instance makespan files and summary tables.  A file that does not
-parse gets a failure row with its reason, and the other instances still
-run."""
+"""Benchmark harness: run a dataset under a schedule budget and compute
+the average percent deviation from the critical-path lower bound.
+`run_benchmark` returns the report; `write_makespans`, `write_csv` and
+`format_table` render it.  A file that does not parse gets a failure row
+with its reason, and the other instances still run."""
 
 from __future__ import annotations
 
 import csv
 import math
-import sys
-import time
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -57,28 +55,22 @@ class BenchReport:
 
 def _solve_one(args) -> InstanceResult:
     name, inst, config = args
-    t0 = time.monotonic()
     sched, stats = solve(inst, config)
     return InstanceResult(
         name=name,
         makespan=sched.makespan,
         cp_bound=stats.cp_bound,
         schedules=stats.schedules_generated,
-        seconds=time.monotonic() - t0,
+        seconds=stats.seconds,
     )
 
 
-def run_benchmark(
-    dataset_dir: str,
-    config: SolverConfig,
-    out_path: Optional[str] = None,
-    csv_path: Optional[str] = None,
-    threads: int = 1,
-) -> BenchReport:
-    """Solve every instance with an independently seeded run; deterministic
-    for a given (seed, config, dataset) regardless of worker count.  At
-    most one worker process per instance is started.  The i-th file, in
-    name order, solves with seed `config.seed + i`.  A file that does not
+def run_benchmark(dataset_dir: str, config: SolverConfig, threads: int = 1) -> BenchReport:
+    """Solve every instance with an independently seeded run and return
+    the report; nothing is written or printed.  Deterministic for a given
+    (seed, config, dataset) regardless of worker count.  At most one
+    worker process per instance is started.  The i-th file, in name
+    order, solves with seed `config.seed + i`.  A file that does not
     parse gives a failure row; an unreadable file (OSError) and any
     exception from a solve propagate."""
     if threads < 1:
@@ -104,12 +96,7 @@ def run_benchmark(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows += pool.map(_solve_one, jobs, chunksize=1)
     rows.sort(key=lambda r: r.name)
-    report = BenchReport(rows)
-    if out_path:
-        write_makespans(report, out_path)
-    if csv_path:
-        write_csv(report, csv_path)
-    return report
+    return BenchReport(rows)
 
 
 def write_makespans(report: BenchReport, path: str) -> None:
@@ -124,27 +111,23 @@ def write_makespans(report: BenchReport, path: str) -> None:
 
 
 def write_csv(report: BenchReport, path: str) -> None:
-    """One row per instance and an APD row.  When an instance failed, an
-    `error` column holds its reason and its makespan, bound and deviation
-    are empty."""
-    # only a run with a failure has the error column, so a clean run's file
-    # stays as it was
-    extra = [""] if report.failed else []
+    """One row per instance and an APD row.  The `error` column holds a
+    failed instance's reason, whose makespan, bound and deviation are
+    empty; it is empty on every other row."""
     with open(path, "w", encoding="ascii", errors="replace", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
-            ["name", "makespan", "cp_bound", "deviation_pct", "schedules", "seconds"]
-            + ["error"] * len(extra)
+            ["name", "makespan", "cp_bound", "deviation_pct", "schedules", "seconds", "error"]
         )
         for row in sorted(report.rows, key=lambda r: r.name):
             if row.error is None:
                 solved = [row.makespan, row.cp_bound, f"{row.deviation_pct:.4f}"]
-                tail = extra
             else:
                 solved = ["", "", ""]
-                tail = [row.error]
-            writer.writerow([row.name, *solved, row.schedules, f"{row.seconds:.3f}", *tail])
-        writer.writerow(["APD", "", "", f"{report.apd:.2f}", "", ""] + extra)
+            writer.writerow(
+                [row.name, *solved, row.schedules, f"{row.seconds:.3f}", row.error or ""]
+            )
+        writer.writerow(["APD", "", "", f"{report.apd:.2f}", "", "", ""])
 
 
 def read_bounds_csv(path: str) -> dict[str, int]:
@@ -182,15 +165,12 @@ def compare_bounds(
     report: BenchReport, bounds: dict[str, int]
 ) -> list[tuple[str, int, int]]:
     """(name, achieved, best_known) for solved instances beating the best
-    known; unknown names in the bounds map are skipped with a warning."""
+    known; names the report does not hold are skipped."""
     by_name = {r.name: r for r in report.rows}
     improvements = []
     for name, best_known in sorted(bounds.items()):
         row = by_name.get(name)
-        if row is None:
-            print(f"warning: bounds list unknown instance '{name}'", file=sys.stderr)
-            continue
-        if row.error is None and row.makespan < best_known:
+        if row is not None and row.error is None and row.makespan < best_known:
             improvements.append((name, row.makespan, best_known))
     return improvements
 

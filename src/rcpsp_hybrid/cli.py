@@ -12,6 +12,8 @@ from .bench import (
     format_table,
     read_bounds_csv,
     run_benchmark,
+    write_csv,
+    write_makespans,
 )
 from .psplib import dataset_files, read_sm
 from .ranking import rank_and_weigh
@@ -59,6 +61,8 @@ def cmd_solve(args) -> int:
 
 def cmd_bench(args) -> int:
     config = _build_config(args)
+    if args.threads < 1:
+        raise InputError(f"threads must be >= 1, not {args.threads}")
     bounds = None
     if args.bounds:
         try:
@@ -66,27 +70,29 @@ def cmd_bench(args) -> int:
         except (OSError, ValueError) as exc:  # a decode error is a ValueError
             raise InputError(f"bad bounds file {args.bounds}: {exc}") from exc
     # a bad output path fails before any solve; "a" keeps an older file
-    for option, path in (("--out", args.out), ("--csv", args.csv)):
-        if path:
-            try:
-                open(path, "a").close()
-            except OSError as exc:
-                raise InputError(f"cannot write {option} file {path}: {exc}") from exc
+    outputs = [("--out", args.out, write_makespans), ("--csv", args.csv, write_csv)]
+    outputs = [(option, path, write) for option, path, write in outputs if path]
+    for option, path, _ in outputs:
+        try:
+            open(path, "a").close()
+        except OSError as exc:
+            raise InputError(f"cannot write {option} file {path}: {exc}") from exc
     # both files exist now; one path for both would lose the makespans
     if args.out and args.csv and os.path.samefile(args.out, args.csv):
         raise InputError(f"--out and --csv name one file: {args.out}")
     try:
-        report = run_benchmark(
-            args.directory,
-            config,
-            out_path=args.out,
-            csv_path=args.csv,
-            threads=args.threads,
-        )
-    except (OSError, ValueError) as exc:
+        report = run_benchmark(args.directory, config, threads=args.threads)
+    except OSError as exc:  # the dataset listing or an unreadable file
         raise InputError(str(exc)) from exc
+    for option, path, write in outputs:
+        try:
+            write(report, path)
+        except OSError as exc:
+            raise InputError(f"cannot write {option} file {path}: {exc}") from exc
     print(format_table(report))
     if bounds is not None:
+        for name in sorted(bounds.keys() - {r.name for r in report.rows}):
+            print(f"warning: bounds list unknown instance '{name}'", file=sys.stderr)
         improvements = compare_bounds(report, bounds)
         if improvements:
             print("improved over best known:")

@@ -188,7 +188,9 @@ def dense_activities(
 # perfbench/run.py --trace 1 counts at seed 1, schedules unchanged:
 # progen-j30-pool 2 015 at 32 entries, 1 887 at 64, 128, 256 and 1 024;
 # progen-j120 1 591 at 32, 1 223 at 64, 1 220 at 128, 256 and 1 024.
-# 64 is the smallest size within 1 % of 1 024.
+# 64 is the smallest size within 1 % of 1 024.  The memo pays (BENCH_21):
+# schedules/s without it fell 1.47x on scarce120, 1.34x on progen-j120 and
+# 1.35x on progen-j30-pool, in 10 of 10 alternating pairs each.
 DENSE_MEMO_SIZE = 64
 
 

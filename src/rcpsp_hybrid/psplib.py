@@ -12,7 +12,7 @@ one number more; the mode must be 1, since only single-mode files are
 supported.  Each section lists every job 1..n exactly once, and a
 PRECEDENCE row exactly as many successors as its #successors reads.
 What the rows describe is checked by `ProjectInstance(...)`, whose
-message a bad instance raises as PsplibStructureError.
+message a bad instance raises as PsplibError.
 
 `read_sm` reads one file as UTF-8, replacing undecodable bytes, and
 names the instance by the file name without its extension;
@@ -28,12 +28,10 @@ import re
 from .model import Activity, ProjectInstance
 
 
-class PsplibParseError(ValueError):
-    """Malformed or missing section; message names section and line."""
-
-
-class PsplibStructureError(ValueError):
-    """Internally inconsistent file (counts, modes) or invalid instance."""
+class PsplibError(ValueError):
+    """A malformed or missing section, an inconsistent file (counts,
+    modes) or an invalid instance; the message names the section and line
+    where it can."""
 
 
 _PRECEDENCE = "PRECEDENCE RELATIONS"
@@ -60,7 +58,7 @@ def parse_sm(text: str, name: str = "") -> ProjectInstance:
     try:
         return ProjectInstance(activities, arcs, capacities, name=name)
     except ValueError as exc:
-        raise PsplibStructureError(str(exc)) from exc
+        raise PsplibError(str(exc)) from exc
 
 
 def _job_count(lines: list[str]) -> int:
@@ -68,9 +66,9 @@ def _job_count(lines: list[str]) -> int:
         if re.match(r"\s*jobs\b", line, re.IGNORECASE) and ":" in line:
             nums = _NUMBERS(line.split(":", 1)[1])
             if not nums:
-                raise PsplibParseError(f"line {lineno}: 'jobs' header carries no number")
+                raise PsplibError(f"line {lineno}: 'jobs' header carries no number")
             return int(nums[0])
-    raise PsplibParseError("missing 'jobs' header line")
+    raise PsplibError("missing 'jobs' header line")
 
 
 def _section_body(lines: list[str], title: str) -> tuple[int, list[str]]:
@@ -79,7 +77,7 @@ def _section_body(lines: list[str], title: str) -> tuple[int, list[str]]:
         if title in line.upper():
             break
     else:
-        raise PsplibParseError(f"missing section '{title}'")
+        raise PsplibError(f"missing section '{title}'")
     body = []
     for line in lines[start:]:
         if line.strip().startswith("****"):
@@ -103,26 +101,22 @@ def _job_rows(
             continue
         where = f"section '{title}', line {lineno}"
         if len(nums) < 3:
-            raise PsplibParseError(
-                f"{where}: expected jobnr, mode and at least one more number"
-            )
+            raise PsplibError(f"{where}: expected jobnr, mode and at least one more number")
         jobnr, mode = nums[0], nums[1]
         # a repeat would overwrite the first row and still match the
         # header's job count
         if jobnr in rows:
-            raise PsplibStructureError(f"{where}: job {jobnr} is listed twice")
+            raise PsplibError(f"{where}: job {jobnr} is listed twice")
         if mode != 1:
-            raise PsplibStructureError(
+            raise PsplibError(
                 f"{where}: job {jobnr} reads {mode} in the mode column; "
                 f"only single-mode files are supported"
             )
         if not 1 <= jobnr <= job_count:
-            raise PsplibStructureError(
-                f"{where}: job {jobnr} is outside jobs 1..{job_count}"
-            )
+            raise PsplibError(f"{where}: job {jobnr} is outside jobs 1..{job_count}")
         rows[jobnr] = (lineno, nums[2:])
     if len(rows) != job_count:
-        raise PsplibStructureError(
+        raise PsplibError(
             f"section '{title}': {len(rows)} jobs listed, header declares {job_count}"
         )
     return rows
@@ -134,13 +128,13 @@ def _parse_arcs(lines: list[str], job_count: int) -> set[tuple[int, int]]:
     for jobnr, (lineno, row) in _job_rows(lines, _PRECEDENCE, job_count).items():
         n_succ, *succ = row
         if len(succ) != n_succ:
-            raise PsplibParseError(
+            raise PsplibError(
                 f"section '{_PRECEDENCE}', line {lineno}: "
                 f"#successors reads {n_succ}, but job {jobnr} lists {len(succ)}"
             )
         for s in succ:
             if not 1 <= s <= job_count:
-                raise PsplibStructureError(
+                raise PsplibError(
                     f"section '{_PRECEDENCE}', line {lineno}: "
                     f"successor {s} is outside jobs 1..{job_count}"
                 )
@@ -153,7 +147,7 @@ def _parse_availabilities(lines: list[str]) -> list[int]:
     for line in body:
         if re.search(r"\d", line) and not _LETTER(line):
             return [int(x) for x in _NUMBERS(line)]
-    raise PsplibParseError(f"section '{_AVAILABILITIES}' carries no capacity line")
+    raise PsplibError(f"section '{_AVAILABILITIES}' carries no capacity line")
 
 
 def write_sm(inst: ProjectInstance) -> str:

@@ -68,7 +68,10 @@ USE_KERNELS = False
 # before).  The sweeps ran with one memo per instance; every key holds its
 # instance and the solves in one process run one after another, so these
 # caches evict in the same order.  `solve` empties both when it ends, so
-# their size costs memory only while a solve runs.
+# their size costs memory only while a solve runs.  The FBI pass memo
+# stays (BENCH_21, 10 alternating pairs): schedules/s without it fell
+# 1.20x on progen-j30-pool (10 of 10 pairs), 1.10x on scarce120 (8 of 10)
+# and 1.04x on progen-j120 (7 of 10); no workload ran faster without it.
 SERIAL_MEMO_SIZE = 256
 FBI_MEMO_SIZE = 256
 

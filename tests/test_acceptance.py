@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from rcpsp_hybrid.bench import run_benchmark
+from rcpsp_hybrid.bench import run_benchmark, write_makespans
 from rcpsp_hybrid.genetic import Individual
 from rcpsp_hybrid.model import (
     critical_path_lower_bound,
@@ -292,7 +292,7 @@ def test_criterion_9_bench_determinism(tmp_path):
     payloads = []
     for run in range(2):
         out = tmp_path / f"makespans_{run}.txt"
-        run_benchmark(str(data), config, out_path=str(out))
+        write_makespans(run_benchmark(str(data), config), str(out))
         payloads.append(out.read_bytes())
     ok = payloads[0] == payloads[1]
     _verdict("9 determinism", ok, f"{len(payloads[0])}-byte files identical")

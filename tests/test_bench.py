@@ -113,12 +113,6 @@ def test_compare_bounds_tie_not_listed():
     assert compare_bounds(report, {"j1": 78}) == []
 
 
-def test_compare_bounds_unknown_name_warns(capsys):
-    report = BenchReport([_row("j1", 77, 70)])
-    assert compare_bounds(report, {"ghost": 1}) == []
-    assert "ghost" in capsys.readouterr().err
-
-
 def test_compare_bounds_empty():
     assert compare_bounds(BenchReport([_row("j1", 77, 70)]), {}) == []
 
@@ -139,7 +133,7 @@ def test_run_benchmark_deterministic_files(tmp_path):
     outs = []
     for run in range(2):
         out = tmp_path / f"makespans_{run}.txt"
-        run_benchmark(str(tmp_path), cfg, out_path=str(out))
+        write_makespans(run_benchmark(str(tmp_path), cfg), str(out))
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
 
@@ -240,7 +234,9 @@ def test_run_benchmark_reports_bad_instances_and_solves_the_rest(tmp_path, monke
     monkeypatch.setattr(_PoolRecorder, "workers", [])
     cfg = SolverConfig(lambda_budget=60, population_capacity=4, seed=3)
     out, csv_out = tmp_path / "makespans.txt", tmp_path / "summary.csv"
-    report = run_benchmark(str(data), cfg, out_path=str(out), csv_path=str(csv_out), threads=threads)
+    report = run_benchmark(str(data), cfg, threads=threads)
+    write_makespans(report, str(out))
+    write_csv(report, str(csv_out))
 
     assert _PoolRecorder.workers == ([2] if threads == 2 else [])
     assert [r.name for r in report.rows] == ["a0", "b_broken", "c1", "e2"]
@@ -276,11 +272,31 @@ def test_run_benchmark_lets_other_errors_through(tmp_path, monkeypatch, error):
         run_benchmark(str(tmp_path), SolverConfig(lambda_budget=50))
 
 
-def test_clean_run_files_have_no_error_column(tmp_path):
+def test_clean_run_csv_has_the_fixed_header(tmp_path):
+    """The CSV has one layout: a clean run's file also has the `error`
+    column, empty on every row."""
     data = tmp_path / "data"
     data.mkdir()
     _write_dataset(data)
     csv_out = tmp_path / "summary.csv"
-    report = run_benchmark(str(data), SolverConfig(lambda_budget=50), csv_path=str(csv_out))
-    assert csv_out.read_text().splitlines()[0] == "name,makespan,cp_bound,deviation_pct,schedules,seconds"
+    report = run_benchmark(str(data), SolverConfig(lambda_budget=50))
+    write_csv(report, str(csv_out))
+    rows = list(csv.reader(csv_out.read_text().splitlines()))
+    assert rows[0] == [
+        "name", "makespan", "cp_bound", "deviation_pct", "schedules", "seconds", "error"
+    ]
+    assert [len(row) for row in rows[1:]] == [7] * 4 and {row[-1] for row in rows} == {"error", ""}
     assert "failed" not in format_table(report)
+
+
+def test_run_benchmark_seconds_are_the_solves_own(tmp_path, monkeypatch):
+    """A row's seconds is the time the solve reports, not a second clock's."""
+    _write_dataset(tmp_path, count=2)
+
+    def timed_solve(inst, config):
+        sched, stats = solve(inst, config)
+        return sched, replace(stats, seconds=1.25)
+
+    monkeypatch.setattr(bench, "solve", timed_solve)
+    report = run_benchmark(str(tmp_path), SolverConfig(lambda_budget=50))
+    assert [r.seconds for r in report.rows] == [1.25, 1.25]

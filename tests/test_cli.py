@@ -231,6 +231,45 @@ def test_bench_refuses_one_file_for_out_and_csv(dataset_dir, tmp_path, capsys, m
     assert target.read_text() == "kept\n"
 
 
+def test_bench_warns_of_unknown_bounds_instances(dataset_dir, tmp_path, capsys):
+    """A bounds name that is not in the dataset gets one warning line; the
+    known names are still compared."""
+    bounds = tmp_path / "bounds.csv"
+    bounds.write_text("instance,best\nghost,1\ninst0,99999\n")
+    assert main(["bench", dataset_dir, "--lambda", "60", "--bounds", str(bounds)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: bounds list unknown instance 'ghost'\n"
+    assert "improved over best known:\n  inst0: " in captured.out
+
+
+def test_bench_solver_fault_exit_2(dataset_dir, monkeypatch, capsys):
+    """A ValueError raised inside a solve is the solver's fault, not bad
+    input: bench reports it as an internal error, as solve does."""
+
+    def faulty_solve(*args):
+        raise ValueError("activity 5 fits nowhere within the horizon 10")
+
+    monkeypatch.setattr("rcpsp_hybrid.bench.solve", faulty_solve)
+    assert main(["bench", dataset_dir, "--lambda", "50"]) == 2
+    assert capsys.readouterr().err == (
+        "internal error: ValueError: activity 5 fits nowhere within the horizon 10\n"
+    )
+
+
+def test_bench_write_failure_exit_1(dataset_dir, tmp_path, monkeypatch, capsys):
+    """An output file that passed the check but cannot be written after the
+    solves exits 1, naming the option and the path."""
+
+    def disk_full(report, path):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("rcpsp_hybrid.cli.write_csv", disk_full)
+    target = tmp_path / "summary.csv"
+    assert main(["bench", dataset_dir, "--lambda", "50", "--csv", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write --csv file {target}: ") and "No space" in err
+
+
 @pytest.mark.parametrize("value", ["inf", "-inf", "1e400", "nan"])
 def test_bench_skips_a_bound_that_is_not_finite(dataset_dir, tmp_path, capsys, value):
     bounds = tmp_path / "bounds.csv"
@@ -373,7 +412,7 @@ def test_zero_capacity_resource_solves_and_ranks(tmp_path, capsys):
         "fbi_passes = 2\n",
         "sigma1 = 0.1\n",
         "tabu_capacity = 10\n",
-        "lambda_budget = none\ntime_limit = inf\n",
+        "time_limit = 2\n",
         # the checkpoint settings are integers, never none
         "ns_burst = none\n",
         "stagnation_trigger = none\n",
@@ -382,7 +421,7 @@ def test_zero_capacity_resource_solves_and_ranks(tmp_path, capsys):
         "unknown-weight-mode", "repeated-key", "no-equals", "no-cap", "block-size-0", "sigma-text",
         "dense-threshold-text", "negative-elite-count", "one-member-population",
         "removed-ablation-key", "removed-fbi-passes", "removed-sigma1",
-        "removed-tabu-capacity", "infinite-time-limit", "ns-burst-none",
+        "removed-tabu-capacity", "removed-time-limit", "ns-burst-none",
         "stagnation-trigger-none",
     ],
 )

@@ -17,7 +17,7 @@ from rcpsp_hybrid.model import (
     validate_instance,
 )
 from rcpsp_hybrid.cli import main
-from rcpsp_hybrid.psplib import PsplibStructureError, parse_sm
+from rcpsp_hybrid.psplib import PsplibError, parse_sm
 from rcpsp_hybrid.random_instances import random_instance
 from rcpsp_hybrid.sgs import serial_sgs
 from rcpsp_hybrid.solver import SolverConfig, solve
@@ -110,13 +110,13 @@ INVALID = {
 @pytest.mark.parametrize("parts, text, in_file", INVALID.values(), ids=INVALID.keys())
 def test_invalid_instance_is_refused_where_it_enters(tmp_path, capsys, parts, text, in_file):
     """Each problem `validate_instance` names: the constructor raises it as
-    ValueError, parse_sm as PsplibStructureError, and the CLI exits 1."""
+    ValueError, parse_sm as PsplibError, and the CLI exits 1."""
     with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
         ProjectInstance(*parts)
     if not in_file:
         return
     sm = _sm_text(*parts)
-    with pytest.raises(PsplibStructureError, match=f"^{re.escape(text)}$"):
+    with pytest.raises(PsplibError, match=f"^{re.escape(text)}$"):
         parse_sm(sm)
     path = tmp_path / "bad.sm"
     path.write_text(sm)

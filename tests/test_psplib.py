@@ -6,8 +6,7 @@ import pytest
 from rcpsp_hybrid.cli import main
 from rcpsp_hybrid.model import validate_instance
 from rcpsp_hybrid.psplib import (
-    PsplibParseError,
-    PsplibStructureError,
+    PsplibError,
     load_dataset,
     parse_sm,
     write_sm,
@@ -28,13 +27,13 @@ def test_parse_fixture_a(fixture_a_text):
 
 def test_missing_availabilities_names_section(fixture_a_text):
     mutilated = fixture_a_text.replace("RESOURCEAVAILABILITIES:", "")
-    with pytest.raises(PsplibParseError, match="RESOURCEAVAILABILITIES"):
+    with pytest.raises(PsplibError, match="RESOURCEAVAILABILITIES"):
         parse_sm(mutilated)
 
 
 def test_missing_precedence_names_section(fixture_a_text):
     mutilated = fixture_a_text.replace("PRECEDENCE RELATIONS:", "")
-    with pytest.raises(PsplibParseError, match="PRECEDENCE RELATIONS"):
+    with pytest.raises(PsplibError, match="PRECEDENCE RELATIONS"):
         parse_sm(mutilated)
 
 
@@ -43,7 +42,7 @@ def test_job_count_mismatch(fixture_a_text):
         "jobs (incl. supersource/sink ):  4",
         "jobs (incl. supersource/sink ):  5",
     )
-    with pytest.raises(PsplibStructureError):
+    with pytest.raises(PsplibError):
         parse_sm(mutilated)
 
 
@@ -54,7 +53,7 @@ def test_multi_mode_rejected(fixture_a_text):
         ("  2      1     2       2", "  2      2     2       2"),
     ]:
         assert row in fixture_a_text
-        with pytest.raises(PsplibStructureError, match="single-mode"):
+        with pytest.raises(PsplibError, match="single-mode"):
             parse_sm(fixture_a_text.replace(row, multi))
 
 
@@ -152,7 +151,7 @@ def test_job_listed_twice_rejected(tmp_path, capsys, row, repeat, section):
     text = FIXTURE_A.replace(row, row + repeat)
     lineno = text.splitlines().index(repeat.rstrip("\n")) + 1
     problem = f"section '{section}', line {lineno}: job 2 is listed twice"
-    with pytest.raises(PsplibStructureError, match=re.escape(problem)):
+    with pytest.raises(PsplibError, match=re.escape(problem)):
         parse_sm(text)
     path = tmp_path / "twice.sm"
     path.write_text(text)
